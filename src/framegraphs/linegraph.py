@@ -1,8 +1,11 @@
 """Incidence matrices, Laplacians, line graphs, and root-graph recovery.
 
-Line graphs are recognized by Beineke's forbidden-induced-subgraph
-characterization; root graphs are recovered by backtracking over Krausz
-edge-clique partitions in which every vertex lies in at most two cliques.
+Line graphs are recognized, and their roots recovered, by searching for
+Krausz partitions: partitions of the edges into cliques with every vertex
+in at most two of them.  The search branches once per connected component,
+over at most deg + 1 candidate cliques, and unit propagation settles the
+rest, so it is polynomial.  Beineke's nine forbidden induced subgraphs are
+searched only for non-line graphs, to name a concrete witness.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import numpy as np
 
 from .graphs import Graph, GraphError, beineke, is_connected, is_isomorphic, path
 
-# Search budgets for the backtracking recognizers.
+# Input caps kept from when both searches were exponential.  Lifting them
+# waits for a benchmark workload that runs inputs beyond them.
 LINE_GRAPH_MAX_N = 30
 ROOT_GRAPH_MAX_N = 21
 
@@ -106,6 +110,8 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
 
     Backtracking over h's vertices in descending-degree order; adjacency
     and non-adjacency are both enforced, so the image induces h.
+    Candidates are tried in increasing vertex order, so the embedding
+    returned is the first one in that fixed search order.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
@@ -123,51 +129,91 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
         )
         order.append(chosen)
         remaining.remove(chosen)
-    anchors = [
-        [w for w in order[:k] if h.has_edge(order[k], w)] for k in range(h.n)
+    # For each position k, the earlier positions whose images must be
+    # adjacent to the image of order[k], and those whose images must not.
+    joined = [
+        [j for j in range(k) if h.has_edge(order[k], order[j])]
+        for k in range(h.n)
     ]
-    mapping: dict[int, int] = {}
-    used = [False] * g.n
+    apart = [
+        [j for j in range(k) if not h.has_edge(order[k], order[j])]
+        for k in range(h.n)
+    ]
+    degree = [h.degree(u) for u in order]
+    adj = g._adj
+    image: list[int] = []
 
     def extend(k: int) -> bool:
         if k == h.n:
             return True
-        u = order[k]
-        if anchors[k]:
-            cand = set(g.neighbors(mapping[anchors[k][0]]))
-            for w in anchors[k][1:]:
-                cand &= g.neighbors(mapping[w])
-            cand = sorted(cand)
+        if joined[k]:
+            first, *others = joined[k]
+            cand = adj[image[first]].intersection(*(adj[image[j]] for j in others))
         else:
-            cand = range(g.n)
-        for v in cand:
-            if used[v] or g.degree(v) < h.degree(u):
+            cand = frozenset(range(g.n))
+        cand = cand.difference(image, *(adj[image[j]] for j in apart[k]))
+        for v in sorted(cand):
+            if len(adj[v]) < degree[k]:
                 continue
-            if all(
-                g.has_edge(v, mapping[w]) == h.has_edge(u, w) for w in order[:k]
-            ):
-                mapping[u] = v
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                del mapping[u]
-                used[v] = False
+            image.append(v)
+            if extend(k + 1):
+                return True
+            image.pop()
         return False
 
-    return dict(mapping) if extend(0) else None
+    return dict(zip(order, image)) if extend(0) else None
 
 
-def is_line_graph(g: Graph):
-    """True, or (False, beineke_index, embedding) with a concrete witness."""
-    if g.n > LINE_GRAPH_MAX_N:
-        raise SizeLimitError(f"line graph recognition capped at {LINE_GRAPH_MAX_N} vertices")
+def _components(g: Graph) -> list[Graph]:
+    """The connected components of g, each relabelled onto 0..k-1."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        verts = [s]
+        for u in verts:
+            for w in g._adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    verts.append(w)
+        if len(verts) == g.n:
+            return [g]
+        index = {v: i for i, v in enumerate(verts)}
+        comps.append(Graph.from_edges(len(verts), [
+            (index[u], index[w]) for u in verts for w in g._adj[u] if u < w
+        ]))
+    return comps
+
+
+def _beineke_witness(g: Graph) -> tuple[bool, int, dict[int, int]]:
+    """(False, i, embedding) for the first Beineke graph G_i inside g.
+
+    Only called on graphs with no Krausz partition, which by the
+    Krausz-Beineke theorem contain one of the nine.
+    """
     for i in range(1, 10):
         pattern = beineke(i)
         if pattern.n <= g.n:
             embedding = contains_induced(g, pattern)
             if embedding is not None:
                 return (False, i, embedding)
-    return True
+    raise AssertionError("no Krausz partition, yet no Beineke subgraph")
+
+
+def is_line_graph(g: Graph):
+    """True, or (False, beineke_index, embedding) with a concrete witness.
+
+    Line-ness is decided by whether each connected component has a Krausz
+    partition; the Beineke search runs only on non-line graphs, to name
+    the first forbidden induced subgraph in the order G1..G9.
+    """
+    if g.n > LINE_GRAPH_MAX_N:
+        raise SizeLimitError(f"line graph recognition capped at {LINE_GRAPH_MAX_N} vertices")
+    if all(next(_krausz_partitions(c), None) is not None for c in _components(g)):
+        return True
+    return _beineke_witness(g)
 
 
 # ---------------------------------------------------------------------------
@@ -179,92 +225,71 @@ def _krausz_partitions(g: Graph):
 
     Unit propagation: once a vertex lies in one clique and still has
     uncovered edges, its second clique is forced to be the whole uncovered
-    neighborhood.  Branching happens only at vertices in no clique yet.
+    neighborhood.  Branching happens only at a vertex in no clique yet, on
+    the clique holding its edge to its first uncovered neighbor, the
+    anchor.  That clique lies in {branch, anchor} + C, where C is the set
+    of their common uncovered neighbors, and misses at most one w in C:
+    two missed vertices w, w' would lie both in the second clique of
+    branch and in that of anchor, covering the edge ww' twice.  So there
+    are at most |C| + 1 candidates, and propagation from any of them
+    settles the whole connected component.
     """
-    covered: dict[tuple[int, int], bool] = {e: False for e in g.edges}
+    uncovered = [set(a) for a in g._adj]
     count = [0] * g.n
     cliques: list[frozenset[int]] = []
 
-    def uncovered_neighbors(v: int) -> list[int]:
-        return [
-            w
-            for w in sorted(g.neighbors(v))
-            if not covered[(min(v, w), max(v, w))]
-        ]
-
     def clique_ok(s: list[int]) -> bool:
-        for i, u in enumerate(s):
-            if count[u] >= 2:
-                return False
-            for v in s[i + 1:]:
-                e = (min(u, v), max(u, v))
-                if not g.has_edge(u, v) or covered[e]:
-                    return False
-        return True
+        return all(
+            count[u] < 2 and uncovered[u].issuperset(s[i + 1:])
+            for i, u in enumerate(s)
+        )
 
-    def place(s: list[int]) -> list[tuple[int, int]]:
-        edges = []
-        for i, u in enumerate(s):
+    def place(s: list[int]):
+        for u in s:
             count[u] += 1
-            for v in s[i + 1:]:
-                e = (min(u, v), max(u, v))
-                covered[e] = True
-                edges.append(e)
+            uncovered[u].difference_update(s)
         cliques.append(frozenset(s))
-        return edges
 
-    def unplace(s: list[int], edges: list[tuple[int, int]]):
+    def unplace(s: list[int]):
         cliques.pop()
         for u in s:
             count[u] -= 1
-        for e in edges:
-            covered[e] = False
+            uncovered[u].update(w for w in s if w != u)
 
     def search():
         # Propagate all forced cliques before branching.
-        placed: list[tuple[list[int], list[tuple[int, int]]]] = []
+        placed: list[list[int]] = []
         ok = True
         while True:
-            forced = None
-            for v in range(g.n):
-                nbrs = uncovered_neighbors(v)
-                if not nbrs:
-                    continue
-                if count[v] >= 2:
-                    ok = False
-                    break
-                if count[v] == 1:
-                    forced = [v] + nbrs
-                    break
-            if not ok or forced is None:
+            v = next((v for v in range(g.n) if count[v] and uncovered[v]), None)
+            if v is None:
                 break
-            if clique_ok(forced):
-                placed.append((forced, place(forced)))
-            else:
+            forced = [v, *uncovered[v]]
+            if not clique_ok(forced):
                 ok = False
                 break
+            place(forced)
+            placed.append(forced)
         if ok:
-            branch = next(
-                (v for v in range(g.n) if uncovered_neighbors(v)), None
-            )
+            branch = next((v for v in range(g.n) if uncovered[v]), None)
             if branch is None:
                 yield [set(s) for s in cliques]
             else:
-                nbrs = uncovered_neighbors(branch)
-                anchor = nbrs[0]
-                rest = nbrs[1:]
-                # Enumerate the clique at `branch` containing the anchor
-                # neighbor; propagation supplies the complementary clique.
-                for mask in range(1 << len(rest)):
-                    s = [branch, anchor] + [
-                        w for i, w in enumerate(rest) if mask >> i & 1
-                    ]
+                anchor = min(uncovered[branch])
+                common = sorted(uncovered[branch] & uncovered[anchor])
+                # Each common neighbor left out in turn, then none.
+                candidates = [
+                    [branch, anchor, *common[:i], *common[i + 1:]]
+                    for i in reversed(range(len(common)))
+                ]
+                candidates.append([branch, anchor, *common])
+                for s in candidates:
                     if clique_ok(s):
-                        edges = place(s)
+                        place(s)
                         yield from search()
-                        unplace(s, edges)
-        for s, edges in reversed(placed):
-            unplace(s, edges)
+                        unplace(s)
+        for s in reversed(placed):
+            unplace(s)
 
     yield from search()
 
@@ -306,11 +331,7 @@ def root_graph(g: Graph) -> list[Graph]:
         if not any(is_isomorphic(root, r) for r in roots):
             roots.append(root)
     if not roots:
-        # No Krausz partition; run the recognizer to name a witness.
-        verdict = is_line_graph(g)
-        if verdict is not True:
-            raise NotALineGraph(
-                f"not a line graph (forbidden subgraph G{verdict[1]})"
-            )
-        raise NotALineGraph("not a line graph (no edge-clique partition)")
+        # No Krausz partition; run the Beineke search to name a witness.
+        _, index, _ = _beineke_witness(g)
+        raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
     return roots

@@ -1,12 +1,17 @@
 """Command-line surface: exit codes, piping, serialization, determinism."""
 
+import importlib
+import os
+import shlex
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from framegraphs.cli import cli
+from framegraphs.cli import cli, main
 from framegraphs.graphs import cycle, from_text, star, to_text
 from framegraphs.matio import matrix_from_text
 
@@ -220,40 +225,61 @@ def test_sweeps(runner):
 # Real process: console script, pipes, error stream
 # ---------------------------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# The installed console script runs framegraphs.cli:main, as does
+# `python -m framegraphs`; the latter also works from a source checkout.
+FRAMEGRAPHS = f"{shlex.quote(sys.executable)} -m framegraphs"
+
+
 def shell(cmd, stdin=None):
+    """Run a shell command line, with {fg} standing for the framegraphs CLI."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     return subprocess.run(
-        cmd, input=stdin, shell=True, capture_output=True, text=True
+        cmd.format(fg=FRAMEGRAPHS), input=stdin, shell=True,
+        capture_output=True, text=True, env=env,
     )
 
 
+def test_console_script_entry_point_declared():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    target = meta["project"]["scripts"]["framegraphs"]
+    assert target == "framegraphs.cli:main"
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 def test_console_script_pipeline():
-    res = shell("framegraphs gen complete 5 | framegraphs linegraph | "
-                "framegraphs rootgraph")
+    res = shell("{fg} gen complete 5 | {fg} linegraph | {fg} rootgraph")
     assert res.returncode == 0
     assert from_text(res.stdout).degree_sequence() == (4, 4, 4, 4, 4)
 
 
 def test_console_script_frame_pipeline():
-    res = shell("framegraphs frame k2kn 4 | framegraphs check tight")
+    res = shell("{fg} frame k2kn 4 | {fg} check tight")
     assert res.returncode == 0
     assert res.stdout.startswith("tight")
 
 
 def test_console_script_error_goes_to_stderr():
-    res = shell("framegraphs classify", stdin="4 2\n0 1\n2 3\n")
+    res = shell("{fg} classify", stdin="4 2\n0 1\n2 3\n")
     assert res.returncode == 2
     assert res.stdout == ""
     assert "error:" in res.stderr
 
 
 def test_console_script_bad_graph_text():
-    res = shell("framegraphs linegraph", stdin="not a graph\n")
+    res = shell("{fg} linegraph", stdin="not a graph\n")
     assert res.returncode == 2
     assert "error:" in res.stderr
 
 
 def test_console_script_byte_identical():
-    a = shell("framegraphs frame lkn 6")
-    b = shell("framegraphs frame lkn 6")
+    a = shell("{fg} frame lkn 6")
+    b = shell("{fg} frame lkn 6")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout

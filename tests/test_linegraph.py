@@ -32,6 +32,8 @@ from framegraphs.linegraph import (
     unoriented_incidence,
 )
 
+import reference_linegraph as reference
+
 
 # ---------------------------------------------------------------------------
 # Matrices
@@ -134,7 +136,8 @@ def test_is_line_graph_witnesses():
 
 
 def test_is_line_graph_positive_cases():
-    for g in (complete(3), path(5), cycle(6), line_graph(complete(5)).line):
+    for g in (complete(3), path(5), cycle(6), line_graph(complete(5)).line,
+              line_graph(complete(7)).line, complete(14), complete(30)):
         assert is_line_graph(g) is True
 
 
@@ -219,8 +222,84 @@ def test_root_graph_rejects_non_line_graphs():
         root_graph(delete_edge(complete(5), (0, 1)))
 
 
+def test_root_graph_of_dense_line_graphs():
+    (root,) = root_graph(complete(21))
+    assert is_isomorphic(root, star(22))
+    (root,) = root_graph(line_graph(complete(7)).line)
+    assert is_isomorphic(root, complete(7))
+
+
 def test_root_graph_guards():
     with pytest.raises(GraphError):
         root_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
     with pytest.raises(SizeLimitError):
         root_graph(cycle(ROOT_GRAPH_MAX_N + 1))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests on every graph with at most 7 vertices
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def atlas():
+    """networkx's graph atlas, disconnected graphs included, as (nx, Graph)
+    pairs; the null graph at index 0 has no Graph counterpart."""
+    nx = pytest.importorskip("networkx")
+    pairs = [
+        (a, Graph.from_edges(a.number_of_nodes(), a.edges()))
+        for a in nx.graph_atlas_g()[1:]
+    ]
+    assert len(pairs) == 1252
+    return pairs
+
+
+def test_is_line_graph_matches_reference_search(atlas):
+    for _, g in atlas:
+        assert is_line_graph(g) == reference.is_line_graph(g), g
+
+
+def _induced(search, g, h):
+    try:
+        return search(g, h)
+    except GraphError:
+        return "pattern larger than host"
+
+
+def test_contains_induced_matches_reference_search(atlas):
+    patterns = [beineke(i) for i in range(1, 10)] + [path(4)]
+    for _, g in atlas:
+        for h in patterns:
+            assert _induced(contains_induced, g, h) == _induced(
+                reference.contains_induced, g, h
+            ), (g, h)
+
+
+def test_is_line_graph_matches_networkx(atlas):
+    nx = pytest.importorskip("networkx")
+
+    def invertible(a):
+        try:
+            nx.inverse_line_graph(a)
+        except nx.NetworkXError:
+            return False
+        return True
+
+    for a, g in atlas:
+        expected = all(
+            invertible(a.subgraph(c))
+            for c in nx.connected_components(a)
+            if len(c) > 1
+        )
+        assert (is_line_graph(g) is True) == expected, g
+
+
+def test_root_graph_matches_networkx(atlas):
+    nx = pytest.importorskip("networkx")
+    for a, g in atlas:
+        if g.n < 2 or not nx.is_connected(a) or is_line_graph(g) is not True:
+            continue
+        inverse = nx.convert_node_labels_to_integers(nx.inverse_line_graph(a))
+        expected = Graph.from_edges(inverse.number_of_nodes(), inverse.edges())
+        roots = root_graph(g)
+        assert len(roots) == (2 if is_isomorphic(g, complete(3)) else 1), g
+        assert any(is_isomorphic(r, expected) for r in roots), g
