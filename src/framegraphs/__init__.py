@@ -1,6 +1,6 @@
 """Frames associated with graphs: constructions, certificates, obstructions."""
 
-from .graphs import Graph, GraphFamily, gen_named
+from .graphs import Graph, gen_named
 from .spectral import EigDecomp, TolerancePolicy, numeric_rank, sym_eig
 from .frames import (
     Frame,
@@ -21,7 +21,6 @@ __all__ = [
     "Frame",
     "FrameBounds",
     "Graph",
-    "GraphFamily",
     "TolerancePolicy",
     "associated_graph",
     "classify",

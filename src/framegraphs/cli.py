@@ -30,7 +30,6 @@ from .spectral import SpectralError, TolerancePolicy
 @dataclass
 class RunConfig:
     tol: TolerancePolicy
-    seed: int
     fmt: str
 
 
@@ -58,18 +57,16 @@ def _load_frame(source: str):
 @click.group()
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="Relative zero threshold for all pattern/rank decisions.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed recorded for randomized property tests.")
 @click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
               default="structured", show_default=True,
               help="Report style for classify/sweep output.")
 @click.pass_context
-def cli(ctx, tol, seed, fmt):
+def cli(ctx, tol, fmt):
     try:
         policy = TolerancePolicy(tau_rel=tol)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    ctx.obj = RunConfig(tol=policy, seed=seed, fmt=fmt)
+    ctx.obj = RunConfig(tol=policy, fmt=fmt)
 
 
 # ---------------------------------------------------------------------------

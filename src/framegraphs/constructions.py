@@ -47,7 +47,7 @@ def laplacian_method(p: Graph) -> Frame:
         raise GraphError("Laplacian method needs a connected root graph")
     dec = sym_eig(laplacian(p))
     x = dec.vectors[:, 1:]  # drop the eigenvalue-0 (all-ones) eigenvector
-    b = oriented_incidence(p).matrix
+    b = oriented_incidence(p)
     return Frame(x.T @ b)
 
 
@@ -62,7 +62,7 @@ def lkn_small_frame(n: int) -> Frame:
         raise GraphError("lkn_small_frame needs n >= 3")
     k = n - 1
     c = np.eye(k) - np.ones((k, k)) / k
-    d = oriented_incidence(graphs.complete(k)).matrix
+    d = oriented_incidence(graphs.complete(k))
     m = np.hstack([c, d])
     dec = sym_eig(m @ m.T)
     x = dec.vectors[:, 1:]  # eigenvalue-n eigenspace (the top n-2)
@@ -103,7 +103,7 @@ def star_frame(n: int, d: int, keep=None) -> Frame:
         head = np.sqrt((n - k) / (n - k + 1))
         xt[k, k - 1] = head
         xt[k + 1:, k - 1] = -head / (n - k)
-    b = oriented_incidence(graphs.star(n + 1)).matrix
+    b = oriented_incidence(graphs.star(n + 1))
     xd = xt[:, [k - 1 for k in keep]]
     return Frame(xd.T @ b)
 
@@ -173,8 +173,7 @@ def two_step_completion(
     """
     mat = f.synthesis
     d = f.d
-    scale = max(1.0, float(np.max(np.abs(mat @ mat.T))))
-    thr = tol.tau_rel * scale
+    thr = tol.threshold(float(np.max(np.abs(mat @ mat.T))))
     added: list[np.ndarray] = []
     for i in range(d):
         for j in range(i + 1, d):

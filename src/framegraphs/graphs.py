@@ -17,6 +17,8 @@ class GraphError(ValueError):
 
 
 ENUMERATION_MAX_N = 8
+# Largest order from_text accepts: Graph allocates n adjacency sets up front.
+TEXT_MAX_N = 100_000
 _ENUM_CACHE: dict[int, list["Graph"]] = {}
 
 
@@ -105,14 +107,6 @@ _BEINEKE_EDGES = {
 _BEINEKE_ORDER = {1: 4, 2: 5, 3: 5, 4: 6, 5: 6, 6: 6, 7: 6, 8: 6, 9: 6}
 
 
-@dataclass(frozen=True)
-class GraphFamily:
-    """A named graph family with integer parameters."""
-
-    tag: str
-    params: tuple[int, ...] = ()
-
-
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("K_n needs n >= 1")
@@ -193,23 +187,15 @@ _FAMILIES = {
 }
 
 
-def gen_named(family: GraphFamily | str, *params: int) -> Graph:
+def gen_named(tag: str, *params: int) -> Graph:
     """Build a named family member with its canonical vertex labeling."""
-    if isinstance(family, GraphFamily):
-        tag, args = family.tag, family.params
-    else:
-        tag, args = family, params
     tag = tag.lower()
     if tag not in _FAMILIES:
         raise GraphError(f"unknown family {tag!r}")
     fn, arity = _FAMILIES[tag]
-    if len(args) != arity:
+    if len(params) != arity:
         raise GraphError(f"family {tag!r} takes {arity} parameter(s)")
-    return fn(*args)
-
-
-def family_names() -> list[str]:
-    return sorted(_FAMILIES)
+    return fn(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +386,8 @@ def from_text(text: str) -> Graph:
         n, m = (int(x) for x in rows[0].split())
     except ValueError:
         raise GraphError(f"bad header line {rows[0]!r}") from None
+    if n > TEXT_MAX_N:
+        raise GraphError(f"graph order {n} exceeds the limit of {TEXT_MAX_N}")
     if len(rows) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []

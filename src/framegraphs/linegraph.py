@@ -4,8 +4,9 @@ Line graphs are recognized, and their roots recovered, by searching for
 Krausz partitions: partitions of the edges into cliques with every vertex
 in at most two of them.  The search branches once per connected component,
 over at most deg + 1 candidate cliques, and unit propagation settles the
-rest, so it is polynomial.  Beineke's nine forbidden induced subgraphs are
-searched only for non-line graphs, to name a concrete witness.
+rest, so it is polynomial and takes graphs of any order.  Beineke's nine
+forbidden induced subgraphs are searched only for non-line graphs, to name
+a concrete witness.
 """
 
 from __future__ import annotations
@@ -16,17 +17,8 @@ import numpy as np
 
 from .graphs import Graph, GraphError, beineke, is_connected, is_isomorphic, path
 
-# Input caps kept from when both searches were exponential.  Lifting them
-# waits for a benchmark workload that runs inputs beyond them.
-LINE_GRAPH_MAX_N = 30
-ROOT_GRAPH_MAX_N = 21
-
 
 class NotALineGraph(GraphError):
-    pass
-
-
-class SizeLimitError(GraphError):
     pass
 
 
@@ -34,33 +26,25 @@ class SizeLimitError(GraphError):
 # Matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Vertex-by-edge incidence matrix; columns follow the canonical edge order."""
-
-    matrix: np.ndarray
-    edge_order: tuple[tuple[int, int], ...]
-
-
-def oriented_incidence(g: Graph) -> IncidenceMatrix:
+def oriented_incidence(g: Graph) -> np.ndarray:
     """Oriented incidence matrix with -1 at the smaller-index endpoint.
 
-    Satisfies B @ B.T == laplacian(g) exactly.
+    Columns follow g.edges.  Satisfies B @ B.T == laplacian(g) exactly.
     """
     b = np.zeros((g.n, g.m))
     for j, (u, v) in enumerate(g.edges):
         b[u, j] = -1.0
         b[v, j] = 1.0
-    return IncidenceMatrix(matrix=b, edge_order=g.edges)
+    return b
 
 
-def unoriented_incidence(g: Graph) -> IncidenceMatrix:
-    """0/1 incidence matrix; (B^T B - 2I) is the line graph's adjacency matrix."""
+def unoriented_incidence(g: Graph) -> np.ndarray:
+    """0/1 incidence matrix by g.edges; B^T B - 2I is the line graph's adjacency."""
     b = np.zeros((g.n, g.m))
     for j, (u, v) in enumerate(g.edges):
         b[u, j] = 1.0
         b[v, j] = 1.0
-    return IncidenceMatrix(matrix=b, edge_order=g.edges)
+    return b
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -84,10 +68,9 @@ def laplacian(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineGraphMap:
-    """Line graph plus the bijection canonical-edge-index -> line vertex."""
+    """Line graph of a root g: line vertex i is the edge g.edges[i]."""
 
     line: Graph
-    edge_to_vertex: tuple[int, ...]
 
 
 def line_graph(g: Graph) -> LineGraphMap:
@@ -99,10 +82,7 @@ def line_graph(g: Graph) -> LineGraphMap:
         for j in range(i + 1, g.m):
             if set(g.edges[i]) & set(g.edges[j]):
                 edges.append((i, j))
-    return LineGraphMap(
-        line=Graph.from_edges(g.m, edges),
-        edge_to_vertex=tuple(range(g.m)),
-    )
+    return LineGraphMap(line=Graph.from_edges(g.m, edges))
 
 
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -209,8 +189,6 @@ def is_line_graph(g: Graph):
     partition; the Beineke search runs only on non-line graphs, to name
     the first forbidden induced subgraph in the order G1..G9.
     """
-    if g.n > LINE_GRAPH_MAX_N:
-        raise SizeLimitError(f"line graph recognition capped at {LINE_GRAPH_MAX_N} vertices")
     if all(next(_krausz_partitions(c), None) is not None for c in _components(g)):
         return True
     return _beineke_witness(g)
@@ -319,8 +297,6 @@ def root_graph(g: Graph) -> list[Graph]:
     A single graph for every connected line graph except K_3, which has
     the two roots K_3 and K_{1,3}.
     """
-    if g.n > ROOT_GRAPH_MAX_N:
-        raise SizeLimitError(f"root recovery capped at {ROOT_GRAPH_MAX_N} vertices")
     if not is_connected(g):
         raise GraphError("root recovery needs a connected graph")
     if g.n == 1:

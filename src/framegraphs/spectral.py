@@ -28,7 +28,7 @@ class TolerancePolicy:
             raise ValueError("tau_rel must lie in (0, 1e-3)")
 
     def threshold(self, scale: float) -> float:
-        return self.tau_rel * max(1.0, abs(scale))
+        return self.tau_rel * abs(scale)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -76,7 +76,7 @@ def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
 
 
 def numeric_rank(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Number of eigenvalues with |lambda| > tau_rel * max(1, lambda_max)."""
+    """Number of eigenvalues with |lambda| > tau_rel * |lambda_max|."""
     dec = sym_eig(m, tol)
     lam_max = np.max(np.abs(dec.values)) if dec.values.size else 0.0
     return int(np.sum(np.abs(dec.values) > tol.threshold(lam_max)))

@@ -212,6 +212,10 @@ def test_tolerance_option(runner):
     assert res.exit_code == 2  # outside the allowed policy range
 
 
+def test_global_options():
+    assert [p.name for p in cli.params] == ["tol", "fmt"]
+
+
 def test_sweeps(runner):
     res = run(runner, ["sweep", "root-order", "--max-n", "5"])
     assert res.exit_code == 0 and "counterexamples 0" in res.output

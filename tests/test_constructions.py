@@ -60,7 +60,7 @@ def test_laplacian_method_pattern_matches_incidence_gram():
     for n in range(2, 7):
         for p in enumerate_connected(n):
             f = cons.laplacian_method(p)
-            inc = oriented_incidence(p).matrix
+            inc = oriented_incidence(p)
             ref = inc.T @ inc
             g = gramian(f)
             for i in range(p.m):
@@ -100,7 +100,7 @@ def test_lkn_small_base_matrix_spectrum():
     for n in range(3, 9):
         k = n - 1
         c = np.eye(k) - np.ones((k, k)) / k
-        d = oriented_incidence(complete(k)).matrix
+        d = oriented_incidence(complete(k))
         m = np.hstack([c, d])
         vals = sym_eig(m @ m.T).values
         assert abs(vals[0]) < 1e-8
@@ -277,6 +277,14 @@ def test_completion_comparison_on_truncated_diamond():
     f = Frame(cons.diamond_frame().synthesis[:, :3])
     assert len(cons.minimal_tight_completion(f).added) == 1
     assert len(cons.two_step_completion(f).added) == 2
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_two_step_completion_is_scale_invariant(scale):
+    f = Frame(scale * cons.diamond_frame().synthesis[:, :3])
+    res = cons.two_step_completion(f)
+    assert len(res.added) == 2
+    assert tightness(res.frame).kind == "tight"
 
 
 # ---------------------------------------------------------------------------

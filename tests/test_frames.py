@@ -3,15 +3,23 @@ duplication, erasures."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framegraphs.constructions import c4_frame, diamond_frame, star_frame
+from framegraphs.constructions import (
+    c4_frame,
+    diamond_frame,
+    k2kn_frame,
+    laplacian_method,
+    lkn_small_frame,
+    star_frame,
+)
 from framegraphs.frames import (
     BorderlineEntryWarning,
     Frame,
     FrameError,
     associated_graph,
     duplicate_vector,
-    duplicated_pattern,
     erasure_robustness,
     frame_bounds,
     frame_operator,
@@ -22,7 +30,7 @@ from framegraphs.frames import (
     rescale_to_parseval,
     tightness,
 )
-from framegraphs.graphs import complete, cycle, diamond, duplicate_vertex
+from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
 from framegraphs.spectral import TolerancePolicy
 
 
@@ -123,6 +131,15 @@ def test_borderline_entry_warning():
         associated_graph(Frame(np.eye(2)))
 
 
+def test_tiny_frames_are_frames():
+    # Rank and tightness decisions are relative: no absolute floor.
+    f = Frame(diamond_frame().synthesis * 1e-6)
+    assert tightness(f).kind == "tight"
+    assert associated_graph(f).graph == diamond()
+    for scale in (3e-5, 3.5e-5):
+        assert tightness(Frame(np.diag([1.0, 1.5]) * scale)).kind == "not_tight"
+
+
 def test_pattern_respects_tolerance_policy():
     mat = np.array([[1.0, 1e-6], [0.0, 1.0]])
     loose = TolerancePolicy(tau_rel=1e-4)
@@ -167,7 +184,7 @@ def test_duplicate_vector_pattern_law():
     f = diamond_frame()
     for i in range(f.n):
         dup = duplicate_vector(f, i)
-        expected = duplicated_pattern(associated_graph(f).graph, i)
+        expected = duplicate_vertex(associated_graph(f).graph, i)
         assert associated_graph(dup).graph == expected
         assert expected == duplicate_vertex(diamond(), i)
 
@@ -232,3 +249,55 @@ def test_star_frame_parseval_reconstruction():
     # Parseval frames reconstruct by plain synthesis.
     assert np.allclose(f.synthesis @ coeffs, x)
     assert np.allclose(reconstruct(f, coeffs), x)
+
+
+# ---------------------------------------------------------------------------
+# Invariance of the numeric decisions
+# ---------------------------------------------------------------------------
+
+FRAMES = [
+    diamond_frame(),
+    c4_frame(),
+    mercedes_frame(),
+    star_frame(6, 3),
+    laplacian_method(cycle(5)),
+    k2kn_frame(3),
+    lkn_small_frame(5),
+    Frame(diamond_frame().synthesis[:, :3]),  # not tight
+    Frame(np.random.default_rng(3).standard_normal((3, 5))),  # not tight
+]
+
+
+def _is_tight(f):
+    return tightness(f).kind != "not_tight"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FRAMES), st.floats(min_value=-6, max_value=6))
+def test_scaling_keeps_tightness_and_pattern(f, log_scale):
+    scaled = Frame(10.0 ** log_scale * f.synthesis)
+    assert _is_tight(scaled) == _is_tight(f)
+    assert associated_graph(scaled).graph == associated_graph(f).graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FRAMES), st.data())
+def test_column_permutation_permutes_pattern(f, data):
+    perm = data.draw(st.permutations(range(f.n)))
+    permuted = Frame(f.synthesis[:, perm])
+    assert tightness(permuted).kind == tightness(f).kind
+    pattern = associated_graph(f).graph
+    expected = Graph.from_edges(f.n, [
+        (i, j) for i in range(f.n) for j in range(i + 1, f.n)
+        if pattern.has_edge(perm[i], perm[j])
+    ])
+    assert associated_graph(permuted).graph == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FRAMES), st.integers(min_value=0, max_value=2**32 - 1))
+def test_orthogonal_rotation_keeps_tightness_and_pattern(f, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((f.d, f.d)))
+    rotated = Frame(q @ f.synthesis)
+    assert tightness(rotated).kind == tightness(f).kind
+    assert associated_graph(rotated).graph == associated_graph(f).graph

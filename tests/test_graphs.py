@@ -10,7 +10,6 @@ from framegraphs import graphs
 from framegraphs.graphs import (
     Graph,
     GraphError,
-    GraphFamily,
     beineke,
     bridges,
     cartesian_product,
@@ -100,7 +99,7 @@ def test_family_guards():
 
 def test_gen_named_dispatch():
     assert gen_named("cycle", 5) == cycle(5)
-    assert gen_named(GraphFamily("complete-bipartite", (2, 3))) == complete_bipartite(2, 3)
+    assert gen_named("complete-bipartite", 2, 3) == complete_bipartite(2, 3)
     with pytest.raises(GraphError):
         gen_named("nope", 3)
     with pytest.raises(GraphError):
@@ -261,6 +260,19 @@ def test_text_comments_and_errors():
     for bad in ("", "3 1\n", "3 1\n1 0\n", "x y\n", "2 1\n0 one\n"):
         with pytest.raises(GraphError):
             from_text(bad)
+
+
+def test_text_order_limit(monkeypatch):
+    # The header is rejected before any Graph, and its n adjacency sets,
+    # is built.
+    def no_graph(*args):
+        raise AssertionError("Graph built before the order check")
+
+    monkeypatch.setattr(graphs, "Graph", no_graph)
+    with pytest.raises(GraphError, match="exceeds"):
+        from_text("1000000000 0\n")
+    with pytest.raises(GraphError, match="exceeds"):
+        from_text(f"{graphs.TEXT_MAX_N + 1} 0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,7 @@ from framegraphs.graphs import (
     star,
 )
 from framegraphs.linegraph import (
-    LINE_GRAPH_MAX_N,
-    ROOT_GRAPH_MAX_N,
     NotALineGraph,
-    SizeLimitError,
     adjacency,
     contains_induced,
     is_line_graph,
@@ -41,7 +38,7 @@ import reference_linegraph as reference
 
 @pytest.mark.parametrize("g", [path(5), cycle(6), complete(5), star(6), o_graph(5)])
 def test_oriented_incidence_gives_laplacian(g):
-    b = oriented_incidence(g).matrix
+    b = oriented_incidence(g)
     assert np.array_equal(b @ b.T, laplacian(g))
     # One -1 (smaller endpoint) and one +1 per column.
     for j, (u, v) in enumerate(g.edges):
@@ -51,7 +48,7 @@ def test_oriented_incidence_gives_laplacian(g):
 
 @pytest.mark.parametrize("g", [path(5), cycle(6), complete(5)])
 def test_unoriented_incidence_gives_line_adjacency(g):
-    b = unoriented_incidence(g).matrix
+    b = unoriented_incidence(g)
     lg = line_graph(g).line
     assert np.array_equal(b.T @ b - 2 * np.eye(g.m), adjacency(lg))
 
@@ -79,7 +76,7 @@ def test_line_graph_of_families():
 def test_line_graph_edge_order_matches_canonical():
     g = o_graph(4)
     lg = line_graph(g)
-    assert lg.edge_to_vertex == tuple(range(g.m))
+    assert lg.line.n == g.m
     for i in range(g.m):
         for j in range(i + 1, g.m):
             incident = bool(set(g.edges[i]) & set(g.edges[j]))
@@ -126,24 +123,23 @@ def test_is_line_graph_witnesses():
     for n in range(5, 9):
         verdict = is_line_graph(delete_edge(complete(n), (0, 1)))
         assert verdict is not True and verdict[1] == 3
-    # The returned embedding really induces the named pattern.
-    g = delete_edge(complete(6), (0, 1))
-    _, idx, phi = is_line_graph(g)
-    pat = beineke(idx)
-    for u in range(pat.n):
-        for v in range(u + 1, pat.n):
-            assert g.has_edge(phi[u], phi[v]) == pat.has_edge(u, v)
+    # The returned embedding really induces the named pattern, also past
+    # the 30 vertices recognition was once capped at.
+    lk9 = line_graph(complete(9)).line
+    for g in (delete_edge(complete(6), (0, 1)), delete_edge(lk9, lk9.edges[0])):
+        _, idx, phi = is_line_graph(g)
+        pat = beineke(idx)
+        assert len(set(phi.values())) == pat.n
+        for u in range(pat.n):
+            for v in range(u + 1, pat.n):
+                assert g.has_edge(phi[u], phi[v]) == pat.has_edge(u, v)
 
 
 def test_is_line_graph_positive_cases():
     for g in (complete(3), path(5), cycle(6), line_graph(complete(5)).line,
-              line_graph(complete(7)).line, complete(14), complete(30)):
+              line_graph(complete(7)).line, complete(14), complete(30),
+              complete(60), line_graph(complete(12)).line):
         assert is_line_graph(g) is True
-
-
-def test_is_line_graph_size_cap():
-    with pytest.raises(SizeLimitError):
-        is_line_graph(path(LINE_GRAPH_MAX_N + 1))
 
 
 def _line_graph_catalog(max_vertices=7):
@@ -220,6 +216,9 @@ def test_root_graph_rejects_non_line_graphs():
         root_graph(star(4))
     with pytest.raises(NotALineGraph, match="G3"):
         root_graph(delete_edge(complete(5), (0, 1)))
+    lk9 = line_graph(complete(9)).line  # 36 vertices
+    with pytest.raises(NotALineGraph, match="G1"):
+        root_graph(delete_edge(lk9, lk9.edges[0]))
 
 
 def test_root_graph_of_dense_line_graphs():
@@ -227,13 +226,16 @@ def test_root_graph_of_dense_line_graphs():
     assert is_isomorphic(root, star(22))
     (root,) = root_graph(line_graph(complete(7)).line)
     assert is_isomorphic(root, complete(7))
+    # Past the 21 vertices root recovery was once capped at.
+    (root,) = root_graph(complete(40))
+    assert is_isomorphic(root, star(41))
+    (root,) = root_graph(cycle(60))
+    assert is_isomorphic(root, cycle(60))
 
 
 def test_root_graph_guards():
     with pytest.raises(GraphError):
         root_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
-    with pytest.raises(SizeLimitError):
-        root_graph(cycle(ROOT_GRAPH_MAX_N + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ def test_tolerance_policy_validation():
         TolerancePolicy(tau_rel=-1e-9)
 
 
-def test_threshold_is_relative_with_floor():
+def test_threshold_is_relative():
     tol = TolerancePolicy(tau_rel=1e-8)
-    assert tol.threshold(0.5) == 1e-8       # floor at scale 1
+    assert tol.threshold(0.5) == 5e-9       # no floor below scale 1
+    assert tol.threshold(1e-6) == 1e-14
+    assert tol.threshold(0.0) == 0.0
     assert tol.threshold(100.0) == 1e-6
     assert tol.threshold(-100.0) == 1e-6
 
