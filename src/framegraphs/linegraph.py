@@ -2,11 +2,11 @@
 
 Line graphs are recognized, and their roots recovered, by searching for
 Krausz partitions: partitions of the edges into cliques with every vertex
-in at most two of them.  The search branches once per connected component,
-over at most deg + 1 candidate cliques, and unit propagation settles the
-rest, so it is polynomial and takes graphs of any order.  Beineke's nine
-forbidden induced subgraphs are searched only for non-line graphs, to name
-a concrete witness.
+in at most two of them.  Per connected component the search tries at most
+deg + 1 first cliques and propagates each with no further branch, so it is
+polynomial; by Whitney's theorem its first partition gives the one root
+(K_3 has two).  Beineke's nine forbidden induced subgraphs are searched
+only for non-line graphs, to name a concrete witness.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, beineke, is_connected, is_isomorphic, path
+from .graphs import Graph, GraphError, beineke, complete, is_connected, path, star
 
 
 class NotALineGraph(GraphError):
@@ -189,7 +189,7 @@ def is_line_graph(g: Graph):
     partition; the Beineke search runs only on non-line graphs, to name
     the first forbidden induced subgraph in the order G1..G9.
     """
-    if all(next(_krausz_partitions(c), None) is not None for c in _components(g)):
+    if all(_krausz_partition(c) is not None for c in _components(g)):
         return True
     return _beineke_witness(g)
 
@@ -198,78 +198,47 @@ def is_line_graph(g: Graph):
 # Root graphs via Krausz partitions
 # ---------------------------------------------------------------------------
 
-def _krausz_partitions(g: Graph):
-    """Yield all partitions of E(g) into cliques, each vertex in <= 2 cliques.
+def _krausz_partition(g: Graph) -> list[set[int]] | None:
+    """The first partition of a connected g's edges into cliques, each
+    vertex in <= 2 cliques, or None if there is none.
 
-    Unit propagation: once a vertex lies in one clique and still has
-    uncovered edges, its second clique is forced to be the whole uncovered
-    neighborhood.  Branching happens only at a vertex in no clique yet, on
-    the clique holding its edge to its first uncovered neighbor, the
-    anchor.  That clique lies in {branch, anchor} + C, where C is the set
-    of their common uncovered neighbors, and misses at most one w in C:
-    two missed vertices w, w' would lie both in the second clique of
-    branch and in that of anchor, covering the edge ww' twice.  So there
-    are at most |C| + 1 candidates, and propagation from any of them
-    settles the whole connected component.
+    The first clique holds the edge from vertex 0 to its smallest neighbor,
+    the anchor.  It lies in {0, anchor} + C, C their common neighbors, and
+    misses at most one w in C: two missed w, w' would lie in the second
+    clique of both 0 and anchor, covering ww' twice.  After it, unit
+    propagation decides the rest: a vertex in one clique with uncovered
+    edges has its second clique forced to be its uncovered neighborhood.
+    A vertex that lies in no clique has all of its edges uncovered, so its
+    neighbours lie in no clique either; as g is connected, propagation
+    covers every edge or fails a clique check, and never needs a branch.
     """
-    uncovered = [set(a) for a in g._adj]
-    count = [0] * g.n
-    cliques: list[frozenset[int]] = []
-
-    def clique_ok(s: list[int]) -> bool:
-        return all(
+    if g.m == 0:
+        return []
+    anchor = min(g._adj[0])
+    common = sorted(g._adj[0] & g._adj[anchor])
+    # Each common neighbor left out in turn, then none.
+    firsts = [
+        [0, anchor, *common[:i], *common[i + 1:]]
+        for i in reversed(range(len(common)))
+    ]
+    firsts.append([0, anchor, *common])
+    for s in firsts:
+        uncovered = [set(a) for a in g._adj]
+        count = [0] * g.n
+        cliques: list[set[int]] = []
+        while all(
             count[u] < 2 and uncovered[u].issuperset(s[i + 1:])
             for i, u in enumerate(s)
-        )
-
-    def place(s: list[int]):
-        for u in s:
-            count[u] += 1
-            uncovered[u].difference_update(s)
-        cliques.append(frozenset(s))
-
-    def unplace(s: list[int]):
-        cliques.pop()
-        for u in s:
-            count[u] -= 1
-            uncovered[u].update(w for w in s if w != u)
-
-    def search():
-        # Propagate all forced cliques before branching.
-        placed: list[list[int]] = []
-        ok = True
-        while True:
+        ):
+            for u in s:
+                count[u] += 1
+                uncovered[u].difference_update(s)
+            cliques.append(set(s))
             v = next((v for v in range(g.n) if count[v] and uncovered[v]), None)
             if v is None:
-                break
-            forced = [v, *uncovered[v]]
-            if not clique_ok(forced):
-                ok = False
-                break
-            place(forced)
-            placed.append(forced)
-        if ok:
-            branch = next((v for v in range(g.n) if uncovered[v]), None)
-            if branch is None:
-                yield [set(s) for s in cliques]
-            else:
-                anchor = min(uncovered[branch])
-                common = sorted(uncovered[branch] & uncovered[anchor])
-                # Each common neighbor left out in turn, then none.
-                candidates = [
-                    [branch, anchor, *common[:i], *common[i + 1:]]
-                    for i in reversed(range(len(common)))
-                ]
-                candidates.append([branch, anchor, *common])
-                for s in candidates:
-                    if clique_ok(s):
-                        place(s)
-                        yield from search()
-                        unplace(s)
-        for s in reversed(placed):
-            unplace(s)
-
-    yield from search()
+                return cliques
+            s = [v, *uncovered[v]]
+    return None
 
 
 def _root_from_partition(g: Graph, cliques: list[set[int]]) -> Graph:
@@ -294,20 +263,19 @@ def _root_from_partition(g: Graph, cliques: list[set[int]]) -> Graph:
 def root_graph(g: Graph) -> list[Graph]:
     """All root graphs of a connected line graph, up to isomorphism.
 
-    A single graph for every connected line graph except K_3, which has
-    the two roots K_3 and K_{1,3}.
+    By Whitney's theorem that is one root, built from the first Krausz
+    partition, for every connected line graph except K_3, which has the
+    two roots K_3 and K_{1,3}.
     """
     if not is_connected(g):
         raise GraphError("root recovery needs a connected graph")
     if g.n == 1:
         return [path(2)]
-    roots: list[Graph] = []
-    for part in _krausz_partitions(g):
-        root = _root_from_partition(g, part)
-        if not any(is_isomorphic(root, r) for r in roots):
-            roots.append(root)
-    if not roots:
+    if g.n == 3 and g.m == 3:
+        return [complete(3), star(4)]
+    part = _krausz_partition(g)
+    if part is None:
         # No Krausz partition; run the Beineke search to name a witness.
         _, index, _ = _beineke_witness(g)
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
-    return roots
+    return [_root_from_partition(g, part)]

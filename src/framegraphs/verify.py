@@ -189,13 +189,9 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
             "not_tight", detail="non-adjacent pair with a unique common neighbor",
             witness=("neighbor", witness),
         )
-    if g.n >= 3:
-        edge = edge_cycle_check(g)
-        if edge is not None:
-            return Certificate(
-                "not_tight", detail="edge on no 3-cycle or 4-cycle",
-                witness=("edge_cycle", edge),
-            )
+    # No edge_cycle_check stage: if edge uv (n >= 3) is on no 3- or 4-cycle,
+    # u (say) has another neighbor w, and u is the only common neighbor of
+    # the non-adjacent w and v, so neighbor_obstruction has returned.
     if g.n >= 5 and is_isomorphic(g, graphs.complete_bipartite(2, g.n - 2)):
         return Certificate(
             "literature_not_tight",
@@ -221,9 +217,9 @@ class SweepReport:
 def root_order_theorem_check(max_n: int) -> SweepReport:
     """Exhaustively verify the root-order classification up to max_n vertices.
 
-    For connected roots with as many edges as vertices and outside
-    {C_3, C_4, O_n}, and for non-star trees, the line graph must carry a
-    common-neighbor obstruction.
+    For connected roots with as many edges as vertices, and for trees, the
+    line graph must classify tight when the root is C_4, O_n (O_3 = C_3)
+    or a star, and must carry a common-neighbor obstruction otherwise.
     """
     if max_n > 7:
         raise GraphError("root_order_theorem_check capped at max_n = 7")
@@ -231,20 +227,16 @@ def root_order_theorem_check(max_n: int) -> SweepReport:
     for k in range(2, max_n + 1):
         for p in enumerate_connected(k):
             if p.m == p.n and p.n >= 3:
-                exempt = (
-                    is_isomorphic(p, graphs.cycle(3))
-                    or (p.n >= 4 and is_isomorphic(p, graphs.cycle(4)))
-                    or is_isomorphic(p, graphs.o_graph(p.n))
-                )
+                exempt = is_isomorphic(p, graphs.o_graph(p.n)) or (
+                    p.n == 4 and is_isomorphic(p, graphs.cycle(4)))
             elif p.m == p.n - 1:
                 exempt = is_isomorphic(p, graphs.star(p.n))
             else:
                 continue
             report.checked += 1
-            if exempt:
-                continue
             lg = line_graph(p).line
-            if neighbor_obstruction(lg) is None:
+            if (classify(lg).verdict != "tight" if exempt
+                    else neighbor_obstruction(lg) is None):
                 report.counterexamples.append(p)
     return report
 

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from framegraphs.cli import cli, main
-from framegraphs.graphs import cycle, from_text, star, to_text
+from framegraphs.graphs import complete, cycle, edgeless, from_text, path, star, to_text
 from framegraphs.matio import matrix_from_text
 
 
@@ -33,6 +33,9 @@ def test_gen(runner):
     res = run(runner, ["gen", "cycle", "5"])
     assert res.exit_code == 0
     assert from_text(res.output) == cycle(5)
+    res = run(runner, ["gen", "edgeless", "3"])
+    assert res.exit_code == 0
+    assert from_text(res.output) == edgeless(3)
 
 
 def test_gen_two_parameter_family(runner):
@@ -74,6 +77,7 @@ def test_rootgraph_triangle_yields_two(runner):
     assert res.exit_code == 0
     # Two graphs separated by a blank line.
     assert res.output.count("\n\n") >= 1 or res.output.count("4 3") == 1
+    assert res.output == to_text(complete(3)) + "\n" + to_text(star(4))
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,10 @@ def test_rootgraph_triangle_yields_two(runner):
 
 def test_frame_star_and_parseval_check(runner):
     frame_text = run(runner, ["frame", "star", "6", "3"]).output
+    res = run(runner, ["check", "parseval"], stdin=frame_text)
+    assert res.exit_code == 0
+    assert res.output.startswith("parseval")
+    frame_text = run(runner, ["frame", "kn-minus-e", "5"]).output
     res = run(runner, ["check", "parseval"], stdin=frame_text)
     assert res.exit_code == 0
     assert res.output.startswith("parseval")
@@ -101,6 +109,10 @@ def test_frame_lkn_tight_not_parseval(runner):
     assert res.output.startswith("tight")
     res = run(runner, ["check", "parseval"], stdin=frame_text)
     assert res.exit_code == 1
+    frame_text = run(runner, ["frame", "k2kn", "4"]).output
+    res = run(runner, ["check", "tight"], stdin=frame_text)
+    assert res.exit_code == 0
+    assert res.output.startswith("tight")
 
 
 def test_frame_serialization_round_trip(runner):
@@ -119,6 +131,10 @@ def test_check_pattern(runner, tmp_path):
     run(runner, ["gen", "cycle", "5", "--out", str(graph_file)])
     res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
     assert res.exit_code == 1 and "mismatch" in res.output
+    run(runner, ["linegraph", "--out", str(graph_file)], stdin=to_text(path(5)))
+    frame_text = run(runner, ["frame", "laplacian"], stdin=to_text(path(5))).output
+    res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
+    assert res.exit_code == 0 and "match" in res.output
 
 
 def test_check_neighbor_polarity(runner):

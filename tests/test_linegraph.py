@@ -204,6 +204,10 @@ def test_root_graph_of_triangle():
     assert len(roots) == 2
     assert any(is_isomorphic(r, complete(3)) for r in roots)
     assert any(is_isomorphic(r, star(4)) for r in roots)
+    # Whitney's one exception, returned as K_3 then the claw, as labelled.
+    assert [(r.n, r.edges) for r in roots] == [
+        (3, complete(3).edges), (4, star(4).edges)
+    ]
 
 
 def test_root_graph_of_k1():

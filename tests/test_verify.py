@@ -1,5 +1,7 @@
 """Obstruction tests, classification certificates, and exhaustive sweeps."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,37 @@ def test_edge_cycle_check():
         edge_cycle_check(path(2))
     with pytest.raises(GraphError):
         edge_cycle_check(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _random_connected(rng, n):
+    """A random spanning tree on n vertices plus each other edge with one
+    probability drawn per graph, so dense graphs are common."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    density = rng.uniform(0.2, 0.95)
+    edges |= {
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+    }
+    return Graph.from_edges(n, edges)
+
+
+def test_edge_cycle_witness_implies_neighbor_witness():
+    # Why classify has no edge-cycle stage: on a connected graph with
+    # n >= 3, an edge on no 3- or 4-cycle always comes with a non-adjacent
+    # pair whose only common neighbor is one of its endpoints.
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        Graph.from_edges(a.number_of_nodes(), a.edges())
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() >= 3 and nx.is_connected(a)
+    ]
+    rng = random.Random(20201)
+    graphs += [_random_connected(rng, rng.randint(3, 16)) for _ in range(2200)]
+    free = 0
+    for g in graphs:
+        if neighbor_obstruction(g) is None:
+            free += 1
+            assert edge_cycle_check(g) is None, g
+    assert len(graphs) == 3194 and free > 1000
 
 
 def test_root_obstructions():
