@@ -10,6 +10,7 @@ between commands in the text formats of :mod:`framegraphs.graphs` and
 from __future__ import annotations
 
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -387,6 +388,11 @@ def main(argv=None):
     except (GraphError, FrameError, SpectralError, matio.MatrixFormatError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except Exception as exc:
+        # A fault, not a verdict: Python's own exit code 1 would read "not tight".
+        traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
         sys.exit(2)
 
 

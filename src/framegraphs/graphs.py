@@ -8,6 +8,7 @@ incidence / line-graph machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -19,7 +20,6 @@ class GraphError(ValueError):
 ENUMERATION_MAX_N = 8
 # Largest order from_text accepts: Graph allocates n adjacency sets up front.
 TEXT_MAX_N = 100_000
-_ENUM_CACHE: dict[int, list["Graph"]] = {}
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,6 @@ _BEINEKE_EDGES = {
         (1, 5)],
 }
 
-_BEINEKE_ORDER = {1: 4, 2: 5, 3: 5, 4: 6, 5: 6, 6: 6, 7: 6, 8: 6, 9: 6}
-
 
 def complete(n: int) -> Graph:
     if n < 1:
@@ -170,7 +168,8 @@ def beineke(i: int) -> Graph:
     """The i-th forbidden induced subgraph for line graphs, 1 <= i <= 9."""
     if i not in _BEINEKE_EDGES:
         raise GraphError("Beineke index must be in 1..9")
-    return Graph.from_edges(_BEINEKE_ORDER[i], _BEINEKE_EDGES[i])
+    edges = _BEINEKE_EDGES[i]
+    return Graph.from_edges(max(v for _, v in edges) + 1, edges)
 
 
 _FAMILIES = {
@@ -248,15 +247,27 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
     return g.neighbors(u) & g.neighbors(v)
 
 
+def components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, ordered by their smallest
+    vertex; each list starts there and grows in breadth-first order."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        verts = [s]
+        for u in verts:
+            for w in g._adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    verts.append(w)
+        comps.append(verts)
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return len(components(g)) == 1
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
@@ -330,10 +341,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return find_isomorphism(g, h) is not None
 
 
+@functools.cache
 def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
-    Level k+1 is generated from level k by attaching a new vertex to every
+    Level n is generated from level n-1 by attaching a new vertex to every
     non-empty neighbor subset (every connected graph has a non-cut vertex,
     so this reaches every class); duplicates are removed by isomorphism
     testing within invariant buckets.  The order is deterministic.
@@ -341,26 +353,20 @@ def enumerate_connected(n: int) -> list[Graph]:
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    if n in _ENUM_CACHE:
-        return _ENUM_CACHE[n]
-    level = [Graph(1, ())]
-    for k in range(2, n + 1):
-        buckets: dict[object, list[Graph]] = {}
-        out = []
-        for parent in level:
-            for mask in range(1, 1 << (k - 1)):
-                nbrs = [i for i in range(k - 1) if mask >> i & 1]
-                cand = Graph.from_edges(
-                    k, list(parent.edges) + [(i, k - 1) for i in nbrs]
-                )
-                key = _invariant_key(cand)
-                bucket = buckets.setdefault(key, [])
-                if not any(is_isomorphic(cand, seen) for seen in bucket):
-                    bucket.append(cand)
-                    out.append(cand)
-        level = out
-    _ENUM_CACHE[n] = level
-    return level
+    if n == 1:
+        return [Graph(1, ())]
+    buckets: dict[object, list[Graph]] = {}
+    out = []
+    for parent in enumerate_connected(n - 1):
+        for mask in range(1, 1 << (n - 1)):
+            new = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
+            cand = Graph.from_edges(n, list(parent.edges) + new)
+            key = _invariant_key(cand)
+            bucket = buckets.setdefault(key, [])
+            if not any(is_isomorphic(cand, seen) for seen in bucket):
+                bucket.append(cand)
+                out.append(cand)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, beineke, complete, is_connected, path, star
+from .graphs import Graph, GraphError, beineke, complete, components, is_connected, path, star
 
 
 class NotALineGraph(GraphError):
@@ -40,11 +40,7 @@ def oriented_incidence(g: Graph) -> np.ndarray:
 
 def unoriented_incidence(g: Graph) -> np.ndarray:
     """0/1 incidence matrix by g.edges; B^T B - 2I is the line graph's adjacency."""
-    b = np.zeros((g.n, g.m))
-    for j, (u, v) in enumerate(g.edges):
-        b[u, j] = 1.0
-        b[v, j] = 1.0
-    return b
+    return np.abs(oriented_incidence(g))
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -146,20 +142,11 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
 
 def _components(g: Graph) -> list[Graph]:
     """The connected components of g, each relabelled onto 0..k-1."""
-    seen = [False] * g.n
+    parts = components(g)
+    if len(parts) == 1:
+        return [g]
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        verts = [s]
-        for u in verts:
-            for w in g._adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    verts.append(w)
-        if len(verts) == g.n:
-            return [g]
+    for verts in parts:
         index = {v: i for i, v in enumerate(verts)}
         comps.append(Graph.from_edges(len(verts), [
             (index[u], index[w]) for u in verts for w in g._adj[u] if u < w

@@ -14,7 +14,7 @@ import numpy as np
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
 from .graphs import Graph, GraphError, common_neighbors, enumerate_connected, \
-    find_isomorphism, is_connected, is_isomorphic, path
+    find_isomorphism, is_connected, path
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
@@ -80,50 +80,6 @@ def edge_cycle_check(g: Graph) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class RootReport:
-    """Root-vs-line obstruction flags, each with a witness when set.
-
-    induced_p4 in the root implies the line graph is not tight; a pendant
-    vertex or pendant triangle in the line graph implies the root is not
-    tight.
-    """
-
-    induced_p4: dict[int, int] | None
-    pendant_vertex: int | None
-    pendant_triangle: tuple[int, int, int] | None
-
-
-def root_obstructions(p: Graph) -> RootReport:
-    induced_p4 = None
-    if p.n >= 4:
-        induced_p4 = contains_induced(p, path(4))
-    pendant_vertex = None
-    pendant_triangle = None
-    if p.m >= 1:
-        lg = line_graph(p).line
-        for v in range(lg.n):
-            if lg.degree(v) == 1:
-                pendant_vertex = v
-                break
-        for a in range(lg.n):
-            for b in sorted(lg.neighbors(a)):
-                if b <= a:
-                    continue
-                for c in sorted(lg.neighbors(a) & lg.neighbors(b)):
-                    if c <= b:
-                        continue
-                    degs = sorted(lg.degree(x) for x in (a, b, c))
-                    if degs[0] == 2 and degs[1] == 2 and degs[2] != 2:
-                        pendant_triangle = (a, b, c)
-                        break
-                if pendant_triangle:
-                    break
-            if pendant_triangle:
-                break
-    return RootReport(induced_p4, pendant_vertex, pendant_triangle)
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -154,13 +110,6 @@ def _catalog_frames(n: int, m: int):
             yield f"k2-box-k{k}", constructions.k2kn_frame(k)
 
 
-def _relabel_columns(f: Frame, phi: dict[int, int]) -> Frame:
-    mat = np.empty_like(f.synthesis)
-    for i, v in phi.items():
-        mat[:, v] = f.synthesis[:, i]
-    return Frame(mat)
-
-
 def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     """Certify, refute, or annotate the tight-frame-graph property.
 
@@ -176,7 +125,8 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
             phi = find_isomorphism(pattern, g)
             if phi is None:
                 continue
-            cert_frame = _relabel_columns(frame, phi)
+            # Column v of the certificate is the catalog column mapped onto v.
+            cert_frame = Frame(frame.synthesis[:, sorted(phi, key=phi.get)])
             verdict = tightness(cert_frame, tol)
             if verdict.kind not in ("tight", "parseval"):
                 raise AssertionError(f"catalog frame {name} is not tight")
@@ -192,11 +142,15 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     # No edge_cycle_check stage: if edge uv (n >= 3) is on no 3- or 4-cycle,
     # u (say) has another neighbor w, and u is the only common neighbor of
     # the non-adjacent w and v, so neighbor_obstruction has returned.
-    if g.n >= 5 and is_isomorphic(g, graphs.complete_bipartite(2, g.n - 2)):
-        return Certificate(
-            "literature_not_tight",
-            detail="K_{m,n} is a tight frame graph only for m = n",
-        )
+    # Two non-adjacent vertices of degree n - 2 cover 2(n - 2) edges; if that
+    # is all of them, g is K_{2,n-2}, whose other vertices have degree 2.
+    if g.n >= 5 and g.m == 2 * (g.n - 2):
+        hubs = [u for u in range(g.n) if g.degree(u) == g.n - 2]
+        if len(hubs) >= 2 and not g.has_edge(hubs[0], hubs[1]):
+            return Certificate(
+                "literature_not_tight",
+                detail="K_{m,n} is a tight frame graph only for m = n",
+            )
     return Certificate("unknown")
 
 
@@ -226,13 +180,12 @@ def root_order_theorem_check(max_n: int) -> SweepReport:
     report = SweepReport()
     for k in range(2, max_n + 1):
         for p in enumerate_connected(k):
-            if p.m == p.n and p.n >= 3:
-                exempt = is_isomorphic(p, graphs.o_graph(p.n)) or (
-                    p.n == 4 and is_isomorphic(p, graphs.cycle(4)))
-            elif p.m == p.n - 1:
-                exempt = is_isomorphic(p, graphs.star(p.n))
-            else:
+            if p.m > p.n:
                 continue
+            # Exempt: a star or O_n (a vertex adjacent to all others), or C_4,
+            # the one unicyclic root on 4 vertices with maximum degree 2.
+            top = p.degree_sequence()[-1]
+            exempt = top == p.n - 1 or (p.n == 4 and p.m == 4 and top == 2)
             report.checked += 1
             lg = line_graph(p).line
             if (classify(lg).verdict != "tight" if exempt

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from framegraphs import verify
 from framegraphs.cli import cli, main
 from framegraphs.graphs import complete, cycle, edgeless, from_text, path, star, to_text
 from framegraphs.matio import matrix_from_text
@@ -223,6 +224,21 @@ def test_classify_text_format(runner):
     assert "The graph is tight" in res.output
 
 
+def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
+    # An unexpected exception is a fault of the program, not a verdict, so
+    # it must not exit 1, which means "not tight".
+    def fail(g, tol):
+        raise AssertionError("catalog frame is not tight")
+    monkeypatch.setattr(verify, "classify", fail)
+    graph = tmp_path / "g.txt"
+    graph.write_text(to_text(cycle(4)))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", str(graph)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "error: internal error" in err
+
+
 def test_tolerance_option(runner):
     res = run(runner, ["--tol", "0.5", "gen", "cycle", "4"])
     assert res.exit_code == 2  # outside the allowed policy range
@@ -239,6 +255,14 @@ def test_sweeps(runner):
     assert res.exit_code == 0
     res = run(runner, ["--format", "text", "sweep", "join-line", "--max-n", "3"])
     assert res.exit_code == 0 and "0 counterexample(s)" in res.output
+
+
+def test_sweep_counterexamples_exit_1(runner, monkeypatch):
+    monkeypatch.setattr(verify, "neighbor_obstruction", lambda g: None)
+    res = run(runner, ["sweep", "lemma-p4", "--max-n", "5"])
+    assert res.exit_code == 1
+    checked, found = (int(line.split()[1]) for line in res.output.splitlines())
+    assert found == checked > 0
 
 
 # ---------------------------------------------------------------------------

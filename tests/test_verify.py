@@ -1,10 +1,12 @@
 """Obstruction tests, classification certificates, and exhaustive sweeps."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from framegraphs import verify
 from framegraphs.frames import frame_operator, represents, tightness
 from framegraphs.graphs import (
     Graph,
@@ -16,18 +18,19 @@ from framegraphs.graphs import (
     cycle,
     delete_edge,
     duplicate_vertex,
+    enumerate_connected,
     o_graph,
     path,
     star,
 )
 from framegraphs.linegraph import line_graph
 from framegraphs.verify import (
+    Certificate,
     classify,
     edge_cycle_check,
     induced_path_sweep,
     join_line_check,
     neighbor_obstruction,
-    root_obstructions,
     root_order_theorem_check,
 )
 
@@ -103,26 +106,6 @@ def test_edge_cycle_witness_implies_neighbor_witness():
     assert len(graphs) == 3194 and free > 1000
 
 
-def test_root_obstructions():
-    rep = root_obstructions(path(4))
-    assert rep.induced_p4 is not None
-    assert rep.pendant_vertex is not None  # L(P_4) = P_3 has degree-1 ends
-    rep = root_obstructions(star(4))
-    assert rep.induced_p4 is None
-    assert rep.pendant_vertex is None  # L(K_{1,3}) = K_3
-    assert rep.pendant_triangle is None
-    # A claw with one leg extended: the three hub edges become a triangle in
-    # the line graph whose two short-leg vertices have degree 2.
-    chair = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
-    rep = root_obstructions(chair)
-    assert rep.pendant_triangle is not None
-    a, b, c = rep.pendant_triangle
-    lg = line_graph(chair).line
-    assert lg.has_edge(a, b) and lg.has_edge(a, c) and lg.has_edge(b, c)
-    degs = sorted(lg.degree(x) for x in (a, b, c))
-    assert degs[:2] == [2, 2] and degs[2] > 2
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -171,12 +154,20 @@ def test_classify_not_tight():
 def test_classify_literature_annotation():
     cert = classify(complete_bipartite(2, 4))
     assert cert.verdict == "literature_not_tight"
+    # Recognised by degrees, so the order is not bounded by recursion depth.
+    assert classify(complete_bipartite(2, 1000)).verdict == "literature_not_tight"
 
 
 def test_classify_unknown():
     # The 6-vertex wheel matches no catalog entry and no obstruction fires.
     cert = classify(beineke(9))
     assert cert.verdict == "unknown"
+    # Verdict counts (tight, not_tight, literature_not_tight, unknown) over
+    # every connected graph on 5, 6 and 7 vertices.
+    kinds = ("tight", "not_tight", "literature_not_tight", "unknown")
+    for n, counts in ((5, [4, 14, 1, 2]), (6, [6, 82, 1, 23]), (7, [3, 712, 1, 137])):
+        found = Counter(classify(g).verdict for g in enumerate_connected(n))
+        assert [found[k] for k in kinds] == counts, n
 
 
 def test_classify_rejects_disconnected():
@@ -204,6 +195,8 @@ def test_root_order_sweep():
     assert report.ok and report.checked > 0
     with pytest.raises(GraphError):
         root_order_theorem_check(8)
+    report = root_order_theorem_check(7)
+    assert report.ok and report.checked == 78
 
 
 def test_induced_path_sweep():
@@ -211,6 +204,8 @@ def test_induced_path_sweep():
     assert report.ok and report.checked == 89
     with pytest.raises(GraphError):
         induced_path_sweep(8)
+    report = induced_path_sweep(7)
+    assert report.ok and report.checked == 852
 
 
 def test_join_line_sweep():
@@ -220,3 +215,15 @@ def test_join_line_sweep():
         join_line_check(6)
     with pytest.raises(GraphError):
         join_line_check(2)
+    report = join_line_check(5)
+    assert report.ok and report.checked == 429
+
+
+def test_sweeps_record_failed_checks(monkeypatch):
+    # With every check forced to fail, each checked case is a counterexample.
+    monkeypatch.setattr(verify, "neighbor_obstruction", lambda g: None)
+    monkeypatch.setattr(verify, "classify", lambda g: Certificate("unknown"))
+    monkeypatch.setattr(verify, "is_line_graph", lambda g: True)
+    for report in (root_order_theorem_check(5), induced_path_sweep(5), join_line_check(4)):
+        assert report.checked > 0 and not report.ok
+        assert len(report.counterexamples) == report.checked
