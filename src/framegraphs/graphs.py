@@ -270,71 +270,118 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
-def bridges(g: Graph) -> list[tuple[int, int]]:
-    """Edges whose deletion disconnects the graph (naive, desk scale)."""
-    if not is_connected(g):
-        return []
-    return [e for e in g.edges if not is_connected(delete_edge(g, e))]
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism and enumeration
 # ---------------------------------------------------------------------------
 
-def _triangle_counts(g: Graph) -> tuple[int, ...]:
-    counts = [0] * g.n
-    for u, v in g.edges:
-        shared = len(g.neighbors(u) & g.neighbors(v))
-        counts[u] += shared
-        counts[v] += shared
-    return tuple(counts)
+def _rows(g: Graph) -> list[int]:
+    """Adjacency as bitmask rows: bit w of rows[u] is set iff uw is an edge."""
+    return [sum(1 << w for w in a) for a in g._adj]
 
 
-def _invariant_key(g: Graph):
-    tri = _triangle_counts(g)
-    local = sorted(
-        (g.degree(u), tri[u], tuple(sorted(g.degree(w) for w in g.neighbors(u))))
-        for u in range(g.n)
-    )
-    return (g.n, g.m, tuple(local))
+def _labels(rows: list[int]) -> list[tuple]:
+    """Per-vertex isomorphism invariants: degree, the edges among the
+    neighbours (each counted from both ends, so twice the triangles at
+    the vertex) and the sorted neighbour degrees."""
+    deg = [r.bit_count() for r in rows]
+    labels = []
+    for u, r in enumerate(rows):
+        tri = 0
+        nbr_degs = []
+        while r:
+            low = r & -r
+            w = low.bit_length() - 1
+            r ^= low
+            tri += (rows[w] & rows[u]).bit_count()
+            nbr_degs.append(deg[w])
+        nbr_degs.sort()
+        labels.append((deg[u], tri, tuple(nbr_degs)))
+    return labels
+
+
+def _match(grows: list[int], glabels: list[tuple],
+           hrows: list[int], hlabels: list[tuple]) -> list[int] | None:
+    """The first adjacency-preserving map from g to h, as image[u], or None.
+
+    A depth-first search, kept on an explicit stack so its depth is not
+    bounded by the interpreter's recursion limit.  It maps g's vertices in
+    descending-degree order (ties by index) and tries h's vertices in
+    ascending order.  A candidate must be unused, carry the same label and
+    agree on adjacency with every vertex mapped so far.  Every isomorphism
+    preserves labels, so the label test cuts only branches that cannot
+    complete, and the first map found is the first one a search without
+    it finds.
+    """
+    n = len(grows)
+    order = sorted(range(n), key=lambda u: -glabels[u][0])
+    by_label: dict[tuple, int] = {}
+    for v, label in enumerate(hlabels):
+        by_label[label] = by_label.get(label, 0) | 1 << v
+    image = [0] * n
+    # Per position k: the candidates not yet tried, and the images of the
+    # earlier neighbours of order[k], which a candidate's row must match.
+    left = [0] * n
+    target = [0] * n
+    left[0] = by_label.get(glabels[order[0]], 0)
+    used = done = 0
+    k = 0
+    while True:
+        cands = left[k]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            if hrows[v] & used == target[k]:
+                break
+        else:
+            # Position k is exhausted: undo position k - 1 and resume it.
+            if k == 0:
+                return None
+            k -= 1
+            used ^= 1 << image[order[k]]
+            done ^= 1 << order[k]
+            continue
+        left[k] = cands
+        u = order[k]
+        image[u] = v
+        used |= low
+        done |= 1 << u
+        k += 1
+        if k == n:
+            return image
+        u = order[k]
+        near = grows[u] & done
+        cands = by_label.get(glabels[u], 0) & ~used
+        if near:
+            cands &= hrows[image[(near & -near).bit_length() - 1]]
+        t = 0
+        while near:
+            low = near & -near
+            near ^= low
+            t |= 1 << image[low.bit_length() - 1]
+        left[k] = cands
+        target[k] = t
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An adjacency-preserving bijection V(g) -> V(h), or None.
 
-    Backtracking with degree-sequence pruning; the returned map is the
-    lexicographically first one found under the fixed search order.
+    None at once when the orders, the sizes or the multisets of vertex
+    labels (degree, edges among the neighbours, sorted neighbour degrees)
+    differ.  Otherwise a depth-first search with no recursion maps g's
+    vertices in descending-degree order (ties by index) to h's vertices of
+    equal label, tried in ascending order.  The map returned is the first
+    one found in that fixed order; the label test only removes branches
+    that cannot complete, so it is the map a degree-only search returns.
     """
     if g.n != h.n or g.m != h.m:
         return None
-    if _invariant_key(g) != _invariant_key(h):
+    grows, hrows = _rows(g), _rows(h)
+    glabels, hlabels = _labels(grows), _labels(hrows)
+    if sorted(glabels) != sorted(hlabels):
         return None
-    order = sorted(range(g.n), key=lambda u: -g.degree(u))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(k: int) -> bool:
-        if k == g.n:
-            return True
-        u = order[k]
-        for v in range(h.n):
-            if used[v] or g.degree(u) != h.degree(v):
-                continue
-            ok = True
-            for w in order[:k]:
-                if g.has_edge(u, w) != h.has_edge(v, mapping[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                mapping[u] = -1
-                used[v] = False
-        return False
-
-    return {u: mapping[u] for u in range(g.n)} if extend(0) else None
+    image = _match(grows, glabels, hrows, hlabels)
+    return None if image is None else dict(enumerate(image))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -346,26 +393,51 @@ def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Level n is generated from level n-1 by attaching a new vertex to every
-    non-empty neighbor subset (every connected graph has a non-cut vertex,
-    so this reaches every class); duplicates are removed by isomorphism
-    testing within invariant buckets.  The order is deterministic.
-    Results are memoized; callers must not mutate the returned list.
+    non-empty neighbour subset, taken as a bitmask in ascending order
+    (every connected graph has a non-cut vertex, so this reaches every
+    class); the first candidate of each class is kept.  Two rules keep the
+    work down without changing that list or its order:
+
+    - a subset is skipped when, for some twins u < v of the parent (equal
+      open or equal closed neighbourhoods), it holds v but not u.  Swapping
+      u and v is an automorphism of the parent, so the candidate is
+      isomorphic to one from a smaller subset of the same parent;
+    - each candidate's vertex labels are computed once, on bitmask rows,
+      and their sorted tuple is its bucket key.  A candidate is compared
+      only with the kept graphs in its bucket, by the matcher behind
+      find_isomorphism.
+
+    A Graph is built only for the graphs kept.  Results are memoized;
+    callers must not mutate the returned list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
     if n == 1:
         return [Graph(1, ())]
-    buckets: dict[object, list[Graph]] = {}
+    new = n - 1
+    buckets: dict[tuple, list[tuple[list[int], list[tuple]]]] = {}
     out = []
-    for parent in enumerate_connected(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            new = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-            cand = Graph.from_edges(n, list(parent.edges) + new)
-            key = _invariant_key(cand)
-            bucket = buckets.setdefault(key, [])
-            if not any(is_isomorphic(cand, seen) for seen in bucket):
-                bucket.append(cand)
-                out.append(cand)
+    for parent in enumerate_connected(new):
+        base = _rows(parent)
+        # (bit of v, bit of u) for twins u < v: a kept subset holding v holds u.
+        twins = [
+            (1 << v, 1 << u)
+            for v in range(new) for u in range(v)
+            if base[u] == base[v] or base[u] | 1 << u == base[v] | 1 << v
+        ]
+        for mask in range(1, 1 << new):
+            if any(mask & bv and not mask & bu for bv, bu in twins):
+                continue
+            rows = [r | (mask >> u & 1) << new for u, r in enumerate(base)]
+            rows.append(mask)
+            labels = _labels(rows)
+            bucket = buckets.setdefault(tuple(sorted(labels)), [])
+            if any(_match(rows, labels, *seen) is not None for seen in bucket):
+                continue
+            bucket.append((rows, labels))
+            out.append(Graph(n, tuple(
+                (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
+            )))
     return out
 
 

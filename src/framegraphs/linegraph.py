@@ -12,6 +12,7 @@ only for non-line graphs, to name a concrete witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -73,12 +74,14 @@ def line_graph(g: Graph) -> LineGraphMap:
     """Vertices are the edges of g (canonical order); adjacency is incidence."""
     if g.m < 1:
         raise GraphError("line graph needs at least one edge")
-    edges = []
-    for i in range(g.m):
-        for j in range(i + 1, g.m):
-            if set(g.edges[i]) & set(g.edges[j]):
-                edges.append((i, j))
-    return LineGraphMap(line=Graph.from_edges(g.m, edges))
+    # Two distinct edges of a simple graph share at most one endpoint, so
+    # each adjacent pair comes from exactly one vertex's incident edges.
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    edges = [pair for inc in incident for pair in combinations(inc, 2)]
+    return LineGraphMap(line=Graph(g.m, tuple(edges)))
 
 
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
-from .graphs import Graph, GraphError, common_neighbors, enumerate_connected, \
-    find_isomorphism, is_connected, path
+from .graphs import ENUMERATION_MAX_N, Graph, GraphError, common_neighbors, \
+    enumerate_connected, find_isomorphism, is_connected, path
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
@@ -175,8 +175,9 @@ def root_order_theorem_check(max_n: int) -> SweepReport:
     line graph must classify tight when the root is C_4, O_n (O_3 = C_3)
     or a star, and must carry a common-neighbor obstruction otherwise.
     """
-    if max_n > 7:
-        raise GraphError("root_order_theorem_check capped at max_n = 7")
+    if max_n > ENUMERATION_MAX_N:
+        raise GraphError(
+            f"root_order_theorem_check capped at max_n = {ENUMERATION_MAX_N}")
     report = SweepReport()
     for k in range(2, max_n + 1):
         for p in enumerate_connected(k):
@@ -197,8 +198,9 @@ def root_order_theorem_check(max_n: int) -> SweepReport:
 def induced_path_sweep(max_n: int) -> SweepReport:
     """Every connected root on <= max_n vertices with an induced 4-path
     must yield a line graph with a common-neighbor obstruction."""
-    if max_n > 7:
-        raise GraphError("induced_path_sweep capped at max_n = 7")
+    if max_n > ENUMERATION_MAX_N:
+        raise GraphError(
+            f"induced_path_sweep capped at max_n = {ENUMERATION_MAX_N}")
     report = SweepReport()
     for k in range(4, max_n + 1):
         for p in enumerate_connected(k):

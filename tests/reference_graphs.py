@@ -1,0 +1,93 @@
+"""Reference enumeration and isomorphism: pairwise backtracking on Graphs.
+
+The library enumerates on bitmask rows, skips subsets that a twin swap
+makes redundant, and matches with an iterative, label-guided search.  This
+module keeps the plain versions: a recursive, degree-pruned
+``find_isomorphism`` and an ``enumerate_connected`` that builds a Graph for
+every candidate and tests it against each kept graph with the same
+invariant key, so differential tests can require identical results.
+It has no size cap; callers keep inputs small.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from framegraphs.graphs import Graph
+
+
+def _triangle_counts(g: Graph) -> tuple[int, ...]:
+    counts = [0] * g.n
+    for u, v in g.edges:
+        shared = len(g.neighbors(u) & g.neighbors(v))
+        counts[u] += shared
+        counts[v] += shared
+    return tuple(counts)
+
+
+def _invariant_key(g: Graph):
+    tri = _triangle_counts(g)
+    local = sorted(
+        (g.degree(u), tri[u], tuple(sorted(g.degree(w) for w in g.neighbors(u))))
+        for u in range(g.n)
+    )
+    return (g.n, g.m, tuple(local))
+
+
+def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
+    """An adjacency-preserving bijection V(g) -> V(h), or None.
+
+    Backtracking with degree-sequence pruning; the returned map is the
+    first one found under the fixed search order.
+    """
+    if g.n != h.n or g.m != h.m:
+        return None
+    if _invariant_key(g) != _invariant_key(h):
+        return None
+    order = sorted(range(g.n), key=lambda u: -g.degree(u))
+    mapping = [-1] * g.n
+    used = [False] * h.n
+
+    def extend(k: int) -> bool:
+        if k == g.n:
+            return True
+        u = order[k]
+        for v in range(h.n):
+            if used[v] or g.degree(u) != h.degree(v):
+                continue
+            ok = True
+            for w in order[:k]:
+                if g.has_edge(u, w) != h.has_edge(v, mapping[w]):
+                    ok = False
+                    break
+            if ok:
+                mapping[u] = v
+                used[v] = True
+                if extend(k + 1):
+                    return True
+                mapping[u] = -1
+                used[v] = False
+        return False
+
+    return {u: mapping[u] for u in range(g.n)} if extend(0) else None
+
+
+@functools.cache
+def enumerate_connected(n: int) -> list[Graph]:
+    """All connected graphs on n vertices, one per isomorphism class, in
+    the order of their first candidate: each graph on n - 1 vertices in
+    turn, with a new vertex joined to each non-empty subset, taken as a
+    bitmask in ascending order."""
+    if n == 1:
+        return [Graph(1, ())]
+    buckets: dict[object, list[Graph]] = {}
+    out = []
+    for parent in enumerate_connected(n - 1):
+        for mask in range(1, 1 << (n - 1)):
+            new = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
+            cand = Graph.from_edges(n, list(parent.edges) + new)
+            bucket = buckets.setdefault(_invariant_key(cand), [])
+            if not any(find_isomorphism(cand, seen) is not None for seen in bucket):
+                bucket.append(cand)
+                out.append(cand)
+    return out

@@ -1,17 +1,18 @@
 """Graph families, operations, isomorphism, enumeration, serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_graphs as reference
 from framegraphs import graphs
 from framegraphs.graphs import (
     Graph,
     GraphError,
     beineke,
-    bridges,
     cartesian_product,
     common_neighbors,
     complete,
@@ -145,14 +146,11 @@ def test_duplicate_vertex():
         duplicate_vertex(cycle(4), 9)
 
 
-def test_delete_edge_and_bridges():
+def test_delete_edge():
     g = delete_edge(complete(4), (0, 1))
     assert g == diamond()
     with pytest.raises(GraphError):
         delete_edge(g, (0, 1))
-    assert bridges(path(4)) == [(0, 1), (1, 2), (2, 3)]
-    assert bridges(cycle(5)) == []
-    assert bridges(o_graph(5)) == [(0, 3), (0, 4)]
 
 
 def test_common_neighbors():
@@ -201,9 +199,71 @@ def test_isomorphism_is_equivalence_relation():
     assert is_isomorphic(a, b) and is_isomorphic(b, c) and is_isomorphic(a, c)
 
 
+def _relabel(g, seed):
+    """g with its vertices permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_find_isomorphism_matches_reference_on_atlas(atlas):
+    for i, (_, g) in enumerate(atlas):
+        h = _relabel(g, i)
+        phi = find_isomorphism(g, h)
+        assert phi is not None and phi == reference.find_isomorphism(g, h), g
+    # Neighbouring atlas entries share n and often m, but are never
+    # isomorphic: both searches must agree on those pairs too.
+    for (_, g), (_, h) in itertools.pairwise(atlas):
+        assert find_isomorphism(g, h) is None
+        assert reference.find_isomorphism(g, h) is None
+
+
+@pytest.mark.parametrize("g", [path(1500), complete_bipartite(2, 1000)],
+                         ids=["path1500", "k2_1000"])
+def test_isomorphism_has_no_recursion_limit(g):
+    h = _relabel(g, 7)
+    phi = find_isomorphism(g, h)
+    assert phi is not None and sorted(phi.values()) == list(range(g.n))
+    assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_matches_reference(n):
+    # Same graphs, same labels, same order: the first candidate of each
+    # class survives the twin pruning and the label buckets.
+    assert enumerate_connected(n) == reference.enumerate_connected(n)
+
+
+def test_enumeration_matches_networkx_atlas(atlas):
+    nx = pytest.importorskip("networkx")
+
+    def key(a):
+        tri = nx.triangles(a)
+        return tuple(sorted((d, tri[u]) for u, d in a.degree()))
+
+    for n in range(1, 8):
+        buckets = {}
+        for i, (a, _) in enumerate(atlas):
+            if a.number_of_nodes() == n and nx.is_connected(a):
+                buckets.setdefault(key(a), []).append((i, a))
+        found = []
+        for g in enumerate_connected(n):
+            a = nx.Graph(g.edges)
+            a.add_nodes_from(range(n))
+            found += [i for i, b in buckets.get(key(a), ()) if nx.is_isomorphic(a, b)]
+        assert sorted(found) == sorted(i for b in buckets.values() for i, _ in b)
+
+
+def test_enumeration_of_order_8():
+    # OEIS A001349: 11117 connected graphs on 8 vertices.
+    level = enumerate_connected(8)
+    assert len(level) == 11117
+    assert all(g.n == 8 and is_connected(g) for g in level)
+
 
 def _brute_force_connected(n):
     """Independent oracle: all edge subsets, dedup by isomorphism."""

@@ -246,19 +246,6 @@ def test_root_graph_guards():
 # Differential tests on every graph with at most 7 vertices
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def atlas():
-    """networkx's graph atlas, disconnected graphs included, as (nx, Graph)
-    pairs; the null graph at index 0 has no Graph counterpart."""
-    nx = pytest.importorskip("networkx")
-    pairs = [
-        (a, Graph.from_edges(a.number_of_nodes(), a.edges()))
-        for a in nx.graph_atlas_g()[1:]
-    ]
-    assert len(pairs) == 1252
-    return pairs
-
-
 def test_is_line_graph_matches_reference_search(atlas):
     for _, g in atlas:
         assert is_line_graph(g) == reference.is_line_graph(g), g

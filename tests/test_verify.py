@@ -194,18 +194,22 @@ def test_root_order_sweep():
     report = root_order_theorem_check(6)
     assert report.ok and report.checked > 0
     with pytest.raises(GraphError):
-        root_order_theorem_check(8)
+        root_order_theorem_check(9)
     report = root_order_theorem_check(7)
     assert report.ok and report.checked == 78
+    report = root_order_theorem_check(8)
+    assert report.ok and report.checked == 190
 
 
 def test_induced_path_sweep():
     report = induced_path_sweep(6)
     assert report.ok and report.checked == 89
     with pytest.raises(GraphError):
-        induced_path_sweep(8)
+        induced_path_sweep(9)
     report = induced_path_sweep(7)
     assert report.ok and report.checked == 852
+    report = induced_path_sweep(8)
+    assert report.ok and report.checked == 11708
 
 
 def test_join_line_sweep():
