@@ -33,7 +33,6 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("graph needs at least one vertex")
-        seen = set()
         adj = [set() for _ in range(self.n)]
         for e in self.edges:
             u, v = e
@@ -41,9 +40,8 @@ class Graph:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise GraphError(f"bad edge {e} for n={self.n}")
-            if e in seen:
+            if v in adj[u]:
                 raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))

@@ -1,8 +1,8 @@
 """Shared matrix / frame serialization.
 
-Structured text: a "rows r" line, a "cols c" line, then r lines of c
-entries printed with 17 significant digits, which round-trips doubles
-exactly.  Blank lines and '#' comments are ignored on input.
+Structured text: a "rows r" line, a "cols c" line (r, c >= 1, as for a
+Frame), then r lines of c entries printed as "%.17g", which round-trips
+doubles exactly.  Blank lines and '#' comments are ignored on input.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ class MatrixFormatError(ValueError):
 
 def matrix_to_text(mat: np.ndarray) -> str:
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2:
-        raise MatrixFormatError(f"expected a 2-d matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or min(mat.shape) < 1:
+        raise MatrixFormatError(
+            f"expected a 2-d matrix with at least one row and column, got shape {mat.shape}"
+        )
+    row_format = " ".join(["%.17g"] * mat.shape[1])
     lines = [f"rows {mat.shape[0]}", f"cols {mat.shape[1]}"]
-    for row in mat:
-        lines.append(" ".join(format(x, ".17g") for x in row))
+    lines.extend(row_format % tuple(row) for row in mat.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -34,11 +36,12 @@ def matrix_from_text(text: str) -> np.ndarray:
             rows.append(line)
     if len(rows) < 2 or not rows[0].startswith("rows ") or not rows[1].startswith("cols "):
         raise MatrixFormatError("matrix text must start with 'rows r' and 'cols c'")
-    try:
-        r = int(rows[0].split()[1])
-        c = int(rows[1].split()[1])
-    except (IndexError, ValueError):
+    try:  # each header line is its key and exactly one integer
+        (r,), (c,) = (map(int, line.split()[1:]) for line in rows[:2])
+    except ValueError:
         raise MatrixFormatError("bad rows/cols header") from None
+    if min(r, c) < 1:
+        raise MatrixFormatError(f"need at least one row and column, got {r} x {c}")
     body = rows[2:]
     if len(body) != r:
         raise MatrixFormatError(f"expected {r} data rows, found {len(body)}")
@@ -48,7 +51,7 @@ def matrix_from_text(text: str) -> np.ndarray:
         if len(vals) != c:
             raise MatrixFormatError(f"expected {c} entries per row, got {len(vals)}")
         try:
-            data.append([float(v) for v in vals])
+            data.append(list(map(float, vals)))
         except ValueError:
             raise MatrixFormatError(f"bad numeric entry in {line!r}") from None
     return np.array(data, dtype=float)

@@ -66,13 +66,11 @@ def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigendecomposition failed: {exc}") from exc
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        big = np.flatnonzero(np.abs(col) > tol.tau_rel)
-        if big.size and col[big[0]] < 0:
-            vectors[:, j] = -col
-    return EigDecomp(values=values, vectors=vectors)
+    big = np.abs(vectors) > tol.tau_rel
+    first = np.argmax(big, axis=0)  # row of each column's first big entry, or 0
+    cols = np.arange(vectors.shape[1])
+    flip = big[first, cols] & (vectors[first, cols] < 0)
+    return EigDecomp(values=values, vectors=np.where(flip, -vectors, vectors))
 
 
 def numeric_rank(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:

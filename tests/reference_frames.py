@@ -1,0 +1,88 @@
+"""Reference frame layer: the entry-by-entry loops.
+
+The library reads the Gram pattern, the borderline warnings and the
+eigenvector signs from whole-array numpy masks, formats and parses each
+text row in one call, and computes the Gramian projection deviation as
+F^T (S - I) F.  This module keeps the plain versions: a double loop over
+the upper triangle of G, one ``format`` call per matrix entry, the n^3
+product G @ G - G, and a loop over eigenvector columns, so differential
+tests can require identical results.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+from framegraphs.frames import (
+    BorderlineEntryWarning,
+    Frame,
+    Tightness,
+    ToleranceInconsistencyError,
+    frame_bounds,
+    gramian,
+)
+from framegraphs.spectral import DEFAULT_TOL, TolerancePolicy
+
+
+def associated_edges(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j, where |G_ij| exceeds the threshold; warns on
+    each entry within a decade of it, in loop order."""
+    g = gramian(f)
+    thr = tol.threshold(np.max(np.abs(g)))
+    edges = []
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            mag = abs(g[i, j])
+            if thr / 10 < mag < thr * 10:
+                warnings.warn(
+                    f"Gram entry ({i}, {j}) = {g[i, j]:.3e} is within a decade "
+                    f"of the zero threshold {thr:.3e}",
+                    BorderlineEntryWarning,
+                    stacklevel=2,
+                )
+            if mag > thr:
+                edges.append((i, j))
+    return edges
+
+
+def tightness(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Tightness:
+    """The library's verdict, cross-checked with G @ G - G."""
+    bounds = frame_bounds(f)
+    a, b = bounds.lower, bounds.upper
+    is_tight = b - a <= tol.threshold(b)
+    s_parseval = is_tight and abs(b - 1.0) <= tol.tau_rel
+    g = gramian(f)
+    dev = np.max(np.abs(g @ g - g))
+    if (s_parseval and dev > tol.threshold(b) * f.n) or (
+        not s_parseval and 4 * f.n * dev <= tol.threshold(min(b, 1.0))
+    ):
+        raise ToleranceInconsistencyError(
+            f"frame-operator test says parseval={s_parseval} but "
+            f"Gramian projection test says parseval={not s_parseval}"
+        )
+    if s_parseval:
+        return Tightness("parseval", a, b)
+    if is_tight:
+        return Tightness("tight", a, b)
+    return Tightness("not_tight", a, b)
+
+
+def matrix_to_text(mat: np.ndarray) -> str:
+    mat = np.asarray(mat, dtype=float)
+    lines = [f"rows {mat.shape[0]}", f"cols {mat.shape[1]}"]
+    for row in mat:
+        lines.append(" ".join(format(x, ".17g") for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def sign_convention(vectors: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Negate each column whose first entry above tau_rel in magnitude is negative."""
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        big = np.flatnonzero(np.abs(col) > tol.tau_rel)
+        if big.size and col[big[0]] < 0:
+            vectors[:, j] = -col
+    return vectors

@@ -1,15 +1,21 @@
 """Frame predicates and transforms: bounds, tightness, patterns, Naimark,
 duplication, erasures."""
 
+import random
+import warnings
+
 import numpy as np
 import pytest
+import reference_frames as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framegraphs.constructions import (
     c4_frame,
     diamond_frame,
+    dup_chain_frames,
     k2kn_frame,
+    kn_minus_e_frame,
     laplacian_method,
     lkn_small_frame,
     star_frame,
@@ -18,6 +24,7 @@ from framegraphs.frames import (
     BorderlineEntryWarning,
     Frame,
     FrameError,
+    ToleranceInconsistencyError,
     associated_graph,
     duplicate_vector,
     erasure_robustness,
@@ -31,6 +38,7 @@ from framegraphs.frames import (
     tightness,
 )
 from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
+from framegraphs.matio import matrix_to_text
 from framegraphs.spectral import TolerancePolicy
 
 
@@ -124,8 +132,24 @@ def test_borderline_entry_warning():
     mat = np.array([[1.0, 0.0], [eps, 1.0]])
     with pytest.warns(BorderlineEntryWarning):
         associated_graph(Frame(mat))
+    # G[0, 3] = 5e-9 (an edge) and G[1, 2] = 2e-10 (not): one warning each,
+    # named in row-major order of the upper triangle.
+    mat = np.eye(4)
+    mat[0, 3], mat[1, 2] = 5e-9, 2e-10
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pattern = associated_graph(Frame(mat))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (BorderlineEntryWarning,
+         "Gram entry (0, 3) = 5.000e-09 is within a decade of the zero threshold 1.000e-09"),
+        (BorderlineEntryWarning,
+         "Gram entry (1, 2) = 2.000e-10 is within a decade of the zero threshold 1.000e-09"),
+    ]
+    assert pattern.graph.edges == ((0, 3),)
+    # An entry exactly at the threshold is not an edge.
+    with pytest.warns(BorderlineEntryWarning):
+        assert associated_graph(Frame(np.array([[1.0, 1e-9], [0.0, 1.0]]))).graph.m == 0
     # A clearly zero entry stays quiet.
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         associated_graph(Frame(np.eye(2)))
@@ -301,3 +325,71 @@ def test_orthogonal_rotation_keeps_tightness_and_pattern(f, seed):
     rotated = Frame(q @ f.synthesis)
     assert tightness(rotated).kind == tightness(f).kind
     assert associated_graph(rotated).graph == associated_graph(f).graph
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the entry-by-entry reference
+# ---------------------------------------------------------------------------
+
+def _random_root(rng, n):
+    """Connected graph: a random spanning tree plus edges at a random density."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    density = rng.choice((0.1, 0.3, 0.5))
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    return Graph.from_edges(n, edges)
+
+
+def _planted_borderline_frame(rng):
+    """Scaled identity with a few off-diagonal entries near the zero threshold."""
+    n = rng.randint(2, 9)
+    mat = np.eye(n)
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(n), 2)
+        mat[i, j] = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-11.5, -7.5)
+    return Frame(10.0 ** rng.uniform(-5, 5) * mat)
+
+
+def _differential_frames():
+    """Catalog, Laplacian and planted-borderline frames."""
+    rng = random.Random(20261018)
+    catalog = dup_chain_frames()
+    frames = [diamond_frame(), c4_frame(), mercedes_frame(), star_frame(7, 4), star_frame(9, 5)]
+    frames += list(catalog.values())
+    frames += [kn_minus_e_frame(n) for n in range(4, 8)]
+    frames += [lkn_small_frame(n) for n in range(4, 9)]
+    frames += [k2kn_frame(n) for n in range(3, 7)]
+    frames += [laplacian_method(complete(n)) for n in range(3, 13)]
+    # Parseval frames scaled across the tolerance band of the cross-check.
+    frames += [Frame((1 + c * 1e-9) * f.synthesis)
+               for f in catalog.values() for c in (-3, -1, 0.5, 1, 3)]
+    frames += [laplacian_method(_random_root(rng, rng.randint(3, 30))) for _ in range(40)]
+    frames += [_planted_borderline_frame(rng) for _ in range(60)]
+    return frames
+
+
+def _with_warnings(fn, f):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(f)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _verdict(fn, f):
+    try:
+        return fn(f).kind
+    except ToleranceInconsistencyError:
+        return "inconsistent"
+
+
+def test_frame_layer_matches_reference():
+    frames = _differential_frames()
+    borderline = 0
+    for f in frames:
+        pattern, caught = _with_warnings(associated_graph, f)
+        edges, expected = _with_warnings(reference.associated_edges, f)
+        assert pattern.graph.edges == tuple(edges)
+        assert caught == expected
+        borderline += len(caught)
+        assert _verdict(tightness, f) == _verdict(reference.tightness, f)
+        assert matrix_to_text(f.synthesis) == reference.matrix_to_text(f.synthesis)
+    assert borderline >= 60  # the planted frames exercise the warning path

@@ -57,14 +57,21 @@ def test_edges_are_canonicalized():
 
 
 def test_invalid_graphs_rejected():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="at least one vertex"):
         Graph(0, ())
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^loop at vertex 1$"):
         Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^bad edge \(0, 2\) for n=2$"):
         Graph.from_edges(2, [(0, 2)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
         Graph(3, ((0, 1), (0, 1)))
+    # The first fault in edge order is the one reported.
+    with pytest.raises(GraphError, match=r"^loop at vertex 2$"):
+        Graph(3, ((0, 1), (2, 2), (0, 1)))
+    with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, ((0, 1), (0, 1), (2, 2)))
+    with pytest.raises(GraphError, match=r"^bad edge \(1, 0\) for n=3$"):
+        Graph(3, ((0, 1), (1, 0)))
 
 
 def test_degree_and_neighbors():

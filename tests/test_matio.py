@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_frames as reference
 
 from framegraphs.constructions import diamond_frame, star_frame
 from framegraphs.matio import (
@@ -38,6 +39,11 @@ def test_comments_and_blank_lines_ignored():
     "rows 2\ncols 1\n1\n",
     "rows 1\ncols 2\n1 x\n",
     "rows x\ncols 2\n1 2\n",
+    "rows 1 junk\ncols 2\n1 2\n",
+    "rows 1\ncols 2 3\n1 2\n",
+    "rows 0\ncols 3\n",
+    "rows 1\ncols 0\n",
+    "rows -1\ncols 2\n",
 ])
 def test_malformed_matrix_text(bad):
     with pytest.raises(MatrixFormatError):
@@ -45,5 +51,19 @@ def test_malformed_matrix_text(bad):
 
 
 def test_matrix_to_text_rejects_non_2d():
-    with pytest.raises(MatrixFormatError):
-        matrix_to_text(np.zeros(3))
+    for shape in [(3,), (), (2, 2, 2), (2, 0), (0, 3), (0, 0)]:
+        with pytest.raises(MatrixFormatError):
+            matrix_to_text(np.zeros(shape))
+
+
+def test_matrix_text_matches_reference():
+    rng = np.random.default_rng(17)
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, 1e16, 1e-5, 123456789012345678.0]
+    mats = [np.array([special]), np.array(special).reshape(3, 4), np.eye(1)]
+    mats += [rng.standard_normal((r, c)) * 10.0 ** rng.integers(-300, 300, size=(r, c))
+             for r, c in rng.integers(1, 40, size=(20, 2))]
+    for mat in mats:
+        text = matrix_to_text(mat)
+        assert text == reference.matrix_to_text(mat)
+        assert np.array_equal(matrix_from_text(text), mat, equal_nan=True)

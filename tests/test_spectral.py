@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+import reference_frames as reference
 
+from framegraphs.constructions import laplacian_method
+from framegraphs.frames import gramian
+from framegraphs.graphs import complete, cycle, path
+from framegraphs.linegraph import laplacian
 from framegraphs.spectral import (
     DEFAULT_TOL,
     SpectralError,
@@ -54,6 +59,25 @@ def test_sym_eig_sign_convention_and_determinism():
         col = d1.vectors[:, j]
         lead = col[np.abs(col) > DEFAULT_TOL.tau_rel][0]
         assert lead > 0
+
+
+def test_sym_eig_signs_match_reference():
+    rng = np.random.default_rng(5)
+    mats = [laplacian(g) for g in (path(7), cycle(8), complete(6))]
+    mats += [gramian(laplacian_method(g)) for g in (path(6), cycle(5), complete(5))]
+    for _ in range(20):
+        a = rng.standard_normal((7, 7))
+        block = np.zeros((10, 10))  # zero leading rows in some eigenvectors
+        block[3:, 3:] = a + a.T
+        mats += [a + a.T, block, block * rng.choice([1e-6, 1e6])]
+    later_lead = 0
+    for m in mats:
+        for tol in (DEFAULT_TOL, TolerancePolicy(tau_rel=1e-4)):
+            vectors = np.linalg.eigh((m + m.T) / 2.0)[1]
+            expected = reference.sign_convention(vectors, tol)
+            assert np.array_equal(sym_eig(m, tol).vectors, expected)
+            later_lead += np.sum(np.abs(expected[0]) <= tol.tau_rel)
+    assert later_lead > 0  # some leading entries lie below the tolerance
 
 
 def test_sym_eig_rejects_bad_input():
