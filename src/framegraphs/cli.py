@@ -288,7 +288,8 @@ def check_cycles(graph):
 @check.command("linegraph")
 @click.argument("graph", default="-")
 def check_linegraph(graph):
-    """Exit 0 iff GRAPH is a line graph; otherwise print the forbidden witness."""
+    """Exit 0 iff GRAPH is a line graph; otherwise print a forbidden witness:
+    the first claw (G1), else a minimal one found by deleting vertices."""
     verdict = is_line_graph(_load_graph(graph))
     if verdict is True:
         click.echo("line-graph")

@@ -5,8 +5,9 @@ Krausz partitions: partitions of the edges into cliques with every vertex
 in at most two of them.  Per connected component the search tries at most
 deg + 1 first cliques and propagates each with no further branch, so it is
 polynomial; by Whitney's theorem its first partition gives the one root
-(K_3 has two).  Beineke's nine forbidden induced subgraphs are searched
-only for non-line graphs, to name a concrete witness.
+(K_3 has two).  A non-line graph is named by its first claw if it has
+one, otherwise by a minimal forbidden induced subgraph found by deleting
+vertices.
 """
 
 from __future__ import annotations
@@ -143,32 +144,43 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     return dict(zip(order, image)) if extend(0) else None
 
 
-def _components(g: Graph) -> list[Graph]:
-    """The connected components of g, each relabelled onto 0..k-1."""
+def _induced(g: Graph, verts: list[int]) -> Graph:
+    """The subgraph of g induced on verts, relabelled onto 0..k-1 in list order."""
+    index = {v: i for i, v in enumerate(verts)}
+    return Graph.from_edges(len(verts), [
+        (index[u], index[w]) for u in verts for w in g._adj[u] if u < w and w in index
+    ])
+
+
+def _is_line(g: Graph) -> bool:
+    """Whether every connected component of g has a Krausz partition."""
     parts = components(g)
-    if len(parts) == 1:
-        return [g]
-    comps = []
-    for verts in parts:
-        index = {v: i for i, v in enumerate(verts)}
-        comps.append(Graph.from_edges(len(verts), [
-            (index[u], index[w]) for u in verts for w in g._adj[u] if u < w
-        ]))
-    return comps
+    return all(_krausz_partition(g if len(parts) == 1 else _induced(g, verts)) is not None
+               for verts in parts)
 
 
 def _beineke_witness(g: Graph) -> tuple[bool, int, dict[int, int]]:
-    """(False, i, embedding) for the first Beineke graph G_i inside g.
+    """(False, i, embedding) for a Beineke graph G_i induced in a non-line g.
 
-    Only called on graphs with no Krausz partition, which by the
-    Krausz-Beineke theorem contain one of the nine.
+    The first claw (G1) if there is one.  Otherwise the vertices are
+    deleted in ascending order, each while the rest stays non-line: at
+    most n line tests.  No vertex of what remains can go, so it is a
+    minimal non-line graph, and as it is claw-free it is one of G2..G9.
     """
-    for i in range(1, 10):
+    embedding = contains_induced(g, beineke(1))
+    if embedding is not None:
+        return (False, 1, embedding)
+    keep = list(range(g.n))
+    for v in range(g.n):
+        rest = [u for u in keep if u != v]
+        if not _is_line(_induced(g, rest)):
+            keep = rest
+    core = _induced(g, keep)
+    for i in range(2, 10):
         pattern = beineke(i)
-        if pattern.n <= g.n:
-            embedding = contains_induced(g, pattern)
-            if embedding is not None:
-                return (False, i, embedding)
+        embedding = contains_induced(core, pattern) if pattern.n == core.n else None
+        if embedding is not None:
+            return (False, i, {k: keep[w] for k, w in embedding.items()})
     raise AssertionError("no Krausz partition, yet no Beineke subgraph")
 
 
@@ -176,12 +188,10 @@ def is_line_graph(g: Graph):
     """True, or (False, beineke_index, embedding) with a concrete witness.
 
     Line-ness is decided by whether each connected component has a Krausz
-    partition; the Beineke search runs only on non-line graphs, to name
-    the first forbidden induced subgraph in the order G1..G9.
+    partition.  The witness is g's first claw if it has one, otherwise a
+    minimal forbidden induced subgraph found by deleting vertices.
     """
-    if all(_krausz_partition(c) is not None for c in _components(g)):
-        return True
-    return _beineke_witness(g)
+    return True if _is_line(g) else _beineke_witness(g)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
-from .graphs import ENUMERATION_MAX_N, Graph, GraphError, common_neighbors, \
-    enumerate_connected, find_isomorphism, is_connected, path
+from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, \
+    common_neighbors, enumerate_connected, find_isomorphism, is_connected, path
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
@@ -213,9 +213,16 @@ def induced_path_sweep(max_n: int) -> SweepReport:
     return report
 
 
+def _induces_g1_to_g3(g: Graph, verdict) -> bool:
+    """Whether g, with this is_line_graph verdict, induces G1, G2 or G3; a
+    witness other than G1 means g is claw-free, so G2 and G3 are searched."""
+    return verdict is not True and (verdict[1] <= 3 or any(
+        contains_induced(g, beineke(i)) is not None for i in (2, 3)))
+
+
 def join_line_check(max_n: int) -> SweepReport:
     """Joins of connected graphs on >= 3 vertices (not both complete) are
-    never line graphs; the recorded Beineke witness must be G1, G2, or G3."""
+    never line graphs: each induces G1, G2 or G3."""
     if max_n > 5:
         raise GraphError("join_line_check capped at max_n = 5")
     if max_n < 3:
@@ -227,7 +234,8 @@ def join_line_check(max_n: int) -> SweepReport:
             if g.m == g.n * (g.n - 1) // 2 and h.m == h.n * (h.n - 1) // 2:
                 continue
             report.checked += 1
-            verdict = is_line_graph(graphs.join(g, h))
-            if verdict is True or verdict[1] not in (1, 2, 3):
+            j = graphs.join(g, h)
+            verdict = is_line_graph(j)
+            if not _induces_g1_to_g3(j, verdict):
                 report.counterexamples.append((g, h, verdict))
     return report

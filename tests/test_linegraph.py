@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from framegraphs import linegraph
 from framegraphs.graphs import (
     Graph,
     GraphError,
@@ -117,22 +118,39 @@ def test_beineke_graphs_are_not_line_graphs():
         assert verdict is not True
 
 
-def test_is_line_graph_witnesses():
+def _assert_induces(g, idx, phi):
+    """phi maps the vertices of G_idx injectively into g and induces it."""
+    pat = beineke(idx)
+    assert sorted(phi) == list(range(pat.n)) and len(set(phi.values())) == pat.n
+    for u in range(pat.n):
+        for v in range(u + 1, pat.n):
+            assert g.has_edge(phi[u], phi[v]) == pat.has_edge(u, v)
+
+
+def test_is_line_graph_witnesses(monkeypatch):
     verdict = is_line_graph(hypercube(3))
     assert verdict is not True and verdict[1] == 1  # claw inside Q_3
-    for n in range(5, 9):
-        verdict = is_line_graph(delete_edge(complete(n), (0, 1)))
-        assert verdict is not True and verdict[1] == 3
     # The returned embedding really induces the named pattern, also past
     # the 30 vertices recognition was once capped at.
     lk9 = line_graph(complete(9)).line
-    for g in (delete_edge(complete(6), (0, 1)), delete_edge(lk9, lk9.edges[0])):
-        _, idx, phi = is_line_graph(g)
-        pat = beineke(idx)
-        assert len(set(phi.values())) == pat.n
-        for u in range(pat.n):
-            for v in range(u + 1, pat.n):
-                assert g.has_edge(phi[u], phi[v]) == pat.has_edge(u, v)
+    g = delete_edge(lk9, lk9.edges[0])
+    _, idx, phi = is_line_graph(g)
+    _assert_induces(g, idx, phi)
+    # On claw-free inputs, K_n - e and the cocktail party K_{2x10}, the
+    # witness costs at most one line test a vertex, counted rather than timed.
+    calls = []
+    line_test = linegraph._is_line
+    monkeypatch.setattr(linegraph, "_is_line", lambda g: calls.append(g.n) or line_test(g))
+    cocktail_party = Graph.from_edges(20, [
+        (u, v) for u in range(20) for v in range(u + 1, 20) if u // 2 != v // 2
+    ])
+    for g in [delete_edge(complete(n), (0, 1)) for n in range(5, 51)] + [cocktail_party]:
+        calls.clear()
+        verdict = is_line_graph(g)
+        assert verdict is not True and verdict[1] == 3  # K_5 - e
+        _assert_induces(g, 3, verdict[2])
+        # The first call decides line-ness; the rest name the witness.
+        assert len(calls) - 1 <= g.n
 
 
 def test_is_line_graph_positive_cases():
@@ -247,8 +265,16 @@ def test_root_graph_guards():
 # ---------------------------------------------------------------------------
 
 def test_is_line_graph_matches_reference_search(atlas):
+    """Identical to the exhaustive search on line graphs and on graphs with
+    a claw; on claw-free non-line graphs the witness is a minimal forbidden
+    subgraph, which need not be the lowest-index G_i the search names."""
     for _, g in atlas:
-        assert is_line_graph(g) == reference.is_line_graph(g), g
+        verdict, expected = is_line_graph(g), reference.is_line_graph(g)
+        if expected is True or expected[1] == 1:
+            assert verdict == expected, g
+        else:
+            assert verdict is not True and verdict[1] >= 2 and expected[1] >= 2, g
+            _assert_induces(g, verdict[1], verdict[2])
 
 
 def _induced(search, g, h):

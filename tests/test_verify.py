@@ -19,11 +19,12 @@ from framegraphs.graphs import (
     delete_edge,
     duplicate_vertex,
     enumerate_connected,
+    join,
     o_graph,
     path,
     star,
 )
-from framegraphs.linegraph import line_graph
+from framegraphs.linegraph import is_line_graph, line_graph
 from framegraphs.verify import (
     Certificate,
     classify,
@@ -33,6 +34,8 @@ from framegraphs.verify import (
     neighbor_obstruction,
     root_order_theorem_check,
 )
+
+import reference_linegraph as reference
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +224,21 @@ def test_join_line_sweep():
         join_line_check(2)
     report = join_line_check(5)
     assert report.ok and report.checked == 429
+
+
+def test_join_check_matches_reference_g1_to_g3(atlas):
+    """The join check passes exactly where the exhaustive search names G1,
+    G2 or G3, though the witness now named can be another G_i."""
+    pool = [g for k in range(3, 6) for g in enumerate_connected(k)]
+    joins = [join(g, h) for i, g in enumerate(pool) for h in pool[i:]
+             if not (g.m == g.n * (g.n - 1) // 2 and h.m == h.n * (h.n - 1) // 2)]
+    assert len(joins) == 429
+    # Joins whose witness is G6 or G9, where G2 or G3 must be searched for.
+    assert sum(is_line_graph(j)[1] > 3 for j in joins) == 27
+    for g in joins + [g for _, g in atlas]:
+        verdict, expected = is_line_graph(g), reference.is_line_graph(g)
+        assert verify._induces_g1_to_g3(g, verdict) == (
+            expected is not True and expected[1] <= 3), g
 
 
 def test_sweeps_record_failed_checks(monkeypatch):
