@@ -42,7 +42,8 @@ class Frame:
         if not np.all(np.isfinite(mat)):
             raise FrameError("synthesis matrix has non-finite entries")
         object.__setattr__(self, "synthesis", mat)
-        if numeric_rank(mat @ mat.T) != self.d:
+        # d > n columns cannot span R^d; say so before forming the d x d S.
+        if self.d > self.n or numeric_rank(mat @ mat.T) != self.d:
             raise FrameError("columns do not span the space: not a frame")
 
     @property

@@ -297,68 +297,69 @@ def _labels(rows: list[int]) -> list[tuple]:
     return labels
 
 
-def _match(grows: list[int], glabels: list[tuple],
-           hrows: list[int], hlabels: list[tuple]) -> list[int] | None:
-    """The first adjacency-preserving map from g to h, as image[u], or None.
+def _induced_map(prows: list[int], hrows: list[int], order: list[int],
+                 allowed: list[int]) -> list[int] | None:
+    """The first injective map from a pattern into a host that induces the
+    pattern exactly, as image[u], or None; both graphs as bitmask rows.
 
-    A depth-first search, kept on an explicit stack so its depth is not
-    bounded by the interpreter's recursion limit.  It maps g's vertices in
-    descending-degree order (ties by index) and tries h's vertices in
-    ascending order.  A candidate must be unused, carry the same label and
-    agree on adjacency with every vertex mapped so far.  Every isomorphism
-    preserves labels, so the label test cuts only branches that cannot
-    complete, and the first map found is the first one a search without
-    it finds.
+    The pattern's vertices are mapped in ``order``, u to the unused host
+    vertices of the bitmask allowed[u] adjacent to the images of u's
+    mapped neighbours and to no other image, tried in ascending order.
+    Those candidates are one mask: the rows of the neighbours' images
+    ANDed, the rows of the other images masked out.  The search is kept on
+    an explicit stack, so the recursion limit does not bound its depth.
     """
-    n = len(grows)
-    order = sorted(range(n), key=lambda u: -glabels[u][0])
-    by_label: dict[tuple, int] = {}
-    for v, label in enumerate(hlabels):
-        by_label[label] = by_label.get(label, 0) | 1 << v
-    image = [0] * n
-    # Per position k: the candidates not yet tried, and the images of the
-    # earlier neighbours of order[k], which a candidate's row must match.
+    n = len(order)
+    # Per position k, the candidates not yet tried.
     left = [0] * n
-    target = [0] * n
-    left[0] = by_label.get(glabels[order[0]], 0)
-    used = done = 0
+    left[0] = allowed[order[0]]
+    image = [0] * len(prows)
+    used = 0
     k = 0
     while True:
         cands = left[k]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            v = low.bit_length() - 1
-            if hrows[v] & used == target[k]:
-                break
-        else:
+        if not cands:
             # Position k is exhausted: undo position k - 1 and resume it.
             if k == 0:
                 return None
             k -= 1
             used ^= 1 << image[order[k]]
-            done ^= 1 << order[k]
             continue
-        left[k] = cands
-        u = order[k]
-        image[u] = v
+        low = cands & -cands
+        left[k] = cands ^ low
+        image[order[k]] = low.bit_length() - 1
         used |= low
-        done |= 1 << u
         k += 1
         if k == n:
             return image
         u = order[k]
-        near = grows[u] & done
-        cands = by_label.get(glabels[u], 0) & ~used
-        if near:
-            cands &= hrows[image[(near & -near).bit_length() - 1]]
-        t = 0
-        while near:
-            low = near & -near
-            near ^= low
-            t |= 1 << image[low.bit_length() - 1]
-        left[k] = cands
-        target[k] = t
+        row = prows[u]
+        cands = allowed[u] & ~used
+        far = 0
+        for w in order[:k]:
+            if row >> w & 1:
+                cands &= hrows[image[w]]
+            else:
+                far |= hrows[image[w]]
+        left[k] = cands & ~far
+
+
+def _label_masks(labels: list[tuple]) -> dict[tuple, int]:
+    """Each vertex label's vertices, as one bitmask."""
+    masks: dict[tuple, int] = {}
+    for v, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << v
+    return masks
+
+
+def _isomorphism(grows: list[int], glabels: list[tuple], hrows: list[int],
+                 hmasks: dict[tuple, int]) -> list[int] | None:
+    """The first isomorphism from g to h as image[u], or None, for graphs
+    of equal order: the induced-map search with g's vertices in
+    descending-degree order (ties by index), each to h's vertices of its
+    label (hmasks is _label_masks of h's labels)."""
+    order = sorted(range(len(grows)), key=lambda u: -glabels[u][0])
+    return _induced_map(grows, hrows, order, [hmasks.get(label, 0) for label in glabels])
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -366,11 +367,10 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
     None at once when the orders, the sizes or the multisets of vertex
     labels (degree, edges among the neighbours, sorted neighbour degrees)
-    differ.  Otherwise a depth-first search with no recursion maps g's
-    vertices in descending-degree order (ties by index) to h's vertices of
-    equal label, tried in ascending order.  The map returned is the first
-    one found in that fixed order; the label test only removes branches
-    that cannot complete, so it is the map a degree-only search returns.
+    differ.  Otherwise the induced-map search maps g's vertices in
+    descending-degree order (ties by index) to h's vertices of equal label,
+    tried in ascending order.  The label test only removes branches that
+    cannot complete, so the map is the first a degree-only search finds.
     """
     if g.n != h.n or g.m != h.m:
         return None
@@ -378,7 +378,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     glabels, hlabels = _labels(grows), _labels(hrows)
     if sorted(glabels) != sorted(hlabels):
         return None
-    image = _match(grows, glabels, hrows, hlabels)
+    image = _isomorphism(grows, glabels, hrows, _label_masks(hlabels))
     return None if image is None else dict(enumerate(image))
 
 
@@ -413,7 +413,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     if n == 1:
         return [Graph(1, ())]
     new = n - 1
-    buckets: dict[tuple, list[tuple[list[int], list[tuple]]]] = {}
+    buckets: dict[tuple, list[tuple[list[int], dict[tuple, int]]]] = {}
     out = []
     for parent in enumerate_connected(new):
         base = _rows(parent)
@@ -430,9 +430,9 @@ def enumerate_connected(n: int) -> list[Graph]:
             rows.append(mask)
             labels = _labels(rows)
             bucket = buckets.setdefault(tuple(sorted(labels)), [])
-            if any(_match(rows, labels, *seen) is not None for seen in bucket):
+            if any(_isomorphism(rows, labels, *seen) is not None for seen in bucket):
                 continue
-            bucket.append((rows, labels))
+            bucket.append((rows, _label_masks(labels)))
             out.append(Graph(n, tuple(
                 (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
             )))

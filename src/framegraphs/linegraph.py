@@ -7,7 +7,9 @@ deg + 1 first cliques and propagates each with no further branch, so it is
 polynomial; by Whitney's theorem its first partition gives the one root
 (K_3 has two).  A non-line graph is named by its first claw if it has
 one, otherwise by a minimal forbidden induced subgraph found by deleting
-vertices.
+vertices.  Both patterns are found by contains_induced, which runs the one
+induced-map search of graphs.py that also serves isomorphism testing and
+enumeration.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import Graph, GraphError, beineke, complete, components, is_connected, path, star
+from .graphs import _induced_map, _rows
 
 
 class NotALineGraph(GraphError):
@@ -88,60 +91,28 @@ def line_graph(g: Graph) -> LineGraphMap:
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """An injective map V(h) -> V(g) inducing h exactly, or None.
 
-    Backtracking over h's vertices in descending-degree order; adjacency
-    and non-adjacency are both enforced, so the image induces h.
-    Candidates are tried in increasing vertex order, so the embedding
-    returned is the first one in that fixed search order.
+    The induced-map search behind find_isomorphism and enumerate_connected,
+    given h's vertices in a greedy order (most already-ordered neighbours,
+    then highest degree, then lowest index) and, for each, the vertices of
+    g of at least its degree.  Candidates are tried in increasing vertex
+    order, so the embedding returned is the first one in that fixed search
+    order.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
-    # Static search order: highest degree first, then greedily prefer
-    # vertices with the most already-ordered neighbors, so candidates can
-    # be anchored to neighborhoods of mapped images.
+    degree = [len(a) for a in h._adj]
+    ordered = [0] * h.n  # per vertex of h, its neighbours already ordered
     order: list[int] = []
     remaining = set(range(h.n))
     while remaining:
-        chosen = max(
-            remaining,
-            key=lambda u: (
-                sum(1 for w in h.neighbors(u) if w in order), h.degree(u), -u
-            ),
-        )
+        chosen = max(remaining, key=lambda u: (ordered[u], degree[u], -u))
         order.append(chosen)
         remaining.remove(chosen)
-    # For each position k, the earlier positions whose images must be
-    # adjacent to the image of order[k], and those whose images must not.
-    joined = [
-        [j for j in range(k) if h.has_edge(order[k], order[j])]
-        for k in range(h.n)
-    ]
-    apart = [
-        [j for j in range(k) if not h.has_edge(order[k], order[j])]
-        for k in range(h.n)
-    ]
-    degree = [h.degree(u) for u in order]
-    adj = g._adj
-    image: list[int] = []
-
-    def extend(k: int) -> bool:
-        if k == h.n:
-            return True
-        if joined[k]:
-            first, *others = joined[k]
-            cand = adj[image[first]].intersection(*(adj[image[j]] for j in others))
-        else:
-            cand = frozenset(range(g.n))
-        cand = cand.difference(image, *(adj[image[j]] for j in apart[k]))
-        for v in sorted(cand):
-            if len(adj[v]) < degree[k]:
-                continue
-            image.append(v)
-            if extend(k + 1):
-                return True
-            image.pop()
-        return False
-
-    return dict(zip(order, image)) if extend(0) else None
+        for w in h._adj[chosen]:
+            ordered[w] += 1
+    at_least = {d: sum(1 << v for v, a in enumerate(g._adj) if len(a) >= d) for d in set(degree)}
+    image = _induced_map(_rows(h), _rows(g), order, [at_least[d] for d in degree])
+    return None if image is None else {u: image[u] for u in order}
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:
@@ -152,29 +123,54 @@ def _induced(g: Graph, verts: list[int]) -> Graph:
     ])
 
 
-def _is_line(g: Graph) -> bool:
-    """Whether every connected component of g has a Krausz partition."""
-    parts = components(g)
-    return all(_krausz_partition(g if len(parts) == 1 else _induced(g, verts)) is not None
-               for verts in parts)
+def _settle(g: Graph, parts: list[list]) -> tuple[list[list], bool]:
+    """Whether some part of g induces a non-line graph, and the parts with
+    what was learnt.  A part is [vertices, verdict], the verdict True (line
+    graph), False (not) or None (unknown); its vertices are sorted, so a
+    part holding all of g is searched as g itself.  Unless a part is known
+    non-line, unknown parts are split into components, searched for a
+    Krausz partition in turn up to the first with none.  So no component
+    is searched twice, nor any part of a line graph (also a line graph).
+    """
+    if any(line is False for _, line in parts):
+        return parts, True
+    out, found = [], False
+    for verts, line in parts:
+        if line is not None or found:
+            out.append([verts, line])
+            continue
+        sub = g if len(verts) == g.n else _induced(g, verts)
+        comps = components(sub)
+        for c in comps:
+            line = None if found else _krausz_partition(
+                sub if len(comps) == 1 else _induced(sub, c)) is not None
+            found |= line is False
+            out.append([sorted(verts[u] for u in c), line])
+    return out, found
 
 
-def _beineke_witness(g: Graph) -> tuple[bool, int, dict[int, int]]:
-    """(False, i, embedding) for a Beineke graph G_i induced in a non-line g.
+def _beineke_witness(g: Graph, parts: list[list]) -> tuple[bool, int, dict[int, int]]:
+    """(False, i, embedding) for a Beineke graph G_i induced in a non-line g,
+    whose vertices are split into the parts _settle found.
 
     The first claw (G1) if there is one.  Otherwise the vertices are
-    deleted in ascending order, each while the rest stays non-line: at
-    most n line tests.  No vertex of what remains can go, so it is a
+    deleted in ascending order, each while the rest stays non-line: the
+    parts other than v's are settled first, and v's part without v only if
+    they are all line graphs.  No vertex of what remains can go, so it is a
     minimal non-line graph, and as it is claw-free it is one of G2..G9.
     """
     embedding = contains_induced(g, beineke(1))
     if embedding is not None:
         return (False, 1, embedding)
-    keep = list(range(g.n))
     for v in range(g.n):
-        rest = [u for u in keep if u != v]
-        if not _is_line(_induced(g, rest)):
-            keep = rest
+        i = next(i for i, (verts, _) in enumerate(parts) if v in verts)
+        verts, line = parts.pop(i)
+        rest = [[[u for u in verts if u != v], line or None]] if len(verts) > 1 else []
+        parts, found = _settle(g, parts)
+        if not found:
+            rest, found = _settle(g, rest)
+        parts += rest if found else [[verts, False]]
+    keep = sorted(u for verts, _ in parts for u in verts)
     core = _induced(g, keep)
     for i in range(2, 10):
         pattern = beineke(i)
@@ -191,7 +187,8 @@ def is_line_graph(g: Graph):
     partition.  The witness is g's first claw if it has one, otherwise a
     minimal forbidden induced subgraph found by deleting vertices.
     """
-    return True if _is_line(g) else _beineke_witness(g)
+    parts, found = _settle(g, [[list(range(g.n)), None]])
+    return _beineke_witness(g, parts) if found else True
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +273,6 @@ def root_graph(g: Graph) -> list[Graph]:
     part = _krausz_partition(g)
     if part is None:
         # No Krausz partition; run the Beineke search to name a witness.
-        _, index, _ = _beineke_witness(g)
+        _, index, _ = _beineke_witness(g, [[list(range(g.n)), False]])
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
     return [_root_from_partition(g, part)]

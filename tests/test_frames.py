@@ -10,6 +10,7 @@ import reference_frames as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framegraphs import frames
 from framegraphs.constructions import (
     c4_frame,
     diamond_frame,
@@ -63,6 +64,18 @@ def test_frame_validation():
     f = Frame(np.eye(3))
     assert f.d == f.n == 3
     assert np.array_equal(f.column(1), np.array([0.0, 1.0, 0.0]))
+
+
+def test_too_few_columns_rejected_before_the_rank_test(monkeypatch):
+    # d > n columns cannot span R^d, so the d x d operator is never formed:
+    # a "rows 100000" / "cols 1" text must not ask for an 80 GB matrix.
+    def no_rank(*args, **kwargs):
+        raise AssertionError("rank test reached")
+
+    monkeypatch.setattr(frames, "numeric_rank", no_rank)
+    for shape in [(2, 1), (5, 3), (40, 1)]:
+        with pytest.raises(FrameError, match="do not span the space"):
+            Frame(np.ones(shape))
 
 
 def test_operator_and_gramian():

@@ -34,6 +34,7 @@ from framegraphs.graphs import (
     star,
     to_text,
 )
+from framegraphs.linegraph import line_graph
 
 
 def small_graphs():
@@ -213,8 +214,21 @@ def _relabel(g, seed):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def _tight_families():
+    """The known-tight families of the classify-mix benchmark workload, up
+    to 24 vertices: K_n and K_n - e, L(K_k), L(O_k), K_2 x K_k, C_4, G2
+    and G6."""
+    tight = [complete(n) for n in range(8, 25)]
+    tight += [delete_edge(complete(n), (0, 1)) for n in range(8, 25)]
+    tight += [line_graph(complete(k)).line for k in range(4, 8)]
+    tight += [line_graph(o_graph(k)).line for k in range(4, 12)]
+    tight += [cartesian_product(complete(2), complete(k)) for k in range(3, 13)]
+    return tight + [cycle(4), beineke(2), beineke(6)]
+
+
 def test_find_isomorphism_matches_reference_on_atlas(atlas):
-    for i, (_, g) in enumerate(atlas):
+    pool = [g for _, g in atlas] + _tight_families()
+    for i, g in enumerate(pool):
         h = _relabel(g, i)
         phi = find_isomorphism(g, h)
         assert phi is not None and phi == reference.find_isomorphism(g, h), g

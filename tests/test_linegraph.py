@@ -1,5 +1,7 @@
 """Incidence matrices, line graphs, Beineke recognition, root recovery."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,22 @@ def _assert_induces(g, idx, phi):
             assert g.has_edge(phi[u], phi[v]) == pat.has_edge(u, v)
 
 
+def _cocktail_party(k):
+    """K_{2xk}: k pairs {2i, 2i + 1}, every vertex adjacent to all but its partner."""
+    return Graph.from_edges(2 * k, [
+        (u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if u // 2 != v // 2
+    ])
+
+
+def _count_krausz_searches(monkeypatch):
+    """The order of every graph searched for a Krausz partition from now on."""
+    calls = []
+    search = linegraph._krausz_partition
+    monkeypatch.setattr(linegraph, "_krausz_partition",
+                        lambda g: calls.append(g.n) or search(g))
+    return calls
+
+
 def test_is_line_graph_witnesses(monkeypatch):
     verdict = is_line_graph(hypercube(3))
     assert verdict is not True and verdict[1] == 1  # claw inside Q_3
@@ -137,20 +155,35 @@ def test_is_line_graph_witnesses(monkeypatch):
     _, idx, phi = is_line_graph(g)
     _assert_induces(g, idx, phi)
     # On claw-free inputs, K_n - e and the cocktail party K_{2x10}, the
-    # witness costs at most one line test a vertex, counted rather than timed.
-    calls = []
-    line_test = linegraph._is_line
-    monkeypatch.setattr(linegraph, "_is_line", lambda g: calls.append(g.n) or line_test(g))
-    cocktail_party = Graph.from_edges(20, [
-        (u, v) for u in range(20) for v in range(u + 1, 20) if u // 2 != v // 2
-    ])
-    for g in [delete_edge(complete(n), (0, 1)) for n in range(5, 51)] + [cocktail_party]:
+    # witness costs at most one Krausz search a vertex, counted rather
+    # than timed.
+    calls = _count_krausz_searches(monkeypatch)
+    for g in [delete_edge(complete(n), (0, 1)) for n in range(5, 51)] + [_cocktail_party(10)]:
         calls.clear()
         verdict = is_line_graph(g)
         assert verdict is not True and verdict[1] == 3  # K_5 - e
         _assert_induces(g, 3, verdict[2])
-        # The first call decides line-ness; the rest name the witness.
+        # The first search decides line-ness; the rest name the witness.
         assert len(calls) - 1 <= g.n
+
+
+def test_witness_searches_no_line_component_again(monkeypatch):
+    # L(K_14) on vertices 0..90 beside the non-line K_{2x4} on 91..98:
+    # deleting a vertex of one component leaves the other as it was, so
+    # the line component is searched once, when line-ness is decided.
+    lk14 = line_graph(complete(14)).line
+    g = Graph.from_edges(99, list(lk14.edges) + [
+        (91 + u, 91 + v) for u, v in _cocktail_party(4).edges
+    ])
+    calls = _count_krausz_searches(monkeypatch)
+    verdict = is_line_graph(g)
+    assert verdict[1] == 3 and sorted(verdict[2].values()) == [92, 94, 96, 97, 98]
+    _assert_induces(g, 3, verdict[2])
+    assert calls.count(91) <= 2
+    # Every other search is on K_{2x4} or what is left of it: at most
+    # one to decide it and one a vertex while naming the witness.
+    others = [n for n in calls if n != 91]
+    assert max(others) <= 8 and len(others) <= 1 + 8
 
 
 def test_is_line_graph_positive_cases():
@@ -284,6 +317,20 @@ def _induced(search, g, h):
         return "pattern larger than host"
 
 
+def _hosts_beyond_atlas():
+    """K_n - e for n = 8..30, the cocktail parties K_{2xk} for k <= 10 and
+    seeded random graphs on 8 to 20 vertices."""
+    hosts = [delete_edge(complete(n), (0, 1)) for n in range(8, 31)]
+    hosts += [_cocktail_party(k) for k in range(1, 11)]
+    rng = random.Random(9)
+    for _ in range(40):
+        n, p = rng.randint(8, 20), rng.uniform(0.2, 0.9)
+        hosts.append(Graph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]))
+    return hosts
+
+
 def test_contains_induced_matches_reference_search(atlas):
     patterns = [beineke(i) for i in range(1, 10)] + [path(4)]
     for _, g in atlas:
@@ -291,6 +338,26 @@ def test_contains_induced_matches_reference_search(atlas):
             assert _induced(contains_induced, g, h) == _induced(
                 reference.contains_induced, g, h
             ), (g, h)
+    # Past the atlas every pattern is compared up to 14 vertices.  On
+    # larger hosts only G1 and P_4 are: the program searches the others
+    # only on small graphs, and on K_30 - e the reference alone needs
+    # about 21 s for G5 (its search visits every K_4 of the host).
+    for g in _hosts_beyond_atlas():
+        for h in patterns if g.n <= 14 else [beineke(1), path(4)]:
+            assert _induced(contains_induced, g, h) == _induced(
+                reference.contains_induced, g, h
+            ), (g, h)
+
+
+def test_contains_induced_has_no_recursion_limit():
+    g, h = path(1200), path(1100)
+    phi = contains_induced(g, h)
+    assert phi is not None and sorted(phi) == list(range(h.n))
+    image = set(phi.values())
+    assert len(image) == h.n
+    # The image spans exactly h's edges, so it induces h.
+    assert all(g.has_edge(phi[u], phi[v]) for u, v in h.edges)
+    assert sum(1 for u, v in g.edges if u in image and v in image) == h.m
 
 
 def test_is_line_graph_matches_networkx(atlas):
