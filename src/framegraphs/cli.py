@@ -289,7 +289,8 @@ def check_cycles(graph):
 @click.argument("graph", default="-")
 def check_linegraph(graph):
     """Exit 0 iff GRAPH is a line graph; otherwise print a forbidden witness:
-    the first claw (G1), else a minimal one found by deleting vertices."""
+    the first claw (G1), else one spanned by two odd triangles on an edge
+    with non-adjacent apexes (van Rooij & Wilf)."""
     verdict = is_line_graph(_load_graph(graph))
     if verdict is True:
         click.echo("line-graph")

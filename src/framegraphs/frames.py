@@ -227,6 +227,8 @@ def reconstruct(
     if coeffs.shape != (f.n,):
         raise FrameError(f"need {f.n} coefficients, got shape {coeffs.shape}")
     erased = set(erased)
+    if not erased <= set(range(f.n)):
+        raise FrameError(f"erased indices must lie in 0..{f.n - 1}, got {sorted(erased)}")
     keep = [j for j in range(f.n) if j not in erased]
     sub = f.synthesis[:, keep]
     s_sub = sub @ sub.T

@@ -6,10 +6,12 @@ in at most two of them.  Per connected component the search tries at most
 deg + 1 first cliques and propagates each with no further branch, so it is
 polynomial; by Whitney's theorem its first partition gives the one root
 (K_3 has two).  A non-line graph is named by its first claw if it has
-one, otherwise by a minimal forbidden induced subgraph found by deleting
-vertices.  Both patterns are found by contains_induced, which runs the one
-induced-map search of graphs.py that also serves isomorphism testing and
-enumeration.
+one.  Otherwise, by van Rooij & Wilf, two odd triangles on one edge whose
+apexes are not adjacent span at most six vertices that are not a line
+graph, and a forbidden induced subgraph is named among them with no
+further search.  Both patterns are found by contains_induced, which runs
+the one induced-map search of graphs.py that also serves isomorphism
+testing and enumeration.
 """
 
 from __future__ import annotations
@@ -123,72 +125,64 @@ def _induced(g: Graph, verts: list[int]) -> Graph:
     ])
 
 
-def _settle(g: Graph, parts: list[list]) -> tuple[list[list], bool]:
-    """Whether some part of g induces a non-line graph, and the parts with
-    what was learnt.  A part is [vertices, verdict], the verdict True (line
-    graph), False (not) or None (unknown); its vertices are sorted, so a
-    part holding all of g is searched as g itself.  Unless a part is known
-    non-line, unknown parts are split into components, searched for a
-    Krausz partition in turn up to the first with none.  So no component
-    is searched twice, nor any part of a line graph (also a line graph).
-    """
-    if any(line is False for _, line in parts):
-        return parts, True
-    out, found = [], False
-    for verts, line in parts:
-        if line is not None or found:
-            out.append([verts, line])
+def _odd_diamond(g: Graph, verts: list[int]) -> list[int]:
+    """Sorted a, b, c, d, x, y: on the first edge ab of the component verts
+    with odd triangles abc and abd, c < d non-adjacent (the lowest such c,
+    then d), and the lowest x and y that see an odd number of a, b, c and
+    of a, b, d."""
+    rows = _rows(g)
+    inside = set(verts)
+    for a, b in g.edges:
+        if a not in inside:
             continue
-        sub = g if len(verts) == g.n else _induced(g, verts)
-        comps = components(sub)
-        for c in comps:
-            line = None if found else _krausz_partition(
-                sub if len(comps) == 1 else _induced(sub, c)) is not None
-            found |= line is False
-            out.append([sorted(verts[u] for u in c), line])
-    return out, found
+        # Bit x of side ^ rows[c] is set iff x sees an odd number of a, b
+        # and c; the bits of a, b and c cancel.
+        side = rows[a] ^ rows[b]
+        odd = {c: side ^ rows[c] for c in g._adj[a] & g._adj[b] if side ^ rows[c]}
+        apexes = sum(1 << c for c in odd)
+        for c in sorted(odd):
+            far = apexes & ~rows[c] & ~(1 << c)
+            if far:
+                d = (far & -far).bit_length() - 1
+                x, y = ((odd[t] & -odd[t]).bit_length() - 1 for t in (c, d))
+                return sorted({a, b, c, d, x, y})
+    raise AssertionError("claw-free and no Krausz partition, yet no odd diamond")
 
 
-def _beineke_witness(g: Graph, parts: list[list]) -> tuple[bool, int, dict[int, int]]:
-    """(False, i, embedding) for a Beineke graph G_i induced in a non-line g,
-    whose vertices are split into the parts _settle found.
+def _beineke_witness(g: Graph, verts: list[int]) -> tuple[bool, int, dict[int, int]]:
+    """(False, i, embedding) for a Beineke graph G_i induced in g, whose
+    component verts has no Krausz partition.
 
-    The first claw (G1) if there is one.  Otherwise the vertices are
-    deleted in ascending order, each while the rest stays non-line: the
-    parts other than v's are settled first, and v's part without v only if
-    they are all line graphs.  No vertex of what remains can go, so it is a
-    minimal non-line graph, and as it is claw-free it is one of G2..G9.
+    The first claw (G1) if g has one.  Otherwise, by van Rooij & Wilf (The
+    interchange graph of a finite graph, Acta Math. Acad. Sci. Hungar. 16,
+    1965), the component has an odd diamond: a claw-free graph is a line
+    graph iff no two odd triangles abc and abd (some vertex sees an odd
+    number of each) have c and d non-adjacent.  Its at most six vertices
+    induce a claw-free non-line graph, named by the first G2..G9 in it.
     """
     embedding = contains_induced(g, beineke(1))
     if embedding is not None:
         return (False, 1, embedding)
-    for v in range(g.n):
-        i = next(i for i, (verts, _) in enumerate(parts) if v in verts)
-        verts, line = parts.pop(i)
-        rest = [[[u for u in verts if u != v], line or None]] if len(verts) > 1 else []
-        parts, found = _settle(g, parts)
-        if not found:
-            rest, found = _settle(g, rest)
-        parts += rest if found else [[verts, False]]
-    keep = sorted(u for verts, _ in parts for u in verts)
+    keep = _odd_diamond(g, verts)
     core = _induced(g, keep)
     for i in range(2, 10):
         pattern = beineke(i)
-        embedding = contains_induced(core, pattern) if pattern.n == core.n else None
+        embedding = contains_induced(core, pattern) if pattern.n <= core.n else None
         if embedding is not None:
             return (False, i, {k: keep[w] for k, w in embedding.items()})
-    raise AssertionError("no Krausz partition, yet no Beineke subgraph")
+    raise AssertionError("an odd diamond, yet no Beineke subgraph")
 
 
 def is_line_graph(g: Graph):
     """True, or (False, beineke_index, embedding) with a concrete witness.
 
-    Line-ness is decided by whether each connected component has a Krausz
-    partition.  The witness is g's first claw if it has one, otherwise a
-    minimal forbidden induced subgraph found by deleting vertices.
+    Each connected component is searched for a Krausz partition in turn,
+    and the first with none is handed to _beineke_witness.
     """
-    parts, found = _settle(g, [[list(range(g.n)), None]])
-    return _beineke_witness(g, parts) if found else True
+    for verts in components(g):
+        if _krausz_partition(g if len(verts) == g.n else _induced(g, verts)) is None:
+            return _beineke_witness(g, verts)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,6 @@ def root_graph(g: Graph) -> list[Graph]:
         return [complete(3), star(4)]
     part = _krausz_partition(g)
     if part is None:
-        # No Krausz partition; run the Beineke search to name a witness.
-        _, index, _ = _beineke_witness(g, [[list(range(g.n)), False]])
+        _, index, _ = _beineke_witness(g, list(range(g.n)))
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
     return [_root_from_partition(g, part)]

@@ -44,11 +44,11 @@ class EigDecomp:
 
 def _check_symmetric(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SpectralError(f"matrix must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise SpectralError(f"matrix must be square and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise SpectralError("matrix has non-finite entries")
-    scale = np.max(np.abs(m)) if m.size else 0.0
+    scale = np.max(np.abs(m))
     if np.max(np.abs(m - m.T)) > tol.threshold(scale):
         raise SpectralError("matrix is not symmetric within tolerance")
     return (m + m.T) / 2.0
@@ -76,7 +76,7 @@ def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
 def numeric_rank(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of eigenvalues with |lambda| > tau_rel * |lambda_max|."""
     dec = sym_eig(m, tol)
-    lam_max = np.max(np.abs(dec.values)) if dec.values.size else 0.0
+    lam_max = np.max(np.abs(dec.values))
     return int(np.sum(np.abs(dec.values) > tol.threshold(lam_max)))
 
 

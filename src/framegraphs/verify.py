@@ -223,8 +223,8 @@ def _induces_g1_to_g3(g: Graph, verdict) -> bool:
 def join_line_check(max_n: int) -> SweepReport:
     """Joins of connected graphs on >= 3 vertices (not both complete) are
     never line graphs: each induces G1, G2 or G3."""
-    if max_n > 5:
-        raise GraphError("join_line_check capped at max_n = 5")
+    if max_n > 6:
+        raise GraphError("join_line_check capped at max_n = 6")
     if max_n < 3:
         raise GraphError("join_line_check needs max_n >= 3")
     pool = [g for k in range(3, max_n + 1) for g in enumerate_connected(k)]

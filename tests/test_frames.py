@@ -279,6 +279,14 @@ def test_reconstruct_guards():
         reconstruct(f, np.zeros(4), erased=(0, 1, 2))
 
 
+def test_reconstruct_rejects_out_of_range_erasures():
+    f = star_frame(5, 3)
+    coeffs = f.synthesis.T @ np.array([1.0, -2.0, 0.5])
+    for erased in [(99, -1), (-1,), (5,), (0, 5)]:
+        with pytest.raises(FrameError, match="0..4"):
+            reconstruct(f, coeffs, erased=erased)
+
+
 def test_star_frame_parseval_reconstruction():
     f = star_frame(6, 3)
     x = np.array([0.3, -1.2, 2.0])

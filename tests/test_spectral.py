@@ -89,6 +89,12 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_empty_matrix_is_rejected():
+    for call in (sym_eig, numeric_rank):
+        with pytest.raises(SpectralError, match="non-empty"):
+            call(np.zeros((0, 0)))
+
+
 def test_sym_eig_tolerates_tiny_asymmetry():
     m = np.eye(3)
     m[0, 1] = 1e-12

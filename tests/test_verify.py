@@ -219,7 +219,7 @@ def test_join_line_sweep():
     report = join_line_check(4)
     assert report.ok and report.checked > 0
     with pytest.raises(GraphError):
-        join_line_check(6)
+        join_line_check(7)
     with pytest.raises(GraphError):
         join_line_check(2)
     report = join_line_check(5)
@@ -234,7 +234,7 @@ def test_join_check_matches_reference_g1_to_g3(atlas):
              if not (g.m == g.n * (g.n - 1) // 2 and h.m == h.n * (h.n - 1) // 2)]
     assert len(joins) == 429
     # Joins whose witness is G6 or G9, where G2 or G3 must be searched for.
-    assert sum(is_line_graph(j)[1] > 3 for j in joins) == 27
+    assert sum(is_line_graph(j)[1] > 3 for j in joins) == 2
     for g in joins + [g for _, g in atlas]:
         verdict, expected = is_line_graph(g), reference.is_line_graph(g)
         assert verify._induces_g1_to_g3(g, verdict) == (
