@@ -4,7 +4,7 @@ Includes the Laplacian-eigenbasis frame for a root graph's line graph, the
 two tight frames for the line graph of a complete graph (dimensions n-1
 and n-2), the star-based Parseval frames for K_n, the K_2 x K_n product
 frame, tight completions (minimal and generic two-step), and the
-vertex-duplication chain starting from the diamond frame.
+duplication-chain frames, which split a vector into equal copies in one step.
 """
 
 from __future__ import annotations
@@ -216,45 +216,43 @@ def c4_frame() -> Frame:
 def kn_minus_e_frame(n: int) -> Frame:
     """Parseval frame for K_n minus an edge (non-edge {0, 1}), n >= 4.
 
-    Starts from the diamond frame and repeatedly duplicates the vector at
-    vertex 2, which is adjacent to every other vertex.
+    The diamond frame with vertex 2, adjacent to every other vertex, split
+    into n - 3 equal copies in one step.
     """
     if n < 4:
         raise GraphError("kn_minus_e_frame needs n >= 4")
-    f = diamond_frame()
-    for _ in range(n - 4):
-        f = duplicate_vector(f, 2)
-    return f
+    return duplicate_vector(diamond_frame(), 2, n - 3)
 
 
 def line_o_frame(n: int) -> Frame:
     """Parseval frame for the line graph of O_n, n >= 4.
 
-    The diamond frame handles n = 4; each further step duplicates vertex 0,
-    a clique vertex not adjacent to the outside degree-2 vertex.
+    The diamond frame with vertex 0, a clique vertex not adjacent to the
+    outside degree-2 vertex 1, split into n - 3 equal copies in one step.
     """
     if n < 4:
         raise GraphError("line_o_frame needs n >= 4")
-    f = diamond_frame()
-    for _ in range(n - 4):
-        f = duplicate_vector(f, 0)
-    return f
+    return duplicate_vector(diamond_frame(), 0, n - 3)
 
 
-def dup_chain_frames(max_line_o: int = 8) -> dict[str, Frame]:
+def g2_frame() -> Frame:
+    """Parseval frame for G2: the 4-cycle frame with vertex 0 duplicated."""
+    return duplicate_vector(c4_frame(), 0)
+
+
+def g6_frame() -> Frame:
+    """Parseval frame for G6: the diamond frame with vertices 0 and 1 duplicated."""
+    return duplicate_vector(duplicate_vector(diamond_frame(), 0), 1)
+
+
+def dup_chain_frames() -> dict[str, Frame]:
     """Catalog of tight frames reachable by vertex duplication.
 
-    Covers the line graphs of O_n for 4 <= n <= max_line_o and the three
-    forbidden-subgraph families that are tight: G2 (one duplication of the
-    4-cycle frame), G3 (= K_5 minus an edge), and G6 (two duplications of
-    the diamond frame, one per degree-2 vertex).
+    Covers the line graphs of O_n for 4 <= n <= 8 and the tight forbidden
+    subgraphs G2, G3 (= K_5 minus an edge) and G6.
     """
-    catalog: dict[str, Frame] = {}
-    for n in range(4, max_line_o + 1):
-        catalog[f"line-o{n}"] = line_o_frame(n)
-    catalog["g2"] = duplicate_vector(c4_frame(), 0)
-    catalog["g3"] = kn_minus_e_frame(5)
-    catalog["g6"] = duplicate_vector(duplicate_vector(diamond_frame(), 0), 1)
+    catalog = {f"line-o{n}": line_o_frame(n) for n in range(4, 9)}
+    catalog.update(g2=g2_frame(), g3=kn_minus_e_frame(5), g6=g6_frame())
     for name, frame in catalog.items():
         if tightness(frame).kind != "parseval":
             raise FrameError(f"catalog entry {name} failed the Parseval check")

@@ -180,22 +180,25 @@ def naimark_complement(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Frame:
     return Frame(dec.vectors[:, zero_cols].T)
 
 
-def duplicate_vector(f: Frame, i: int) -> Frame:
-    """Split column i into two copies scaled by 1/sqrt(2).
+def duplicate_vector(f: Frame, i: int, copies: int = 2) -> Frame:
+    """Split column i into `copies` equal columns scaled by 1/sqrt(copies).
 
-    The frame operator is unchanged (up to rounding), and the Gram pattern maps to
-    duplicate_vertex(pattern, i): the new column (appended last) has
-    nonzero inner product exactly with column i and its former neighbors.
+    The frame operator is unchanged (up to rounding).  Column i keeps one
+    copy and the others are appended last, so the Gram pattern is
+    duplicate_vertex(pattern, i) applied copies - 1 times: a new column has
+    nonzero inner products exactly with column i, its copies and i's neighbors.
     """
     if not 0 <= i < f.n:
         raise FrameError(f"column index {i} out of range")
+    if copies < 1:
+        raise FrameError(f"need at least one copy, got {copies}")
     col = f.column(i)
     if not np.any(col):
         raise FrameError(f"column {i} is zero and cannot be duplicated")
-    scaled = col / np.sqrt(2.0)
+    scaled = col / np.sqrt(copies)
     mat = f.synthesis.copy()
     mat[:, i] = scaled
-    return Frame(np.column_stack([mat, scaled]))
+    return Frame(np.column_stack([mat] + [scaled] * (copies - 1)))
 
 
 def erasure_robustness(f: Frame, e: int, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

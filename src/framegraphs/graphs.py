@@ -449,13 +449,15 @@ def to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_lines(text: str) -> list[str]:
+    """Lines of the graph or matrix text format, '#' comments and blank lines dropped."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 def from_text(text: str) -> Graph:
     """Parse the graph text format: "n m" then m lines "u v" (u < v)."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    rows = text_lines(text)
     if not rows:
         raise GraphError("empty graph text")
     try:

@@ -5,8 +5,9 @@ Krausz partitions: partitions of the edges into cliques with every vertex
 in at most two of them.  Per connected component the search tries at most
 deg + 1 first cliques and propagates each with no further branch, so it is
 polynomial; by Whitney's theorem its first partition gives the one root
-(K_3 has two).  A non-line graph is named by its first claw if it has
-one.  Otherwise, by van Rooij & Wilf, two odd triangles on one edge whose
+(K_3 has two).  A non-line graph is named in its first component with no
+Krausz partition, by the first claw there if it has one.  Otherwise, by
+van Rooij & Wilf, two odd triangles on one edge whose
 apexes are not adjacent span at most six vertices that are not a line
 graph, and a forbidden induced subgraph is named among them with no
 further search.  Both patterns are found by contains_induced, which runs
@@ -125,16 +126,13 @@ def _induced(g: Graph, verts: list[int]) -> Graph:
     ])
 
 
-def _odd_diamond(g: Graph, verts: list[int]) -> list[int]:
-    """Sorted a, b, c, d, x, y: on the first edge ab of the component verts
+def _odd_diamond(g: Graph) -> list[int]:
+    """Sorted a, b, c, d, x, y: on the first edge ab of the connected g
     with odd triangles abc and abd, c < d non-adjacent (the lowest such c,
     then d), and the lowest x and y that see an odd number of a, b, c and
     of a, b, d."""
     rows = _rows(g)
-    inside = set(verts)
     for a, b in g.edges:
-        if a not in inside:
-            continue
         # Bit x of side ^ rows[c] is set iff x sees an odd number of a, b
         # and c; the bits of a, b and c cancel.
         side = rows[a] ^ rows[b]
@@ -149,21 +147,21 @@ def _odd_diamond(g: Graph, verts: list[int]) -> list[int]:
     raise AssertionError("claw-free and no Krausz partition, yet no odd diamond")
 
 
-def _beineke_witness(g: Graph, verts: list[int]) -> tuple[bool, int, dict[int, int]]:
-    """(False, i, embedding) for a Beineke graph G_i induced in g, whose
-    component verts has no Krausz partition.
+def _beineke_witness(g: Graph) -> tuple[bool, int, dict[int, int]]:
+    """(False, i, embedding) for a Beineke graph G_i induced in the
+    connected g, which has no Krausz partition.
 
     The first claw (G1) if g has one.  Otherwise, by van Rooij & Wilf (The
     interchange graph of a finite graph, Acta Math. Acad. Sci. Hungar. 16,
-    1965), the component has an odd diamond: a claw-free graph is a line
-    graph iff no two odd triangles abc and abd (some vertex sees an odd
-    number of each) have c and d non-adjacent.  Its at most six vertices
-    induce a claw-free non-line graph, named by the first G2..G9 in it.
+    1965), g has an odd diamond: a claw-free graph is a line graph iff no
+    two odd triangles abc and abd (some vertex sees an odd number of each)
+    have c and d non-adjacent.  Its at most six vertices induce a
+    claw-free non-line graph, named by the first G2..G9 in it.
     """
     embedding = contains_induced(g, beineke(1))
     if embedding is not None:
         return (False, 1, embedding)
-    keep = _odd_diamond(g, verts)
+    keep = _odd_diamond(g)
     core = _induced(g, keep)
     for i in range(2, 10):
         pattern = beineke(i)
@@ -177,11 +175,14 @@ def is_line_graph(g: Graph):
     """True, or (False, beineke_index, embedding) with a concrete witness.
 
     Each connected component is searched for a Krausz partition in turn,
-    and the first with none is handed to _beineke_witness.
+    and the witness is named inside the first with none.
     """
     for verts in components(g):
-        if _krausz_partition(g if len(verts) == g.n else _induced(g, verts)) is None:
-            return _beineke_witness(g, verts)
+        verts.sort()  # a connected g is its own component, labels unchanged
+        comp = g if len(verts) == g.n else _induced(g, verts)
+        if _krausz_partition(comp) is None:
+            _, i, embedding = _beineke_witness(comp)
+            return (False, i, {k: verts[w] for k, w in embedding.items()})
     return True
 
 
@@ -266,6 +267,6 @@ def root_graph(g: Graph) -> list[Graph]:
         return [complete(3), star(4)]
     part = _krausz_partition(g)
     if part is None:
-        _, index, _ = _beineke_witness(g, list(range(g.n)))
+        _, index, _ = _beineke_witness(g)
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
     return [_root_from_partition(g, part)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import Frame
+from .graphs import text_lines
 
 
 class MatrixFormatError(ValueError):
@@ -29,11 +30,7 @@ def matrix_to_text(mat: np.ndarray) -> str:
 
 
 def matrix_from_text(text: str) -> np.ndarray:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    rows = text_lines(text)
     if len(rows) < 2 or not rows[0].startswith("rows ") or not rows[1].startswith("cols "):
         raise MatrixFormatError("matrix text must start with 'rows r' and 'cols c'")
     try:  # each header line is its key and exactly one integer

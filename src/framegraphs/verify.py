@@ -18,10 +18,6 @@ from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, \
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
-# Catalog matching runs isomorphism tests only up to this order; larger
-# inputs fall through to the obstruction tests.
-CLASSIFY_MAX_N = 24
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -98,9 +94,9 @@ def _catalog_frames(n: int, m: int):
     if n >= 4 and m == (n - 1) * (n - 2) // 2 + 2:
         yield "line-of-o", constructions.line_o_frame(n)
     if n == 5 and m == 7:
-        yield "g2", constructions.dup_chain_frames(max_line_o=4)["g2"]
+        yield "g2", constructions.g2_frame()
     if n == 6 and m == 11:
-        yield "g6", constructions.dup_chain_frames(max_line_o=4)["g6"]
+        yield "g6", constructions.g6_frame()
     for k in range(3, n + 1):
         if k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m:
             yield f"line-of-complete{k}", constructions.laplacian_method(graphs.complete(k))
@@ -113,26 +109,25 @@ def _catalog_frames(n: int, m: int):
 def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     """Certify, refute, or annotate the tight-frame-graph property.
 
-    Tries the constructive catalog (isomorphism match, then a re-verified
-    frame relabeled onto the input), then the obstruction tests, then the
-    literature annotations; otherwise returns unknown.
+    Tries the constructive catalog at any order (isomorphism match, then a
+    re-verified frame relabeled onto the input), then the obstruction
+    tests, then the literature annotations; otherwise returns unknown.
     """
     if not is_connected(g):
         raise GraphError("classification needs a connected graph")
-    if g.n <= CLASSIFY_MAX_N:
-        for name, frame in _catalog_frames(g.n, g.m):
-            pattern = associated_graph(frame, tol).graph
-            phi = find_isomorphism(pattern, g)
-            if phi is None:
-                continue
-            # Column v of the certificate is the catalog column mapped onto v.
-            cert_frame = Frame(frame.synthesis[:, sorted(phi, key=phi.get)])
-            verdict = tightness(cert_frame, tol)
-            if verdict.kind not in ("tight", "parseval"):
-                raise AssertionError(f"catalog frame {name} is not tight")
-            if not represents(cert_frame, g, tol):
-                raise AssertionError(f"catalog frame {name} does not match after relabeling")
-            return Certificate("tight", detail=name, frame=cert_frame)
+    for name, frame in _catalog_frames(g.n, g.m):
+        pattern = associated_graph(frame, tol).graph
+        phi = find_isomorphism(pattern, g)
+        if phi is None:
+            continue
+        # Column v of the certificate is the catalog column mapped onto v.
+        cert_frame = Frame(frame.synthesis[:, sorted(phi, key=phi.get)])
+        verdict = tightness(cert_frame, tol)
+        if verdict.kind not in ("tight", "parseval"):
+            raise AssertionError(f"catalog frame {name} is not tight")
+        if not represents(cert_frame, g, tol):
+            raise AssertionError(f"catalog frame {name} does not match after relabeling")
+        return Certificate("tight", detail=name, frame=cert_frame)
     witness = neighbor_obstruction(g)
     if witness is not None:
         return Certificate(

@@ -198,7 +198,7 @@ def test_criterion_08_duplication_chain():
         f = cons.kn_minus_e_frame(n)
         assert tightness(f).kind == "parseval"
         assert associated_graph(f).graph == delete_edge(complete(n), (0, 1))
-    catalog = cons.dup_chain_frames(max_line_o=8)
+    catalog = cons.dup_chain_frames()
     for name, f in catalog.items():
         assert tightness(f).kind == "parseval", name
     for n in range(4, 9):

@@ -1,12 +1,14 @@
 """Explicit frame families, tight completions, and the duplication chain."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from framegraphs import constructions as cons
 from framegraphs.frames import (
+    BorderlineEntryWarning,
     Frame,
     associated_graph,
     frame_bounds,
@@ -323,9 +325,27 @@ def test_line_o_frames():
         cons.line_o_frame(3)
 
 
+def test_duplication_chain_frames_up_to_64():
+    # One split per frame, so no Gram entry shrinks towards the zero
+    # threshold as n grows: the labeled pattern holds at every order.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BorderlineEntryWarning)
+        for n in range(4, 65):
+            f = cons.kn_minus_e_frame(n)
+            assert tightness(f).kind == "parseval"
+            assert represents(f, delete_edge(complete(n), (0, 1)))
+            # L(O_n): vertex 1 sees only 2 and 3 of the clique on the rest.
+            lo = Graph(n, tuple((u, v) for u, v in complete(n).edges
+                                if 1 not in (u, v) or (u, v) in ((1, 2), (1, 3))))
+            assert is_isomorphic(lo, line_graph(o_graph(n)).line)
+            f = cons.line_o_frame(n)
+            assert tightness(f).kind == "parseval"
+            assert represents(f, lo)
+
+
 def test_dup_chain_catalog():
-    catalog = cons.dup_chain_frames(max_line_o=6)
-    assert set(catalog) == {"line-o4", "line-o5", "line-o6", "g2", "g3", "g6"}
+    catalog = cons.dup_chain_frames()
+    assert list(catalog) == [f"line-o{n}" for n in range(4, 9)] + ["g2", "g3", "g6"]
     for frame in catalog.values():
         assert tightness(frame).kind == "parseval"
     assert is_isomorphic(associated_graph(catalog["g2"]).graph, beineke(2))

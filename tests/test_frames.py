@@ -226,11 +226,27 @@ def test_duplicate_vector_pattern_law():
         assert expected == duplicate_vertex(diamond(), i)
 
 
+def test_duplicate_vector_splits_into_copies():
+    f = diamond_frame()
+    for copies in (1, 3, 61):
+        dup = duplicate_vector(f, 0, copies)
+        assert dup.n == f.n + copies - 1
+        assert np.max(np.abs(frame_operator(dup) - frame_operator(f))) < 1e-14
+        assert all(np.array_equal(dup.column(j), dup.column(0)) for j in range(f.n, dup.n))
+        # One split into k copies is k - 1 vertex duplications of the pattern.
+        expected = associated_graph(f).graph
+        for _ in range(copies - 1):
+            expected = duplicate_vertex(expected, 0)
+        assert associated_graph(dup).graph == expected
+
+
 def test_duplicate_vector_guards():
     with pytest.raises(FrameError):
         duplicate_vector(diamond_frame(), 4)
     with pytest.raises(FrameError):
         duplicate_vector(diamond_frame(), -1)
+    with pytest.raises(FrameError):
+        duplicate_vector(diamond_frame(), 0, 0)
 
 
 def test_duplicate_zero_column_rejected():

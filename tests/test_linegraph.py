@@ -181,6 +181,15 @@ def test_witness_searches_no_line_component_again(monkeypatch):
     assert calls == [91, 8]
 
 
+def test_witness_lies_in_first_non_line_component():
+    # Two claws, on 0, 10, 11, 12 and on 1..4: the witness is the claw of
+    # the first component, not the first claw of the whole graph.
+    g = Graph.from_edges(13, [(0, 10), (10, 11), (10, 12), (1, 2), (1, 3), (1, 4)])
+    verdict = is_line_graph(g)
+    assert verdict[1] == 1 and set(verdict[2].values()) == {0, 10, 11, 12}
+    _assert_induces(g, 1, verdict[2])
+
+
 def test_is_line_graph_positive_cases():
     for g in (complete(3), path(5), cycle(6), line_graph(complete(5)).line,
               line_graph(complete(7)).line, complete(14), complete(30),

@@ -1,24 +1,27 @@
 """Obstruction tests, classification certificates, and exhaustive sweeps."""
 
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from framegraphs import verify
-from framegraphs.frames import frame_operator, represents, tightness
+from framegraphs.frames import BorderlineEntryWarning, frame_operator, represents, tightness
 from framegraphs.graphs import (
     Graph,
     GraphError,
     beineke,
     cartesian_product,
     complete,
+    common_neighbors,
     complete_bipartite,
     cycle,
     delete_edge,
     duplicate_vertex,
     enumerate_connected,
+    find_isomorphism,
     join,
     o_graph,
     path,
@@ -147,11 +150,9 @@ def test_classify_not_tight():
     for g in (path(5), cycle(7), star(6)):
         cert = classify(g)
         assert cert.verdict == "not_tight"
-        assert cert.witness is not None
-    # A tree edge lies on no cycle at all: the edge-cycle test can fire
-    # even where the neighbor test cannot (it cannot here, so check kind).
-    cert = classify(path(5))
-    assert cert.witness[0] in ("neighbor", "edge_cycle")
+        kind, (u, v, w) = cert.witness
+        assert kind == "neighbor"
+        assert not g.has_edge(u, v) and common_neighbors(g, u, v) == {w}
 
 
 def test_classify_literature_annotation():
@@ -187,6 +188,56 @@ def test_classify_relabels_onto_input():
     gram = cert.frame.synthesis.T @ cert.frame.synthesis
     assert abs(gram[1, 3]) < 1e-9
     assert np.min(np.abs(gram[0, 1:])) > 1e-9
+
+
+def _shuffled(g, rng):
+    """g with its vertices relabeled by a random permutation."""
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return Graph.from_edges(g.n, [(p[u], p[v]) for u, v in g.edges])
+
+
+def test_classify_above_former_order_cap():
+    # The catalog matches at every order, and no certificate has a Gram
+    # entry near the zero threshold.
+    rng = random.Random(64)
+    families = [g for n in range(25, 65) for g in (
+        complete(n), delete_edge(complete(n), (0, 1)), line_graph(o_graph(n)).line)]
+    families += [line_graph(complete(k)).line for k in range(8, 12)]
+    families += [cartesian_product(complete(2), complete(k)) for k in range(3, 33)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BorderlineEntryWarning)
+        for g in families:
+            g = _shuffled(g, rng)
+            check_tight_certificate(g, classify(g))
+
+
+def _chang_graphs():
+    """The three Chang graphs: L(K_8) Seidel-switched on the line vertices
+    of a perfect matching, of C_3 + C_5 and of C_8 in K_8."""
+    lk8 = line_graph(complete(8)).line
+    index = {e: i for i, e in enumerate(complete(8).edges)}
+    c8 = [(i, (i + 1) % 8) for i in range(8)]
+    c3_c5 = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)]
+    for switched in ([(0, 1), (2, 3), (4, 5), (6, 7)], c3_c5, c8):
+        s = {index[tuple(sorted(e))] for e in switched}
+        yield Graph(28, tuple((u, v) for u in range(28) for v in range(u + 1, 28)
+                              if lk8.has_edge(u, v) != ((u in s) != (v in s))))
+
+
+def test_classify_refutes_chang_graphs():
+    # Each Chang graph is strongly regular with L(K_8)'s parameters
+    # (28, 12, 6, 4), so it passes every count the catalog filters by; only
+    # the isomorphism test tells it apart, and no obstruction fires.
+    lk8 = line_graph(complete(8)).line
+    rng = random.Random(28)
+    for g in _chang_graphs():
+        g = _shuffled(g, rng)
+        assert set(g.degree_sequence()) == {12}
+        assert {(g.has_edge(u, v), len(common_neighbors(g, u, v)))
+                for u in range(28) for v in range(u + 1, 28)} == {(True, 6), (False, 4)}
+        assert find_isomorphism(lk8, g) is None
+        assert classify(g).verdict == "unknown"
 
 
 # ---------------------------------------------------------------------------
