@@ -47,6 +47,21 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph on edges the caller built sorted, distinct and in range
+        (u < v < n): the checks of __post_init__ are skipped, the adjacency
+        is still built."""
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_adj", tuple(frozenset(a) for a in adj))
+        return g
+
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, tuple(tuple(sorted(e)) for e in edges))
@@ -405,8 +420,8 @@ def enumerate_connected(n: int) -> list[Graph]:
       only with the kept graphs in its bucket, by the matcher behind
       find_isomorphism.
 
-    A Graph is built only for the graphs kept.  Results are memoized;
-    callers must not mutate the returned list.
+    A Graph is built only for the graphs kept, with no edge checks.
+    Results are memoized; callers must not mutate the returned list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
@@ -433,7 +448,7 @@ def enumerate_connected(n: int) -> list[Graph]:
             if any(_isomorphism(rows, labels, *seen) is not None for seen in bucket):
                 continue
             bucket.append((rows, _label_masks(labels)))
-            out.append(Graph(n, tuple(
+            out.append(Graph._trusted(n, tuple(
                 (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
             )))
     return out

@@ -87,8 +87,9 @@ def line_graph(g: Graph) -> LineGraphMap:
     for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)
         incident[v].append(i)
-    edges = [pair for inc in incident for pair in combinations(inc, 2)]
-    return LineGraphMap(line=Graph(g.m, tuple(edges)))
+    # Each pair is (i, j) with i < j, but the list is not globally sorted.
+    edges = sorted(pair for inc in incident for pair in combinations(inc, 2))
+    return LineGraphMap(line=Graph._trusted(g.m, tuple(edges)))
 
 
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:

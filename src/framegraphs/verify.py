@@ -7,6 +7,7 @@ annotated from the literature; everything else is reported unknown.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,8 @@ import numpy as np
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
 from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, \
-    common_neighbors, enumerate_connected, find_isomorphism, is_connected, path
+    common_neighbors, enumerate_connected, is_connected, path
+from .graphs import _isomorphism, _label_masks, _labels, _rows
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
@@ -106,22 +108,44 @@ def _catalog_frames(n: int, m: int):
             yield f"k2-box-k{k}", constructions.k2kn_frame(k)
 
 
+@functools.lru_cache(maxsize=512)
+def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
+    """The catalog entries for an (n, m) graph, each as (name, frame,
+    pattern rows, pattern labels, sorted pattern labels).  Memoised per
+    (n, m, tol), so the frames are read-only: every call shares them."""
+    entries = []
+    for name, frame in _catalog_frames(n, m):
+        frame.synthesis.flags.writeable = False
+        rows = tuple(_rows(associated_graph(frame, tol).graph))
+        labels = tuple(_labels(rows))
+        entries.append((name, frame, rows, labels, tuple(sorted(labels))))
+    return tuple(entries)
+
+
 def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     """Certify, refute, or annotate the tight-frame-graph property.
 
     Tries the constructive catalog at any order (isomorphism match, then a
     re-verified frame relabeled onto the input), then the obstruction
     tests, then the literature annotations; otherwise returns unknown.
+    The catalog frames and their Gram patterns are built once per (order,
+    size, tolerance) in a process; each certificate is still re-verified.
     """
     if not is_connected(g):
         raise GraphError("classification needs a connected graph")
-    for name, frame in _catalog_frames(g.n, g.m):
-        pattern = associated_graph(frame, tol).graph
-        phi = find_isomorphism(pattern, g)
-        if phi is None:
+    entries = _catalog(g.n, g.m, tol)
+    if entries:
+        rows = _rows(g)
+        labels = _labels(rows)
+        key, masks = tuple(sorted(labels)), _label_masks(labels)
+    for name, frame, prows, plabels, pkey in entries:
+        if pkey != key:
+            continue
+        image = _isomorphism(prows, plabels, rows, masks)
+        if image is None:
             continue
         # Column v of the certificate is the catalog column mapped onto v.
-        cert_frame = Frame(frame.synthesis[:, sorted(phi, key=phi.get)])
+        cert_frame = Frame(frame.synthesis[:, sorted(range(g.n), key=image.__getitem__)])
         verdict = tightness(cert_frame, tol)
         if verdict.kind not in ("tight", "parseval"):
             raise AssertionError(f"catalog frame {name} is not tight")

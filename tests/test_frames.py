@@ -15,9 +15,12 @@ from framegraphs.constructions import (
     c4_frame,
     diamond_frame,
     dup_chain_frames,
+    g2_frame,
+    g6_frame,
     k2kn_frame,
     kn_minus_e_frame,
     laplacian_method,
+    line_o_frame,
     lkn_small_frame,
     star_frame,
 )
@@ -132,6 +135,20 @@ def test_associated_graph_diamond():
 
 def test_associated_graph_c4():
     assert associated_graph(c4_frame()).graph == cycle(4)
+
+
+def test_associated_graph_equals_checked_graph():
+    # associated_graph skips the edge checks; on every catalog frame of
+    # order 4 to 24 its graph equals the checked Graph of the same edges.
+    catalog = [c4_frame(), g2_frame(), g6_frame()]
+    catalog += [f for n in range(4, 25) for f in (
+        star_frame(n, n - 1), kn_minus_e_frame(n), line_o_frame(n))]
+    catalog += [laplacian_method(complete(k)) for k in range(4, 8)]
+    catalog += [k2kn_frame(k) for k in range(3, 13)]
+    for f in catalog:
+        g = associated_graph(f).graph
+        checked = Graph(g.n, g.edges)
+        assert g == checked and g._adj == checked._adj
 
 
 def test_associated_graph_scale_invariance():

@@ -279,6 +279,15 @@ def test_enumeration_matches_networkx_atlas(atlas):
         assert sorted(found) == sorted(i for b in buckets.values() for i, _ in b)
 
 
+def test_enumeration_builds_the_checked_graphs():
+    # Kept graphs skip the edge checks; each equals the checked Graph of the
+    # same edges, adjacency sets included.
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            checked = Graph(g.n, g.edges)
+            assert g == checked and g._adj == checked._adj
+
+
 def test_enumeration_of_order_8():
     # OEIS A001349: 11117 connected graphs on 8 vertices.
     level = enumerate_connected(8)

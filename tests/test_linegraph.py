@@ -76,6 +76,17 @@ def test_line_graph_of_families():
         line_graph(Graph(3, ()))
 
 
+def test_line_graph_equals_checked_graph():
+    # line_graph skips the edge checks; its graph must equal the checked
+    # Graph of the same edges, adjacency sets included.
+    lk12 = line_graph(complete(12)).line
+    roots = [g for n in range(2, 8) for g in enumerate_connected(n)] + [complete(12), lk12]
+    for g in roots:
+        lg = line_graph(g).line
+        checked = Graph(lg.n, lg.edges)
+        assert lg == checked and lg._adj == checked._adj, g
+
+
 def test_line_graph_edge_order_matches_canonical():
     g = o_graph(4)
     lg = line_graph(g)

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from framegraphs import verify
+from framegraphs import constructions, verify
 from framegraphs.frames import BorderlineEntryWarning, frame_operator, represents, tightness
 from framegraphs.graphs import (
     Graph,
@@ -28,6 +28,7 @@ from framegraphs.graphs import (
     star,
 )
 from framegraphs.linegraph import is_line_graph, line_graph
+from framegraphs.spectral import DEFAULT_TOL, TolerancePolicy
 from framegraphs.verify import (
     Certificate,
     classify,
@@ -238,6 +239,104 @@ def test_classify_refutes_chang_graphs():
                 for u in range(28) for v in range(u + 1, 28)} == {(True, 6), (False, 4)}
         assert find_isomorphism(lk8, g) is None
         assert classify(g).verdict == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# The catalog memo
+# ---------------------------------------------------------------------------
+
+def _catalog_inputs(n):
+    """One graph of each catalog family on n vertices."""
+    gs = [complete(n), delete_edge(complete(n), (0, 1)), line_graph(o_graph(n)).line]
+    if n == 4:
+        gs.append(cycle(4))
+    if n == 5:
+        gs.append(duplicate_vertex(cycle(4), 0))  # G2
+    if n == 6:
+        gs.append(duplicate_vertex(duplicate_vertex(delete_edge(complete(4), (0, 1)), 0), 1))
+    gs += [line_graph(complete(k)).line for k in range(4, 8) if k * (k - 1) // 2 == n]
+    if n % 2 == 0 and n >= 6:
+        gs.append(cartesian_product(complete(2), complete(n // 2)))
+    return gs
+
+
+def test_warm_catalog_matches_cold():
+    rng = random.Random(24)
+    details = set()
+    for n in range(4, 25):
+        for g in _catalog_inputs(n):
+            g = _shuffled(g, rng)
+            classify(g)
+            warm = classify(g)
+            verify._catalog.cache_clear()
+            cold = classify(g)
+            check_tight_certificate(g, warm)
+            assert (warm.verdict, warm.detail) == (cold.verdict, cold.detail)
+            assert warm.frame.synthesis.tobytes() == cold.frame.synthesis.tobytes()
+            details.add(warm.detail)
+    assert details == {"complete", "complete-minus-edge", "cycle4", "line-of-o", "g2", "g6"} | {
+        f"line-of-complete{k}" for k in range(4, 8)} | {f"k2-box-k{k}" for k in range(3, 13)}
+
+
+def test_catalog_memo_cannot_be_poisoned():
+    verify._catalog.cache_clear()
+    first, k1 = classify(complete(6)), classify(complete(1))
+    assert k1.detail == "k1"
+    for cert in (first, k1):
+        if cert.frame.synthesis.flags.writeable:
+            cert.frame.synthesis[:] = 7.0
+    # The memoised frames themselves refuse writes.
+    for n, m in ((6, 15), (1, 0)):
+        for _, frame, *_ in verify._catalog(n, m, DEFAULT_TOL):
+            with pytest.raises(ValueError):
+                frame.synthesis[0, 0] = 7.0
+    again = [classify(complete(6)), classify(complete(1))]
+    verify._catalog.cache_clear()
+    for g, warm in zip((complete(6), complete(1)), again):
+        cold = classify(g)
+        assert warm.frame.synthesis.tobytes() == cold.frame.synthesis.tobytes()
+        check_tight_certificate(g, warm)
+
+
+def test_catalog_frame_built_once_per_key(monkeypatch):
+    built = []
+    original = constructions.kn_minus_e_frame
+
+    def counted(n):
+        built.append(n)
+        return original(n)
+
+    monkeypatch.setattr(constructions, "kn_minus_e_frame", counted)
+    verify._catalog.cache_clear()
+    k12e = delete_edge(complete(12), (0, 1))
+    rng = random.Random(12)
+    for _ in range(20):
+        g = _shuffled(k12e, rng)
+        check_tight_certificate(g, classify(g))
+    assert built == [12]
+    # Another tolerance is another key, not a reuse of the default entry.
+    assert classify(k12e, TolerancePolicy(1e-6)).detail == "complete-minus-edge"
+    assert built == [12, 12]
+    assert verify._catalog.cache_info().currsize == 2
+
+
+def test_every_certificate_is_verified(monkeypatch):
+    # The memo holds no verification result: each call re-runs both checks.
+    calls = Counter()
+
+    def counting(name):
+        check = getattr(verify, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return check(*args)
+        return counted
+
+    for name in ("tightness", "represents"):
+        monkeypatch.setattr(verify, name, counting(name))
+    for _ in range(3):
+        classify(complete(7))
+    assert calls == {"tightness": 3, "represents": 3}
 
 
 # ---------------------------------------------------------------------------
