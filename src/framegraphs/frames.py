@@ -150,9 +150,9 @@ def associated_graph(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> GramPatter
             BorderlineEntryWarning,
             stacklevel=2,
         )
-    # Upper-triangle entries in row-major order: sorted, distinct, in range.
+    # Upper-triangle entries, so u < v for each edge (u, v).
     rows, cols = np.nonzero(mag > thr)
-    return GramPattern(graph=Graph._trusted(f.n, tuple(zip(rows.tolist(), cols.tolist()))))
+    return GramPattern(graph=Graph(f.n, tuple(zip(rows.tolist(), cols.tolist()))))
 
 
 def represents(f: Frame, g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> bool:

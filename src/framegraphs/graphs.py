@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphError(ValueError):
@@ -18,49 +18,53 @@ class GraphError(ValueError):
 
 
 ENUMERATION_MAX_N = 8
-# Largest order from_text accepts: Graph allocates n adjacency sets up front.
+# Largest order from_text accepts: a header alone names n, and the stages
+# downstream allocate per vertex (adjacency views, component lists).
 TEXT_MAX_N = 100_000
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices ``0..n-1``."""
+    """Immutable simple graph on vertices ``0..n-1``, stored as n and the
+    sorted edges.  Neighbour sets (_adj) and bitmask rows (_rows, O(n^2)
+    bits) are derived on first use; a cached view is slower to read than a
+    plain attribute, so loops read it into a local once."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _adj: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise GraphError("graph needs at least one vertex")
-        adj = [set() for _ in range(self.n)]
+        seen = set()  # u * n + v per edge, distinct as 0 <= u < v < n
         for e in self.edges:
             u, v = e
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"bad edge {e} for n={self.n}")
-            if v in adj[u]:
+            if not 0 <= u < v < n:
+                raise GraphError(f"loop at vertex {u}" if u == v else f"bad edge {e} for n={n}")
+            key = u * n + v
+            if key in seen:
                 raise GraphError(f"duplicate edge {e}")
-            adj[u].add(v)
-            adj[v].add(u)
+            seen.add(key)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
 
-    @classmethod
-    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
-        """A graph on edges the caller built sorted, distinct and in range
-        (u < v < n): the checks of __post_init__ are skipped, the adjacency
-        is still built."""
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
+    @functools.cached_property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets: _adj[u] holds the neighbours of u."""
+        adj = [set() for _ in range(self.n)]
+        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "_adj", tuple(frozenset(a) for a in adj))
-        return g
+        return tuple(frozenset(a) for a in adj)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[int, ...]:
+        """Bitmask rows: bit w of _rows[u] is set iff uw is an edge."""
+        rows = [0] * self.n
+        for u, v in self.edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return tuple(rows)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -217,17 +221,9 @@ def gen_named(tag: str, *params: int) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex (u, u') maps to index u*|V(h)| + u'."""
     nh = h.n
-    edges = []
-    for u in range(g.n):
-        for up in range(h.n):
-            a = u * nh + up
-            for vp in h.neighbors(up):
-                if vp > up:
-                    edges.append((a, u * nh + vp))
-            for v in g.neighbors(u):
-                if v > u:
-                    edges.append((a, v * nh + up))
-    return Graph.from_edges(g.n * h.n, edges)
+    edges = [(u * nh + up, u * nh + vp) for u in range(g.n) for up, vp in h.edges]
+    edges += [(u * nh + up, v * nh + up) for u, v in g.edges for up in range(nh)]
+    return Graph.from_edges(g.n * nh, edges)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -263,6 +259,7 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
 def components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, ordered by their smallest
     vertex; each list starts there and grows in breadth-first order."""
+    adj = g._adj
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -271,7 +268,7 @@ def components(g: Graph) -> list[list[int]]:
         seen[s] = True
         verts = [s]
         for u in verts:
-            for w in g._adj[u]:
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
                     verts.append(w)
@@ -286,11 +283,6 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Isomorphism and enumeration
 # ---------------------------------------------------------------------------
-
-def _rows(g: Graph) -> list[int]:
-    """Adjacency as bitmask rows: bit w of rows[u] is set iff uw is an edge."""
-    return [sum(1 << w for w in a) for a in g._adj]
-
 
 def _labels(rows: list[int]) -> list[tuple]:
     """Per-vertex isomorphism invariants: degree, the edges among the
@@ -389,7 +381,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.n != h.n or g.m != h.m:
         return None
-    grows, hrows = _rows(g), _rows(h)
+    grows, hrows = g._rows, h._rows
     glabels, hlabels = _labels(grows), _labels(hrows)
     if sorted(glabels) != sorted(hlabels):
         return None
@@ -420,7 +412,7 @@ def enumerate_connected(n: int) -> list[Graph]:
       only with the kept graphs in its bucket, by the matcher behind
       find_isomorphism.
 
-    A Graph is built only for the graphs kept, with no edge checks.
+    A Graph is built only for the graphs kept.
     Results are memoized; callers must not mutate the returned list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
@@ -431,7 +423,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     buckets: dict[tuple, list[tuple[list[int], dict[tuple, int]]]] = {}
     out = []
     for parent in enumerate_connected(new):
-        base = _rows(parent)
+        base = parent._rows
         # (bit of v, bit of u) for twins u < v: a kept subset holding v holds u.
         twins = [
             (1 << v, 1 << u)
@@ -448,7 +440,7 @@ def enumerate_connected(n: int) -> list[Graph]:
             if any(_isomorphism(rows, labels, *seen) is not None for seen in bucket):
                 continue
             bucket.append((rows, _label_masks(labels)))
-            out.append(Graph._trusted(n, tuple(
+            out.append(Graph(n, tuple(
                 (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
             )))
     return out

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import Graph, GraphError, beineke, complete, components, is_connected, path, star
-from .graphs import _induced_map, _rows
+from .graphs import _induced_map
 
 
 class NotALineGraph(GraphError):
@@ -87,9 +87,9 @@ def line_graph(g: Graph) -> LineGraphMap:
     for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)
         incident[v].append(i)
-    # Each pair is (i, j) with i < j, but the list is not globally sorted.
-    edges = sorted(pair for inc in incident for pair in combinations(inc, 2))
-    return LineGraphMap(line=Graph._trusted(g.m, tuple(edges)))
+    # Each pair is (i, j) with i < j; the constructor sorts them.
+    edges = tuple(pair for inc in incident for pair in combinations(inc, 2))
+    return LineGraphMap(line=Graph(g.m, edges))
 
 
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -104,7 +104,8 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
-    degree = [len(a) for a in h._adj]
+    hadj, grows = h._adj, g._rows
+    degree = [len(a) for a in hadj]
     ordered = [0] * h.n  # per vertex of h, its neighbours already ordered
     order: list[int] = []
     remaining = set(range(h.n))
@@ -112,18 +113,20 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
         chosen = max(remaining, key=lambda u: (ordered[u], degree[u], -u))
         order.append(chosen)
         remaining.remove(chosen)
-        for w in h._adj[chosen]:
+        for w in hadj[chosen]:
             ordered[w] += 1
-    at_least = {d: sum(1 << v for v, a in enumerate(g._adj) if len(a) >= d) for d in set(degree)}
-    image = _induced_map(_rows(h), _rows(g), order, [at_least[d] for d in degree])
+    at_least = {d: sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
+                for d in set(degree)}
+    image = _induced_map(h._rows, grows, order, [at_least[d] for d in degree])
     return None if image is None else {u: image[u] for u in order}
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:
     """The subgraph of g induced on verts, relabelled onto 0..k-1 in list order."""
+    adj = g._adj
     index = {v: i for i, v in enumerate(verts)}
     return Graph.from_edges(len(verts), [
-        (index[u], index[w]) for u in verts for w in g._adj[u] if u < w and w in index
+        (index[u], index[w]) for u in verts for w in adj[u] if u < w and w in index
     ])
 
 
@@ -132,12 +135,12 @@ def _odd_diamond(g: Graph) -> list[int]:
     with odd triangles abc and abd, c < d non-adjacent (the lowest such c,
     then d), and the lowest x and y that see an odd number of a, b, c and
     of a, b, d."""
-    rows = _rows(g)
+    adj, rows = g._adj, g._rows
     for a, b in g.edges:
         # Bit x of side ^ rows[c] is set iff x sees an odd number of a, b
         # and c; the bits of a, b and c cancel.
         side = rows[a] ^ rows[b]
-        odd = {c: side ^ rows[c] for c in g._adj[a] & g._adj[b] if side ^ rows[c]}
+        odd = {c: side ^ rows[c] for c in adj[a] & adj[b] if side ^ rows[c]}
         apexes = sum(1 << c for c in odd)
         for c in sorted(odd):
             far = apexes & ~rows[c] & ~(1 << c)

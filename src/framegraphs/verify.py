@@ -15,8 +15,8 @@ import numpy as np
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
 from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, \
-    common_neighbors, enumerate_connected, is_connected, path
-from .graphs import _isomorphism, _label_masks, _labels, _rows
+    enumerate_connected, is_connected, path
+from .graphs import _isomorphism, _label_masks, _labels
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
@@ -48,11 +48,12 @@ class Certificate:
 def neighbor_obstruction(g: Graph) -> tuple[int, int, int] | None:
     """Lexicographically first non-adjacent pair with exactly one common
     neighbor, as (u, v, w); None if no such pair exists."""
+    adj = g._adj
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
+            if v in adj[u]:
                 continue
-            shared = common_neighbors(g, u, v)
+            shared = adj[u] & adj[v]
             if len(shared) == 1:
                 return (u, v, min(shared))
     return None
@@ -65,13 +66,14 @@ def edge_cycle_check(g: Graph) -> tuple[int, int] | None:
         raise GraphError("edge_cycle_check needs at least three vertices")
     if not is_connected(g):
         raise GraphError("edge_cycle_check needs a connected graph")
+    adj = g._adj
     for u, v in g.edges:
-        if common_neighbors(g, u, v):
+        if adj[u] & adj[v]:
             continue  # 3-cycle
         on_c4 = any(
-            w != x and g.has_edge(w, x)
-            for w in g.neighbors(u) if w != v
-            for x in g.neighbors(v) if x != u
+            w != x and x in adj[w]
+            for w in adj[u] if w != v
+            for x in adj[v] if x != u
         )
         if not on_c4:
             return (u, v)
@@ -116,7 +118,7 @@ def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
     entries = []
     for name, frame in _catalog_frames(n, m):
         frame.synthesis.flags.writeable = False
-        rows = tuple(_rows(associated_graph(frame, tol).graph))
+        rows = associated_graph(frame, tol).graph._rows
         labels = tuple(_labels(rows))
         entries.append((name, frame, rows, labels, tuple(sorted(labels))))
     return tuple(entries)
@@ -135,7 +137,7 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
         raise GraphError("classification needs a connected graph")
     entries = _catalog(g.n, g.m, tol)
     if entries:
-        rows = _rows(g)
+        rows = g._rows
         labels = _labels(rows)
         key, masks = tuple(sorted(labels)), _label_masks(labels)
     for name, frame, prows, plabels, pkey in entries:

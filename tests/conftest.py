@@ -16,3 +16,18 @@ def atlas():
     ]
     assert len(pairs) == 1252
     return pairs
+
+
+@pytest.fixture(scope="session")
+def views_match_networkx():
+    """A check that a Graph's neighbour sets and bitmask rows both equal
+    networkx's adjacency of the same edges."""
+    nx = pytest.importorskip("networkx")
+
+    def check(g):
+        a = nx.Graph(g.edges)
+        a.add_nodes_from(range(g.n))
+        assert g._adj == tuple(frozenset(a[u]) for u in range(g.n)), g
+        assert g._rows == tuple(sum(1 << w for w in a[u]) for u in range(g.n)), g
+
+    return check

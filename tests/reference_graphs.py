@@ -16,19 +16,23 @@ import functools
 from framegraphs.graphs import Graph
 
 
-def _triangle_counts(g: Graph) -> tuple[int, ...]:
+def _neighbours(g: Graph) -> list[frozenset[int]]:
+    return [g.neighbors(u) for u in range(g.n)]
+
+
+def _triangle_counts(g: Graph, nbr: list[frozenset[int]]) -> tuple[int, ...]:
     counts = [0] * g.n
     for u, v in g.edges:
-        shared = len(g.neighbors(u) & g.neighbors(v))
+        shared = len(nbr[u] & nbr[v])
         counts[u] += shared
         counts[v] += shared
     return tuple(counts)
 
 
-def _invariant_key(g: Graph):
-    tri = _triangle_counts(g)
+def _invariant_key(g: Graph, nbr: list[frozenset[int]]):
+    tri = _triangle_counts(g, nbr)
     local = sorted(
-        (g.degree(u), tri[u], tuple(sorted(g.degree(w) for w in g.neighbors(u))))
+        (len(nbr[u]), tri[u], tuple(sorted(len(nbr[w]) for w in nbr[u])))
         for u in range(g.n)
     )
     return (g.n, g.m, tuple(local))
@@ -42,9 +46,10 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.n != h.n or g.m != h.m:
         return None
-    if _invariant_key(g) != _invariant_key(h):
+    gnbr, hnbr = _neighbours(g), _neighbours(h)
+    if _invariant_key(g, gnbr) != _invariant_key(h, hnbr):
         return None
-    order = sorted(range(g.n), key=lambda u: -g.degree(u))
+    order = sorted(range(g.n), key=lambda u: -len(gnbr[u]))
     mapping = [-1] * g.n
     used = [False] * h.n
 
@@ -53,11 +58,11 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
             return True
         u = order[k]
         for v in range(h.n):
-            if used[v] or g.degree(u) != h.degree(v):
+            if used[v] or len(gnbr[u]) != len(hnbr[v]):
                 continue
             ok = True
             for w in order[:k]:
-                if g.has_edge(u, w) != h.has_edge(v, mapping[w]):
+                if (w in gnbr[u]) != (mapping[w] in hnbr[v]):
                     ok = False
                     break
             if ok:
@@ -86,7 +91,7 @@ def enumerate_connected(n: int) -> list[Graph]:
         for mask in range(1, 1 << (n - 1)):
             new = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
             cand = Graph.from_edges(n, list(parent.edges) + new)
-            bucket = buckets.setdefault(_invariant_key(cand), [])
+            bucket = buckets.setdefault(_invariant_key(cand, _neighbours(cand)), [])
             if not any(find_isomorphism(cand, seen) is not None for seen in bucket):
                 bucket.append(cand)
                 out.append(cand)

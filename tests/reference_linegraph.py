@@ -20,19 +20,21 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
+    gnbr = [g.neighbors(v) for v in range(g.n)]
+    hnbr = [h.neighbors(u) for u in range(h.n)]
     order: list[int] = []
     remaining = set(range(h.n))
     while remaining:
         chosen = max(
             remaining,
             key=lambda u: (
-                sum(1 for w in h.neighbors(u) if w in order), h.degree(u), -u
+                sum(1 for w in hnbr[u] if w in order), len(hnbr[u]), -u
             ),
         )
         order.append(chosen)
         remaining.remove(chosen)
     anchors = [
-        [w for w in order[:k] if h.has_edge(order[k], w)] for k in range(h.n)
+        [w for w in order[:k] if w in hnbr[order[k]]] for k in range(h.n)
     ]
     mapping: dict[int, int] = {}
     used = [False] * g.n
@@ -42,17 +44,17 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
             return True
         u = order[k]
         if anchors[k]:
-            cand = set(g.neighbors(mapping[anchors[k][0]]))
+            cand = set(gnbr[mapping[anchors[k][0]]])
             for w in anchors[k][1:]:
-                cand &= g.neighbors(mapping[w])
+                cand &= gnbr[mapping[w]]
             cand = sorted(cand)
         else:
             cand = range(g.n)
         for v in cand:
-            if used[v] or g.degree(v) < h.degree(u):
+            if used[v] or len(gnbr[v]) < len(hnbr[u]):
                 continue
             if all(
-                g.has_edge(v, mapping[w]) == h.has_edge(u, w) for w in order[:k]
+                (mapping[w] in gnbr[v]) == (w in hnbr[u]) for w in order[:k]
             ):
                 mapping[u] = v
                 used[v] = True

@@ -42,6 +42,7 @@ from framegraphs.frames import (
     tightness,
 )
 from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
+from framegraphs.linegraph import line_graph
 from framegraphs.matio import matrix_to_text
 from framegraphs.spectral import TolerancePolicy
 
@@ -137,18 +138,27 @@ def test_associated_graph_c4():
     assert associated_graph(c4_frame()).graph == cycle(4)
 
 
-def test_associated_graph_equals_checked_graph():
-    # associated_graph skips the edge checks; on every catalog frame of
-    # order 4 to 24 its graph equals the checked Graph of the same edges.
+def test_associated_graph_views_match_networkx(views_match_networkx):
+    # On every catalog frame of order 4 to 24, both adjacency views of the
+    # Gram pattern, derived from its edges, equal networkx's adjacency.
     catalog = [c4_frame(), g2_frame(), g6_frame()]
     catalog += [f for n in range(4, 25) for f in (
         star_frame(n, n - 1), kn_minus_e_frame(n), line_o_frame(n))]
     catalog += [laplacian_method(complete(k)) for k in range(4, 8)]
     catalog += [k2kn_frame(k) for k in range(3, 13)]
     for f in catalog:
-        g = associated_graph(f).graph
-        checked = Graph(g.n, g.edges)
-        assert g == checked and g._adj == checked._adj
+        views_match_networkx(associated_graph(f).graph)
+
+
+def test_line_graph_and_pattern_build_no_adjacency():
+    # Both are compared by their edges alone, so neither adjacency view of
+    # L(K_40) or of its Gram pattern is built.
+    line = line_graph(complete(40)).line
+    f = laplacian_method(complete(40))
+    pattern = associated_graph(f).graph
+    assert pattern == line and represents(f, line)
+    for g in (line, pattern):
+        assert "_adj" not in vars(g) and "_rows" not in vars(g)
 
 
 def test_associated_graph_scale_invariance():

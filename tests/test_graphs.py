@@ -279,13 +279,12 @@ def test_enumeration_matches_networkx_atlas(atlas):
         assert sorted(found) == sorted(i for b in buckets.values() for i, _ in b)
 
 
-def test_enumeration_builds_the_checked_graphs():
-    # Kept graphs skip the edge checks; each equals the checked Graph of the
-    # same edges, adjacency sets included.
+def test_enumeration_views_match_networkx(views_match_networkx):
+    # The enumeration works on its own bitmask rows; the adjacency views
+    # each kept graph derives from its edges equal networkx's.
     for n in range(1, 8):
         for g in enumerate_connected(n):
-            checked = Graph(g.n, g.edges)
-            assert g == checked and g._adj == checked._adj
+            views_match_networkx(g)
 
 
 def test_enumeration_of_order_8():
@@ -353,8 +352,7 @@ def test_text_comments_and_errors():
 
 
 def test_text_order_limit(monkeypatch):
-    # The header is rejected before any Graph, and its n adjacency sets,
-    # is built.
+    # The header is rejected before any Graph is built.
     def no_graph(*args):
         raise AssertionError("Graph built before the order check")
 

@@ -17,11 +17,13 @@ from framegraphs.graphs import (
     complete,
     common_neighbors,
     complete_bipartite,
+    components,
     cycle,
     delete_edge,
     duplicate_vertex,
     enumerate_connected,
     find_isomorphism,
+    is_connected,
     join,
     o_graph,
     path,
@@ -80,6 +82,16 @@ def test_edge_cycle_check():
         edge_cycle_check(path(2))
     with pytest.raises(GraphError):
         edge_cycle_check(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_sparse_checks_build_no_rows():
+    # Bitmask rows of P_60000 would take about 225 MB; these checks read
+    # the neighbour sets alone.
+    g = path(60000)
+    assert is_connected(g) and len(components(g)) == 1
+    assert edge_cycle_check(g) == (0, 1)
+    assert neighbor_obstruction(g) == (0, 2, 1)
+    assert "_adj" in vars(g) and "_rows" not in vars(g)
 
 
 def _random_connected(rng, n):
