@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,20 +31,31 @@ class BorderlineEntryWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Frame:
-    """Frame for R^d given by its synthesis matrix (columns = frame vectors)."""
+    """Frame for R^d given by its synthesis matrix (columns = frame vectors).
+
+    The synthesis matrix is a read-only copy, so the ascending eigenvalues
+    of the frame operator that the rank check keeps, and frame_bounds and
+    tightness read, stay those of the frame."""
 
     synthesis: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.synthesis, dtype=float)
+        mat = np.array(self.synthesis, dtype=float)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise FrameError(f"synthesis matrix must be 2-d, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise FrameError("synthesis matrix has non-finite entries")
+        mat.flags.writeable = False
         object.__setattr__(self, "synthesis", mat)
         # d > n columns cannot span R^d; say so before forming the d x d S.
-        if self.d > self.n or numeric_rank(mat @ mat.T) != self.d:
+        if self.d > self.n:
             raise FrameError("columns do not span the space: not a frame")
+        # S has full rank iff every |eigenvalue| is above numeric_rank's threshold.
+        values = sym_eig(mat @ mat.T).values
+        if np.min(np.abs(values)) <= DEFAULT_TOL.threshold(np.max(np.abs(values))):
+            raise FrameError("columns do not span the space: not a frame")
+        object.__setattr__(self, "_spectrum", values)
 
     @property
     def d(self) -> int:
@@ -89,7 +100,7 @@ def gramian(f: Frame) -> np.ndarray:
 
 
 def frame_bounds(f: Frame) -> FrameBounds:
-    values = sym_eig(frame_operator(f)).values
+    values = f._spectrum
     return FrameBounds(lower=float(values[0]), upper=float(values[-1]))
 
 

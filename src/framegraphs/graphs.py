@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 
 class GraphError(ValueError):
     """Invalid graph construction or operation argument."""
+
+
+def _integer(x) -> int:
+    """x as a Python int, if it is an integer (numpy integers are)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise GraphError(f"{x!r} is not an integer") from None
 
 
 ENUMERATION_MAX_N = 8
@@ -26,26 +35,39 @@ TEXT_MAX_N = 100_000
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertices ``0..n-1``, stored as n and the
-    sorted edges.  Neighbour sets (_adj) and bitmask rows (_rows, O(n^2)
-    bits) are derived on first use; a cached view is slower to read than a
-    plain attribute, so loops read it into a local once."""
+    sorted edges, as Python ints (numpy integers are converted; any other
+    type raises GraphError).  Neighbour sets (_adj), bitmask rows (_rows,
+    O(n^2) bits), vertex labels (_labels) and the search order (_order)
+    are derived on first use; a cached view is slower to read than a plain
+    attribute, so loops read it into a local once."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         n = self.n
+        if type(n) is not int:
+            object.__setattr__(self, "n", n := _integer(n))
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         seen = set()  # u * n + v per edge, distinct as 0 <= u < v < n
-        for e in self.edges:
-            u, v = e
-            if not 0 <= u < v < n:
-                raise GraphError(f"loop at vertex {u}" if u == v else f"bad edge {e} for n={n}")
-            key = u * n + v
-            if key in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(key)
+        try:
+            for e in self.edges:
+                u, v = e
+                if not 0 <= u < v < n:
+                    raise GraphError(
+                        f"loop at vertex {u}" if u == v else f"bad edge {e} for n={n}")
+                key = u * n + v
+                if key in seen:
+                    raise GraphError(f"duplicate edge {e}")
+                seen.add(key)
+            exact = type(sum(seen)) is int  # an endpoint of another type taints the sum
+        except TypeError:
+            exact = False
+        if not exact:
+            object.__setattr__(self, "edges", tuple(
+                (_integer(u), _integer(v)) for u, v in self.edges))
+            return self.__post_init__()
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @functools.cached_property
@@ -65,6 +87,36 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return tuple(rows)
+
+    @functools.cached_property
+    def _labels(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+        """The per-vertex isomorphism invariants, and their sorted tuple: a
+        key that isomorphic graphs share."""
+        labels = tuple(_vertex_labels(self._rows))
+        return labels, tuple(sorted(labels))
+
+    @functools.cached_property
+    def _order(self) -> tuple[int, ...]:
+        """The vertices in the order _induced_map maps them: next is the
+        vertex with the most neighbours already ordered, then the highest
+        degree, then the lowest index.  In a connected graph every vertex
+        after the first has a neighbour earlier in the order."""
+        n, rows = self.n, self._rows
+        # One priority per vertex, larger first: an ordered neighbour adds
+        # n * n, more than any degree * n plus index term.
+        priority = [r.bit_count() * n + n - 1 - u for u, r in enumerate(rows)]
+        left = list(range(n))
+        order = []
+        while left:
+            u = max(left, key=priority.__getitem__)
+            left.remove(u)
+            order.append(u)
+            r = rows[u]
+            while r:
+                low = r & -r
+                r ^= low
+                priority[low.bit_length() - 1] += n * n
+        return tuple(order)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -181,8 +233,10 @@ def hypercube(n: int) -> Graph:
     return g
 
 
+@functools.cache
 def beineke(i: int) -> Graph:
-    """The i-th forbidden induced subgraph for line graphs, 1 <= i <= 9."""
+    """The i-th forbidden induced subgraph for line graphs, 1 <= i <= 9;
+    one shared Graph per i, so its search order is computed once."""
     if i not in _BEINEKE_EDGES:
         raise GraphError("Beineke index must be in 1..9")
     edges = _BEINEKE_EDGES[i]
@@ -257,8 +311,8 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
 
 
 def components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, ordered by their smallest
-    vertex; each list starts there and grows in breadth-first order."""
+    """Vertex lists of the connected components, each in ascending order,
+    ordered by their smallest vertex."""
     adj = g._adj
     seen = [False] * g.n
     comps = []
@@ -272,7 +326,7 @@ def components(g: Graph) -> list[list[int]]:
                 if not seen[w]:
                     seen[w] = True
                     verts.append(w)
-        comps.append(verts)
+        comps.append(sorted(verts))
     return comps
 
 
@@ -284,44 +338,60 @@ def is_connected(g: Graph) -> bool:
 # Isomorphism and enumeration
 # ---------------------------------------------------------------------------
 
-def _labels(rows: list[int]) -> list[tuple]:
+def _vertex_labels(rows: list[int]) -> list[tuple]:
     """Per-vertex isomorphism invariants: degree, the edges among the
     neighbours (each counted from both ends, so twice the triangles at
-    the vertex) and the sorted neighbour degrees."""
+    the vertex), then the sorted neighbour degrees, in one flat tuple."""
     deg = [r.bit_count() for r in rows]
     labels = []
-    for u, r in enumerate(rows):
+    for r in rows:
         tri = 0
         nbr_degs = []
-        while r:
-            low = r & -r
+        x = r
+        while x:
+            low = x & -x
             w = low.bit_length() - 1
-            r ^= low
-            tri += (rows[w] & rows[u]).bit_count()
+            x ^= low
+            tri += (rows[w] & r).bit_count()
             nbr_degs.append(deg[w])
         nbr_degs.sort()
-        labels.append((deg[u], tri, tuple(nbr_degs)))
+        labels.append((len(nbr_degs), tri, *nbr_degs))
     return labels
 
 
-def _induced_map(prows: list[int], hrows: list[int], order: list[int],
-                 allowed: list[int]) -> list[int] | None:
-    """The first injective map from a pattern into a host that induces the
-    pattern exactly, as image[u], or None; both graphs as bitmask rows.
+def _label_masks(labels: list[tuple]) -> dict[tuple, int]:
+    """Each vertex label's vertices, as one bitmask."""
+    masks: dict[tuple, int] = {}
+    for v, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << v
+    return masks
 
-    The pattern's vertices are mapped in ``order``, u to the unused host
-    vertices of the bitmask allowed[u] adjacent to the images of u's
-    mapped neighbours and to no other image, tried in ascending order.
-    Those candidates are one mask: the rows of the neighbours' images
-    ANDed, the rows of the other images masked out.  The search is kept on
-    an explicit stack, so the recursion limit does not bound its depth.
+
+def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | None:
+    """The first injective map from the pattern p into a host that induces
+    p exactly, as image[u], or None; the host as bitmask rows.
+
+    p's vertices are mapped in p._order, u to the unused host vertices of
+    the bitmask allowed[u] adjacent to the images of u's mapped neighbours
+    and to no other image, tried in ascending order.  The rows of the
+    neighbours' images, ANDed, give a mask of candidates.  When no more
+    vertices are mapped than u has unused allowed vertices, the rows of the
+    other images are masked out as well; otherwise each candidate is
+    tested against all images as it comes up, so a step on a long sparse
+    pattern costs the neighbours mapped, not all vertices mapped.  The
+    search is kept on an explicit stack, so the recursion limit does not
+    bound its depth.
     """
-    n = len(order)
-    # Per position k, the candidates not yet tried.
+    order, prows = p._order, p._rows
+    n = p.n
+    # Per position k: the candidates not yet tried, and, when they are yet
+    # to be tested against the images, the images they must see.
     left = [0] * n
+    sees: list[int | None] = [None] * n
     left[0] = allowed[order[0]]
-    image = [0] * len(prows)
+    image = [0] * n
     used = 0
+    before = None  # per position, the pattern vertices mapped before it
     k = 0
     while True:
         cands = left[k]
@@ -334,7 +404,11 @@ def _induced_map(prows: list[int], hrows: list[int], order: list[int],
             continue
         low = cands & -cands
         left[k] = cands ^ low
-        image[order[k]] = low.bit_length() - 1
+        v = low.bit_length() - 1
+        seen = sees[k]
+        if seen is not None and hrows[v] & used != seen:
+            continue
+        image[order[k]] = v
         used |= low
         k += 1
         if k == n:
@@ -342,31 +416,73 @@ def _induced_map(prows: list[int], hrows: list[int], order: list[int],
         u = order[k]
         row = prows[u]
         cands = allowed[u] & ~used
-        far = 0
-        for w in order[:k]:
-            if row >> w & 1:
-                cands &= hrows[image[w]]
-            else:
-                far |= hrows[image[w]]
-        left[k] = cands & ~far
+        if k <= cands.bit_count():
+            # Few vertices mapped: mask out the rows of the images of u's
+            # non-neighbours now too.
+            far = 0
+            for w in order[:k]:
+                if row >> w & 1:
+                    cands &= hrows[image[w]]
+                else:
+                    far |= hrows[image[w]]
+            left[k] = cands & ~far
+            sees[k] = None
+        else:
+            # Many mapped: visit u's mapped neighbours only, and test each
+            # candidate against the other images when it comes up.
+            if before is None:
+                before = [0]
+                for w in order[:-1]:
+                    before.append(before[-1] | 1 << w)
+            mapped = row & before[k]
+            seen = 0
+            while mapped:
+                bit = mapped & -mapped
+                mapped ^= bit
+                x = image[bit.bit_length() - 1]
+                cands &= hrows[x]
+                seen |= 1 << x
+            left[k] = cands
+            sees[k] = seen
 
 
-def _label_masks(labels: list[tuple]) -> dict[tuple, int]:
-    """Each vertex label's vertices, as one bitmask."""
-    masks: dict[tuple, int] = {}
-    for v, label in enumerate(labels):
-        masks[label] = masks.get(label, 0) | 1 << v
-    return masks
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _isomorphism(grows: list[int], glabels: list[tuple], hrows: list[int],
-                 hmasks: dict[tuple, int]) -> list[int] | None:
-    """The first isomorphism from g to h as image[u], or None, for graphs
-    of equal order: the induced-map search with g's vertices in
-    descending-degree order (ties by index), each to h's vertices of its
-    label (hmasks is _label_masks of h's labels)."""
-    order = sorted(range(len(grows)), key=lambda u: -glabels[u][0])
-    return _induced_map(grows, hrows, order, [hmasks.get(label, 0) for label in glabels])
+def _equitable(rows: list[int], cells: list[int]) -> list[int]:
+    """The coarsest refinement of the partition cells (vertex bitmasks) in
+    which the vertices of each cell have equally many neighbours in every
+    cell: colour refinement.  Each queued cell splits the cells of its
+    neighbours by their count in it.  A split cell keeps its largest part,
+    queued or not, and queues the others: counts in the largest part follow
+    from those in the whole cell and the others (Hopcroft)."""
+    cell = {v: i for i, c in enumerate(cells) for v in _bits(c)}
+    queue = list(range(len(cells)))
+    while queue:
+        s = cells[queue.pop()]
+        touched = 0  # the neighbours of s
+        for w in _bits(s):
+            touched |= rows[w]
+        parts: dict[int, dict[int, int]] = {}  # cell -> count in s -> vertices
+        for v in _bits(touched):
+            split = parts.setdefault(cell[v], {})
+            count = (rows[v] & s).bit_count()
+            split[count] = split.get(count, 0) | 1 << v
+        for i, split in parts.items():
+            rest = cells[i] & ~sum(split.values())  # no neighbour in s
+            pieces = sorted([*split.values(), rest] if rest else split.values(),
+                            key=int.bit_count)
+            cells[i] = pieces.pop()
+            for piece in pieces:
+                cell.update(dict.fromkeys(_bits(piece), len(cells)))
+                queue.append(len(cells))
+                cells.append(piece)
+    return cells
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -374,18 +490,31 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
     None at once when the orders, the sizes or the multisets of vertex
     labels (degree, edges among the neighbours, sorted neighbour degrees)
-    differ.  Otherwise the induced-map search maps g's vertices in
-    descending-degree order (ties by index) to h's vertices of equal label,
-    tried in ascending order.  The label test only removes branches that
-    cannot complete, so the map is the first a degree-only search finds.
+    differ.  The label classes of both graphs are then refined together
+    until equitable (_equitable); a class with more vertices of one graph
+    than of the other also means None.  Otherwise the induced-map search
+    maps g's vertices in g._order to h's vertices of their class, tried in
+    ascending order.  The classes only remove branches that cannot
+    complete, so the map is the first one the search finds among all
+    bijections in that order.
     """
     if g.n != h.n or g.m != h.m:
         return None
-    grows, hrows = g._rows, h._rows
-    glabels, hlabels = _labels(grows), _labels(hrows)
-    if sorted(glabels) != sorted(hlabels):
+    glabels, key = g._labels
+    hlabels, hkey = h._labels
+    if key != hkey:
         return None
-    image = _isomorphism(grows, glabels, hrows, _label_masks(hlabels))
+    # Refine one partition of the disjoint union, h's vertices shifted by n.
+    n = g.n
+    allowed = [0] * n
+    for c in _equitable(list(g._rows) + [r << n for r in h._rows],
+                        list(_label_masks(glabels + hlabels).values())):
+        ours, theirs = c & ((1 << n) - 1), c >> n
+        if ours.bit_count() != theirs.bit_count():
+            return None
+        for u in _bits(ours):
+            allowed[u] = theirs
+    image = _induced_map(g, h._rows, allowed)
     return None if image is None else dict(enumerate(image))
 
 
@@ -408,11 +537,13 @@ def enumerate_connected(n: int) -> list[Graph]:
       u and v is an automorphism of the parent, so the candidate is
       isomorphic to one from a smaller subset of the same parent;
     - each candidate's vertex labels are computed once, on bitmask rows,
-      and their sorted tuple is its bucket key.  A candidate is compared
-      only with the kept graphs in its bucket, by the matcher behind
-      find_isomorphism.
+      and their sorted tuple is its bucket key.  Only the kept graphs in
+      its bucket are mapped into the candidate's rows, by the induced-map
+      search behind find_isomorphism, each vertex to the candidate's
+      vertices of its label.
 
-    A Graph is built only for the graphs kept.
+    A Graph is built only for the graphs kept; each computes its search
+    order once.
     Results are memoized; callers must not mutate the returned list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
@@ -420,7 +551,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     if n == 1:
         return [Graph(1, ())]
     new = n - 1
-    buckets: dict[tuple, list[tuple[list[int], dict[tuple, int]]]] = {}
+    buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
     out = []
     for parent in enumerate_connected(new):
         base = parent._rows
@@ -435,14 +566,18 @@ def enumerate_connected(n: int) -> list[Graph]:
                 continue
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(base)]
             rows.append(mask)
-            labels = _labels(rows)
+            labels = _vertex_labels(rows)
             bucket = buckets.setdefault(tuple(sorted(labels)), [])
-            if any(_isomorphism(rows, labels, *seen) is not None for seen in bucket):
-                continue
-            bucket.append((rows, _label_masks(labels)))
-            out.append(Graph(n, tuple(
+            if bucket:
+                masks = _label_masks(labels)
+                if any(_induced_map(seen, rows, [masks[label] for label in seen_labels])
+                       is not None for seen, seen_labels in bucket):
+                    continue
+            g = Graph(n, tuple(
                 (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
-            )))
+            ))
+            bucket.append((g, labels))
+            out.append(g)
     return out
 
 

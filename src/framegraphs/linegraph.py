@@ -95,30 +95,20 @@ def line_graph(g: Graph) -> LineGraphMap:
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """An injective map V(h) -> V(g) inducing h exactly, or None.
 
-    The induced-map search behind find_isomorphism and enumerate_connected,
-    given h's vertices in a greedy order (most already-ordered neighbours,
-    then highest degree, then lowest index) and, for each, the vertices of
-    g of at least its degree.  Candidates are tried in increasing vertex
-    order, so the embedding returned is the first one in that fixed search
-    order.
+    The induced-map search behind find_isomorphism and enumerate_connected:
+    h's vertices in h._order (most neighbours already ordered, then highest
+    degree, then lowest index), each to the vertices of g of at least its
+    degree, tried in increasing order.  So the embedding returned is the
+    first one in that fixed search order.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
-    hadj, grows = h._adj, g._rows
-    degree = [len(a) for a in hadj]
-    ordered = [0] * h.n  # per vertex of h, its neighbours already ordered
-    order: list[int] = []
-    remaining = set(range(h.n))
-    while remaining:
-        chosen = max(remaining, key=lambda u: (ordered[u], degree[u], -u))
-        order.append(chosen)
-        remaining.remove(chosen)
-        for w in hadj[chosen]:
-            ordered[w] += 1
+    grows = g._rows
+    degree = [r.bit_count() for r in h._rows]
     at_least = {d: sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
                 for d in set(degree)}
-    image = _induced_map(h._rows, grows, order, [at_least[d] for d in degree])
-    return None if image is None else {u: image[u] for u in order}
+    image = _induced_map(h, grows, [at_least[d] for d in degree])
+    return None if image is None else {u: image[u] for u in h._order}
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:
@@ -182,7 +172,6 @@ def is_line_graph(g: Graph):
     and the witness is named inside the first with none.
     """
     for verts in components(g):
-        verts.sort()  # a connected g is its own component, labels unchanged
         comp = g if len(verts) == g.n else _induced(g, verts)
         if _krausz_partition(comp) is None:
             _, i, embedding = _beineke_witness(comp)

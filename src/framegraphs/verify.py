@@ -15,8 +15,7 @@ import numpy as np
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
 from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, \
-    enumerate_connected, is_connected, path
-from .graphs import _isomorphism, _label_masks, _labels
+    enumerate_connected, find_isomorphism, is_connected, path
 from .linegraph import contains_induced, is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
@@ -113,37 +112,31 @@ def _catalog_frames(n: int, m: int):
 @functools.lru_cache(maxsize=512)
 def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
     """The catalog entries for an (n, m) graph, each as (name, frame,
-    pattern rows, pattern labels, sorted pattern labels).  Memoised per
-    (n, m, tol), so the frames are read-only: every call shares them."""
+    pattern), the pattern being the frame's Gram graph with the labels and
+    search order find_isomorphism reads already built.  Memoised per
+    (n, m, tol): every call shares the frames, which are read-only."""
     entries = []
     for name, frame in _catalog_frames(n, m):
-        frame.synthesis.flags.writeable = False
-        rows = associated_graph(frame, tol).graph._rows
-        labels = tuple(_labels(rows))
-        entries.append((name, frame, rows, labels, tuple(sorted(labels))))
+        pattern = associated_graph(frame, tol).graph
+        pattern._labels, pattern._order  # the views every match reads
+        entries.append((name, frame, pattern))
     return tuple(entries)
 
 
 def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     """Certify, refute, or annotate the tight-frame-graph property.
 
-    Tries the constructive catalog at any order (isomorphism match, then a
-    re-verified frame relabeled onto the input), then the obstruction
+    Tries the constructive catalog at any order (find_isomorphism from the
+    catalog pattern onto the input, then the frame's columns relabeled and
+    re-verified), then the obstruction
     tests, then the literature annotations; otherwise returns unknown.
     The catalog frames and their Gram patterns are built once per (order,
     size, tolerance) in a process; each certificate is still re-verified.
     """
     if not is_connected(g):
         raise GraphError("classification needs a connected graph")
-    entries = _catalog(g.n, g.m, tol)
-    if entries:
-        rows = g._rows
-        labels = _labels(rows)
-        key, masks = tuple(sorted(labels)), _label_masks(labels)
-    for name, frame, prows, plabels, pkey in entries:
-        if pkey != key:
-            continue
-        image = _isomorphism(prows, plabels, rows, masks)
+    for name, frame, pattern in _catalog(g.n, g.m, tol):
+        image = find_isomorphism(pattern, g)
         if image is None:
             continue
         # Column v of the certificate is the catalog column mapped onto v.
@@ -223,9 +216,10 @@ def induced_path_sweep(max_n: int) -> SweepReport:
         raise GraphError(
             f"induced_path_sweep capped at max_n = {ENUMERATION_MAX_N}")
     report = SweepReport()
+    p4 = path(4)
     for k in range(4, max_n + 1):
         for p in enumerate_connected(k):
-            if contains_induced(p, path(4)) is None:
+            if contains_induced(p, p4) is None:
                 continue
             report.checked += 1
             lg = line_graph(p).line

@@ -38,6 +38,21 @@ def _invariant_key(g: Graph, nbr: list[frozenset[int]]):
     return (g.n, g.m, tuple(local))
 
 
+def _search_order(g: Graph, nbr: list[frozenset[int]]) -> list[int]:
+    """Greedy: next the vertex with the most neighbours already ordered,
+    then the highest degree, then the lowest index."""
+    ordered = [0] * g.n
+    order: list[int] = []
+    remaining = set(range(g.n))
+    while remaining:
+        u = max(remaining, key=lambda v: (ordered[v], len(nbr[v]), -v))
+        order.append(u)
+        remaining.remove(u)
+        for w in nbr[u]:
+            ordered[w] += 1
+    return order
+
+
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An adjacency-preserving bijection V(g) -> V(h), or None.
 
@@ -49,7 +64,7 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     gnbr, hnbr = _neighbours(g), _neighbours(h)
     if _invariant_key(g, gnbr) != _invariant_key(h, hnbr):
         return None
-    order = sorted(range(g.n), key=lambda u: -len(gnbr[u]))
+    order = _search_order(g, gnbr)
     mapping = [-1] * g.n
     used = [False] * h.n
 

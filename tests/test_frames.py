@@ -76,7 +76,7 @@ def test_too_few_columns_rejected_before_the_rank_test(monkeypatch):
     def no_rank(*args, **kwargs):
         raise AssertionError("rank test reached")
 
-    monkeypatch.setattr(frames, "numeric_rank", no_rank)
+    monkeypatch.setattr(frames, "sym_eig", no_rank)
     for shape in [(2, 1), (5, 3), (40, 1)]:
         with pytest.raises(FrameError, match="do not span the space"):
             Frame(np.ones(shape))
@@ -98,6 +98,37 @@ def test_frame_bounds():
     b = frame_bounds(f)
     assert b.lower == pytest.approx(0.5, abs=1e-12)
     assert b.upper == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tightness_reuses_the_rank_check_eigenvalues(monkeypatch):
+    # Frame keeps the frame-operator eigenvalues of its rank check, so the
+    # bounds are those of sym_eig on S, and tightness on an existing frame
+    # runs no eigendecomposition.
+    calls = []
+    original = frames.sym_eig
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "sym_eig", counted)
+    for f in (mercedes_frame(), laplacian_method(complete(6)), c4_frame()):
+        values = original(frame_operator(f)).values
+        calls.clear()
+        assert tightness(f).kind in ("tight", "parseval")
+        b = frame_bounds(f)
+        assert calls == []
+        assert (b.lower, b.upper) == (values[0], values[-1])
+    Frame(np.eye(2))
+    assert len(calls) == 1
+    # The frame holds a read-only copy, so the kept eigenvalues cannot go
+    # stale: writing to the caller's array leaves the frame as it was.
+    a = np.eye(2)
+    f = Frame(a)
+    a[0, 0] = 5.0
+    assert f.synthesis[0, 0] == 1.0 and frame_bounds(f).upper == 1.0
+    with pytest.raises(ValueError):
+        f.synthesis[0, 0] = 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from framegraphs.graphs import (
     beineke,
     cartesian_product,
     common_neighbors,
+    components,
     complete,
     complete_bipartite,
     cycle,
@@ -73,6 +75,25 @@ def test_invalid_graphs_rejected():
         Graph(3, ((0, 1), (0, 1), (2, 2)))
     with pytest.raises(GraphError, match=r"^bad edge \(1, 0\) for n=3$"):
         Graph(3, ((0, 1), (1, 0)))
+
+
+def test_vertices_must_be_integers():
+    np = pytest.importorskip("numpy")
+    for edges in [((0, 1.5),), ((0.0, 1),), (("0", 1),), ((0, None),)]:
+        with pytest.raises(GraphError, match="not an integer"):
+            Graph(3, edges)
+    with pytest.raises(GraphError, match="not an integer"):
+        Graph(3.0, ())
+    # numpy integers, as np.nonzero gives them, become Python ints.
+    n = 70
+    u, v = np.nonzero(np.triu(np.ones((n, n), dtype=int), 1))
+    g = Graph(np.int64(n), tuple(zip(u, v)))
+    assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+    assert g == complete(n) and g._rows == complete(n)._rows
+    h = Graph(10, tuple(zip(*np.nonzero(np.triu(np.ones((10, 10), dtype=int), 1)))))
+    assert is_isomorphic(h, complete(10))
+    with pytest.raises(GraphError, match=r"^bad edge"):
+        Graph(3, ((np.int64(0), np.int64(3)),))
 
 
 def test_degree_and_neighbors():
@@ -169,6 +190,20 @@ def test_common_neighbors():
         common_neighbors(g, 1, 1)
 
 
+def test_components_are_ascending_like_networkx():
+    nx = pytest.importorskip("networkx")
+    # Breadth-first from 0 meets 9 before 2, and from 1 meets 8 before 3.
+    g = Graph.from_edges(12, [(0, 9), (9, 2), (0, 5), (1, 8), (8, 3), (3, 11), (6, 7)])
+    a = nx.Graph(g.edges)
+    a.add_nodes_from(range(g.n))
+    assert components(g) == sorted((sorted(c) for c in nx.connected_components(a)), key=min)
+    assert components(g)[0] == [0, 2, 5, 9]
+    for g in small_graphs() + [_relabel(path(30), 3), _relabel(cycle(9), 4)]:
+        a = nx.Graph(g.edges)
+        a.add_nodes_from(range(g.n))
+        assert components(g) == sorted((sorted(c) for c in nx.connected_components(a)), key=min)
+
+
 def test_is_connected():
     assert is_connected(path(7))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
@@ -192,6 +227,10 @@ def test_isomorphism_negative_cases():
     assert not is_isomorphic(path(4), star(4))
     assert not is_isomorphic(cycle(6), complete_bipartite(3, 3))
     assert not is_isomorphic(complete(4), cycle(4))
+    # Regular with equal labels, so refinement splits nothing: the search decides.
+    square = list(cycle(4).edges)
+    two_squares = Graph.from_edges(8, square + [(u + 4, v + 4) for u, v in square])
+    assert not is_isomorphic(cycle(8), two_squares) and not is_isomorphic(two_squares, cycle(8))
 
 
 def test_isomorphism_is_equivalence_relation():
@@ -246,6 +285,77 @@ def test_isomorphism_has_no_recursion_limit(g):
     phi = find_isomorphism(g, h)
     assert phi is not None and sorted(phi.values()) == list(range(g.n))
     assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges)
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("n", [22, 26, 100, 1500])
+@pytest.mark.parametrize("family", ["path", "cycle", "tree"])
+def test_isomorphism_of_relabelled_sparse_graphs(family, n):
+    # A search that maps a vertex with no mapped neighbour, or that meets a
+    # wrong choice only far from where it was made, backtracks
+    # exponentially on these; each finishes well inside a second.
+    g = {"path": path, "cycle": cycle, "tree": lambda n: _random_tree(n, n)}[family](n)
+    for seed in range(2):
+        h = _relabel(g, seed)
+        for a, b in ((g, h), (h, g)):
+            # Fresh copies, so no cached view is reused between the calls.
+            a, b = Graph(a.n, a.edges), Graph(b.n, b.edges)
+            start = time.perf_counter()
+            phi = find_isomorphism(a, b)
+            assert time.perf_counter() - start < 1.0
+            assert phi is not None and sorted(phi.values()) == list(range(n))
+            assert all(b.has_edge(phi[u], phi[v]) for u, v in a.edges)
+    # C_{n-8} plus P_8 has P_n's vertex labels and size, but not its shape.
+    if family == "path":
+        k = 8
+        other = _relabel(Graph.from_edges(n, [(i, (i + 1) % (n - k)) for i in range(n - k)]
+                                          + [(i, i + 1) for i in range(n - k, n - 1)]), 5)
+        assert other._labels[1] == g._labels[1] and other.m == g.m
+        for a, b in ((g, other), (other, g)):
+            start = time.perf_counter()
+            assert find_isomorphism(a, b) is None
+            assert time.perf_counter() - start < 1.0
+
+
+@given(st.integers(2, 11), st.integers(0, 2**55), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_isomorphism_agrees_with_networkx(n, bits, seed, move):
+    # h is a relabelled g, with one edge moved to a non-edge when move is
+    # set: the refined classes and the search must agree with networkx
+    # whether or not the vertex labels already tell the graphs apart.
+    nx = pytest.importorskip("networkx")
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for i, p in enumerate(pairs) if bits >> i % 56 & 1]
+    g = Graph(n, tuple(edges))
+    absent = [p for p in pairs if p not in edges]
+    if move and edges and absent:
+        edges = edges[1:] + [absent[seed % len(absent)]]
+    h = _relabel(Graph.from_edges(n, edges), seed)
+    a, b = nx.Graph(g.edges), nx.Graph(h.edges)
+    a.add_nodes_from(range(n))
+    b.add_nodes_from(range(n))
+    phi = find_isomorphism(g, h)
+    assert (phi is not None) == nx.is_isomorphic(a, b)
+    if phi is not None:
+        assert sorted(h.edges) == sorted(tuple(sorted((phi[u], phi[v]))) for u, v in g.edges)
+
+
+@given(st.integers(1, 14), st.integers(0, 2**40), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_search_order_follows_edges(n, bits, seed):
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, tuple(p for i, p in enumerate(pairs) if bits >> (i % 41) & 1))
+    g = _relabel(g, seed)
+    order = g._order
+    assert sorted(order) == list(range(n))
+    assert list(order) == reference._search_order(g, [g.neighbors(u) for u in range(n)])
+    if is_connected(g):
+        for k in range(1, n):
+            assert any(g.has_edge(order[k], w) for w in order[:k])
 
 
 # ---------------------------------------------------------------------------
