@@ -8,6 +8,7 @@ incidence / line-graph machinery.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -26,6 +27,15 @@ def _integer(x) -> int:
         raise GraphError(f"{x!r} is not an integer") from None
 
 
+def _pair(e) -> tuple[int, int]:
+    """The edge e as two Python ints (bools and numpy integers converted)."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise GraphError(f"edge {e!r} is not a pair of vertices") from None
+    return _integer(u), _integer(v)
+
+
 ENUMERATION_MAX_N = 8
 # Largest order from_text accepts: a header alone names n, and the stages
 # downstream allocate per vertex (adjacency views, component lists).
@@ -35,11 +45,12 @@ TEXT_MAX_N = 100_000
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertices ``0..n-1``, stored as n and the
-    sorted edges, as Python ints (numpy integers are converted; any other
-    type raises GraphError).  Neighbour sets (_adj), bitmask rows (_rows,
-    O(n^2) bits), vertex labels (_labels) and the search order (_order)
-    are derived on first use; a cached view is slower to read than a plain
-    attribute, so loops read it into a local once."""
+    sorted edges, as Python ints (bools and numpy integers are converted;
+    any other type, or an edge that is not a pair, raises GraphError).
+    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), vertex
+    labels (_labels) and the search order (_order) are derived on first
+    use; a cached view is slower to read than a plain attribute, so loops
+    read it into a local once."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -61,14 +72,19 @@ class Graph:
                 if key in seen:
                     raise GraphError(f"duplicate edge {e}")
                 seen.add(key)
-            exact = type(sum(seen)) is int  # an endpoint of another type taints the sum
-        except TypeError:
+            edges = tuple(sorted(self.edges))
+            # An endpoint of another type taints the sum, except a bool: it
+            # is 0 or 1, so its edge sorts before (2,).
+            exact = type(sum(seen)) is int and not any(
+                type(x) is bool for e in edges[:bisect.bisect(edges, (2,))] for x in e)
+        except GraphError:
+            raise
+        except (TypeError, ValueError):  # not a pair, or not comparable
             exact = False
         if not exact:
-            object.__setattr__(self, "edges", tuple(
-                (_integer(u), _integer(v)) for u, v in self.edges))
+            object.__setattr__(self, "edges", tuple(map(_pair, self.edges)))
             return self.__post_init__()
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "edges", edges)
 
     @functools.cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:

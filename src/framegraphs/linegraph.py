@@ -3,26 +3,27 @@
 Line graphs are recognized, and their roots recovered, by searching for
 Krausz partitions: partitions of the edges into cliques with every vertex
 in at most two of them.  Per connected component the search tries at most
-deg + 1 first cliques and propagates each with no further branch, so it is
-polynomial; by Whitney's theorem its first partition gives the one root
-(K_3 has two).  A non-line graph is named in its first component with no
-Krausz partition, by the first claw there if it has one.  Otherwise, by
-van Rooij & Wilf, two odd triangles on one edge whose
-apexes are not adjacent span at most six vertices that are not a line
-graph, and a forbidden induced subgraph is named among them with no
-further search.  Both patterns are found by contains_induced, which runs
-the one induced-map search of graphs.py that also serves isomorphism
-testing and enumeration.
+two first cliques, as any other would leave an edge that no clique can
+cover, and propagates each with no further branch, so it is polynomial; by
+Whitney's theorem its first partition gives the one root (K_3 has two),
+read from each vertex's cliques.  A non-line graph is named in its first
+component with no Krausz partition, by the first claw there if it has one.
+Otherwise, by van Rooij & Wilf, two odd triangles on one edge whose apexes
+are not adjacent span at most six vertices that are not a line graph, and a
+forbidden induced subgraph is named among them with no further search.
+Both patterns are found by contains_induced, which runs the one induced-map
+search of graphs.py that also serves isomorphism testing and enumeration.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, GraphError, beineke, complete, components, is_connected, path, star
+from .graphs import Graph, GraphError, beineke, complete, components, is_connected, star
 from .graphs import _induced_map
 
 
@@ -88,7 +89,7 @@ def line_graph(g: Graph) -> LineGraphMap:
         incident[u].append(i)
         incident[v].append(i)
     # Each pair is (i, j) with i < j; the constructor sorts them.
-    edges = tuple(pair for inc in incident for pair in combinations(inc, 2))
+    edges = tuple(pair for inc in incident for pair in itertools.combinations(inc, 2))
     return LineGraphMap(line=Graph(g.m, edges))
 
 
@@ -141,8 +142,8 @@ def _odd_diamond(g: Graph) -> list[int]:
     raise AssertionError("claw-free and no Krausz partition, yet no odd diamond")
 
 
-def _beineke_witness(g: Graph) -> tuple[bool, int, dict[int, int]]:
-    """(False, i, embedding) for a Beineke graph G_i induced in the
+def _beineke_witness(g: Graph) -> tuple[int, dict[int, int]]:
+    """(i, embedding) for a Beineke graph G_i induced in the
     connected g, which has no Krausz partition.
 
     The first claw (G1) if g has one.  Otherwise, by van Rooij & Wilf (The
@@ -154,14 +155,14 @@ def _beineke_witness(g: Graph) -> tuple[bool, int, dict[int, int]]:
     """
     embedding = contains_induced(g, beineke(1))
     if embedding is not None:
-        return (False, 1, embedding)
+        return 1, embedding
     keep = _odd_diamond(g)
     core = _induced(g, keep)
     for i in range(2, 10):
         pattern = beineke(i)
         embedding = contains_induced(core, pattern) if pattern.n <= core.n else None
         if embedding is not None:
-            return (False, i, {k: keep[w] for k, w in embedding.items()})
+            return i, {k: keep[w] for k, w in embedding.items()}
     raise AssertionError("an odd diamond, yet no Beineke subgraph")
 
 
@@ -174,7 +175,7 @@ def is_line_graph(g: Graph):
     for verts in components(g):
         comp = g if len(verts) == g.n else _induced(g, verts)
         if _krausz_partition(comp) is None:
-            _, i, embedding = _beineke_witness(comp)
+            i, embedding = _beineke_witness(comp)
             return (False, i, {k: verts[w] for k, w in embedding.items()})
     return True
 
@@ -183,83 +184,79 @@ def is_line_graph(g: Graph):
 # Root graphs via Krausz partitions
 # ---------------------------------------------------------------------------
 
-def _krausz_partition(g: Graph) -> list[set[int]] | None:
-    """The first partition of a connected g's edges into cliques, each
-    vertex in <= 2 cliques, or None if there is none.
+def _krausz_partition(g: Graph) -> list[list[int]] | None:
+    """For each vertex of a connected g, the indices of its cliques in the
+    first partition of g's edges into cliques with every vertex in <= 2 of
+    them, in the order found; or None if there is no such partition.
 
     The first clique holds the edge from vertex 0 to its smallest neighbor,
-    the anchor.  It lies in {0, anchor} + C, C their common neighbors, and
-    misses at most one w in C: two missed w, w' would lie in the second
-    clique of both 0 and anchor, covering ww' twice.  After it, unit
-    propagation decides the rest: a vertex in one clique with uncovered
-    edges has its second clique forced to be its uncovered neighborhood.
-    A vertex that lies in no clique has all of its edges uncovered, so its
-    neighbours lie in no clique either; as g is connected, propagation
-    covers every edge or fails a clique check, and never needs a branch.
+    the anchor.  It is {0, anchor} + C, C their common neighbours, or that
+    minus one w in C.  A left-out w lies in the second clique of 0 and in
+    the second clique of the anchor; the two differ, as 0 and the anchor
+    share the first, so an edge from w to another member of C could be
+    covered by neither.  So w is tried only if it sees none of the rest of
+    C and that rest is a clique, and then nothing else fits: at most two
+    first cliques are tried.  After it, unit propagation decides the rest:
+    a vertex in one clique with uncovered edges has its second clique
+    forced to be its uncovered neighbourhood, and the next clique starts
+    at the lowest such vertex.  The vertices in a clique wait on a heap,
+    and one with no uncovered edge left is popped for good.  A vertex that
+    lies in no clique has all of its edges uncovered, so its neighbours
+    lie in no clique either; as g is connected, propagation covers every
+    edge or fails a clique check, and never needs a branch.
     """
     if g.m == 0:
-        return []
-    anchor = min(g._adj[0])
-    common = sorted(g._adj[0] & g._adj[anchor])
-    # Each common neighbor left out in turn, then none.
-    firsts = [
-        [0, anchor, *common[:i], *common[i + 1:]]
-        for i in reversed(range(len(common)))
-    ]
-    firsts.append([0, anchor, *common])
+        return [[]]
+    adj = g._adj
+    anchor = min(adj[0])
+    both = adj[0] & adj[anchor]
+    common, k = sorted(both), len(both)
+    # Twice C's edges: (k - 1)(k - 2) with w seeing none iff C - w is a clique.
+    pairs = sum(len(adj[x] & both) for x in both)
+    # Each fitting w left out in turn, from the last, then none.
+    firsts = [[0, anchor, *(x for x in common if x != w)] for w in reversed(common)
+              if pairs == (k - 1) * (k - 2) and not adj[w] & both]
+    if pairs == k * (k - 1):
+        firsts.append([0, anchor, *common])
     for s in firsts:
-        uncovered = [set(a) for a in g._adj]
-        count = [0] * g.n
-        cliques: list[set[int]] = []
-        while all(
-            count[u] < 2 and uncovered[u].issuperset(s[i + 1:])
-            for i, u in enumerate(s)
-        ):
+        uncovered = [set(a) for a in adj]
+        member: list[list[int]] = [[] for _ in adj]
+        joined: list[int] = []
+        for index in itertools.count():
+            if not all(len(member[u]) < 2 and uncovered[u].issuperset(s[i + 1:])
+                       for i, u in enumerate(s)):
+                break
             for u in s:
-                count[u] += 1
+                if not member[u]:
+                    heapq.heappush(joined, u)
+                member[u].append(index)
                 uncovered[u].difference_update(s)
-            cliques.append(set(s))
-            v = next((v for v in range(g.n) if count[v] and uncovered[v]), None)
-            if v is None:
-                return cliques
-            s = [v, *uncovered[v]]
+            while joined and not uncovered[joined[0]]:
+                heapq.heappop(joined)
+            if not joined:
+                return member
+            s = [joined[0], *uncovered[joined[0]]]
     return None
-
-
-def _root_from_partition(g: Graph, cliques: list[set[int]]) -> Graph:
-    member: list[list[int]] = [[] for _ in range(g.n)]
-    for i, s in enumerate(cliques):
-        for v in s:
-            member[v].append(i)
-    n_root = len(cliques)
-    edges = []
-    for v in range(g.n):
-        cs = member[v]
-        if len(cs) == 2:
-            edges.append((cs[0], cs[1]))
-        elif len(cs) == 1:
-            edges.append((cs[0], n_root))  # pendant endpoint
-            n_root += 1
-        else:
-            raise AssertionError("vertex outside every clique")
-    return Graph.from_edges(n_root, edges)
 
 
 def root_graph(g: Graph) -> list[Graph]:
     """All root graphs of a connected line graph, up to isomorphism.
 
-    By Whitney's theorem that is one root, built from the first Krausz
-    partition, for every connected line graph except K_3, which has the
-    two roots K_3 and K_{1,3}.
+    By Whitney's theorem that is one root, read from the first Krausz
+    partition's memberships, for every connected line graph except K_3,
+    which has the two roots K_3 and K_{1,3}.  Root vertex i is clique i,
+    each line vertex is the root edge joining its cliques, and a line
+    vertex in fewer than two cliques gets new root vertices, numbered in
+    vertex order (so K_1 gives P_2).
     """
     if not is_connected(g):
         raise GraphError("root recovery needs a connected graph")
-    if g.n == 1:
-        return [path(2)]
     if g.n == 3 and g.m == 3:
         return [complete(3), star(4)]
-    part = _krausz_partition(g)
-    if part is None:
-        _, index, _ = _beineke_witness(g)
+    member = _krausz_partition(g)
+    if member is None:
+        index, _ = _beineke_witness(g)
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
-    return [_root_from_partition(g, part)]
+    fresh = itertools.count(1 + max(max(cs, default=-1) for cs in member))
+    edges = [(*cs, *itertools.islice(fresh, 2 - len(cs))) for cs in member]
+    return [Graph(next(fresh), tuple(edges))]

@@ -96,6 +96,20 @@ def test_vertices_must_be_integers():
         Graph(3, ((np.int64(0), np.int64(3)),))
 
 
+def test_malformed_edges_rejected():
+    # An edge that is not a pair raises GraphError, not ValueError or
+    # TypeError from unpacking it.
+    for edges in [((0, 1, 2),), (5,), ((0,),), (None,), ("012",)]:
+        with pytest.raises(GraphError, match="not a pair of vertices"):
+            Graph(3, edges)
+    # Bool endpoints are stored as ints, so the text round trip holds.
+    for n, edges, ints in [(2, ((False, True),), ((0, 1),)),
+                           (4, ((2, 3), (True, 3), (0, 2)), ((0, 2), (1, 3), (2, 3)))]:
+        g = Graph(n, edges)
+        assert g.edges == ints and all(type(x) is int for e in g.edges for x in e)
+        assert to_text(g) == to_text(Graph(n, ints)) and from_text(to_text(g)) == g
+
+
 def test_degree_and_neighbors():
     g = diamond()
     assert g.degree_sequence() == (2, 2, 3, 3)

@@ -1,6 +1,8 @@
 """Incidence matrices, line graphs, Beineke recognition, root recovery."""
 
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +15,12 @@ from framegraphs.graphs import (
     complete,
     cycle,
     delete_edge,
+    edgeless,
     enumerate_connected,
     hypercube,
+    is_connected,
     is_isomorphic,
+    join,
     o_graph,
     path,
     star,
@@ -299,6 +304,63 @@ def test_root_graph_of_dense_line_graphs():
     assert is_isomorphic(root, star(41))
     (root,) = root_graph(cycle(60))
     assert is_isomorphic(root, cycle(60))
+
+
+def _timed(f, *args):
+    """f(*args), asserting that the call takes under a second."""
+    start = time.perf_counter()
+    result = f(*args)
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+# Each next clique starts at the lowest vertex with an uncovered edge, found
+# without a scan over all vertices, and at most two first cliques are
+# tried, so none of these three is quadratic in its input.  Each input's
+# adjacency is built before the timed call.
+
+def test_root_of_a_long_path():
+    g = path(30000)
+    g._adj
+    (root,) = _timed(root_graph, g)
+    degrees = [len(a) for a in root._adj]
+    assert (root.n, root.m, max(degrees)) == (30001, 30000, 2) and is_connected(root)
+
+
+def test_large_complete_graph_is_a_line_graph():
+    g = complete(600)
+    g._adj
+    assert _timed(is_line_graph, g) is True
+
+
+def test_no_first_clique_fits_among_many_common_neighbours():
+    # K_2 joined to 4000 isolated vertices: 0 and 1 have 4000 pairwise
+    # non-adjacent common neighbours.
+    g = join(complete(2), edgeless(4000))
+    g._adj
+    verdict = _timed(is_line_graph, g)
+    assert verdict is not True and verdict[1] == 1
+    _assert_induces(g, 1, verdict[2])
+
+
+def test_krausz_memberships_partition_the_edges(atlas):
+    # Each vertex lies in at most two cliques, indexed in the order found;
+    # the cliques are cliques and cover every edge exactly once.
+    for _, g in atlas:
+        if not is_connected(g):
+            continue
+        member = linegraph._krausz_partition(g)
+        assert (member is not None) == (is_line_graph(g) is True), g
+        if member is None:
+            continue
+        cliques = {}
+        for v, cs in enumerate(member):
+            assert len(cs) <= 2 and cs == sorted(set(cs)), g
+            for c in cs:
+                cliques.setdefault(c, []).append(v)
+        assert sorted(cliques) == list(range(len(cliques))), g
+        covered = [e for c in cliques.values() for e in itertools.combinations(c, 2)]
+        assert sorted(covered) == list(g.edges), g
 
 
 def test_root_graph_guards():
