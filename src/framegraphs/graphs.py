@@ -538,14 +538,15 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return find_isomorphism(g, h) is not None
 
 
-@functools.cache
-def enumerate_connected(n: int) -> list[Graph]:
-    """All connected graphs on n vertices, one per isomorphism class.
+def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
+    """All connected graphs on n vertices, one per isomorphism class; with
+    an excess c, only those with m - n <= c (c = -1 gives the trees, 0
+    adds the unicyclic graphs), exactly the full list filtered so.
 
     Level n is generated from level n-1 by attaching a new vertex to every
     non-empty neighbour subset, taken as a bitmask in ascending order
     (every connected graph has a non-cut vertex, so this reaches every
-    class); the first candidate of each class is kept.  Two rules keep the
+    class); the first candidate of each class is kept.  Three rules keep the
     work down without changing that list or its order:
 
     - a subset is skipped when, for some twins u < v of the parent (equal
@@ -556,21 +557,41 @@ def enumerate_connected(n: int) -> list[Graph]:
       and their sorted tuple is its bucket key.  Only the kept graphs in
       its bucket are mapped into the candidate's rows, by the induced-map
       search behind find_isomorphism, each vertex to the candidate's
-      vertices of its label.
+      vertices of its label;
+    - with an excess c, the parents are level n-1 at excess c, and a
+      subset of more than c + n - parent.m vertices is skipped.  Deleting
+      a non-cut vertex of degree d >= 1 from a connected graph with
+      m - n <= c leaves a connected parent with excess at most
+      c + 1 - d <= c, so every candidate with excess <= c comes from a
+      parent in the bounded level through a subset of at most that many
+      vertices: the bounded loop visits exactly the full loop's
+      candidates with excess <= c, in the same order.  The kept graphs in
+      one label bucket all have the same m, as labels hold degrees, so the
+      first candidate of each class is the one the full loop keeps.
 
     A Graph is built only for the graphs kept; each computes its search
     order once.
-    Results are memoized; callers must not mutate the returned list.
+    Results are memoized per (n, excess); callers must not mutate the
+    returned list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
+    if excess is not None and excess < -1:
+        raise GraphError("no connected graph has m - n < -1")
+    return _connected(n, excess)
+
+
+@functools.cache
+def _connected(n: int, excess: int | None) -> list[Graph]:
+    """enumerate_connected on checked arguments, cached once per (n, excess)."""
     if n == 1:
         return [Graph(1, ())]
     new = n - 1
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
     out = []
-    for parent in enumerate_connected(new):
+    for parent in _connected(new, excess):
         base = parent._rows
+        cap = new if excess is None else excess + n - parent.m
         # (bit of v, bit of u) for twins u < v: a kept subset holding v holds u.
         twins = [
             (1 << v, 1 << u)
@@ -578,7 +599,8 @@ def enumerate_connected(n: int) -> list[Graph]:
             if base[u] == base[v] or base[u] | 1 << u == base[v] | 1 << v
         ]
         for mask in range(1, 1 << new):
-            if any(mask & bv and not mask & bu for bv, bu in twins):
+            if mask.bit_count() > cap or any(
+                    mask & bv and not mask & bu for bv, bu in twins):
                 continue
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(base)]
             rows.append(mask)

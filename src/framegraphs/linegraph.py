@@ -7,12 +7,13 @@ two first cliques, as any other would leave an edge that no clique can
 cover, and propagates each with no further branch, so it is polynomial; by
 Whitney's theorem its first partition gives the one root (K_3 has two),
 read from each vertex's cliques.  A non-line graph is named in its first
-component with no Krausz partition, by the first claw there if it has one.
-Otherwise, by van Rooij & Wilf, two odd triangles on one edge whose apexes
-are not adjacent span at most six vertices that are not a line graph, and a
-forbidden induced subgraph is named among them with no further search.
-Both patterns are found by contains_induced, which runs the one induced-map
-search of graphs.py that also serves isomorphism testing and enumeration.
+component with no Krausz partition, by the first claw there if it has one,
+found by a scan of each vertex's bitmask row for three pairwise
+non-adjacent neighbours.  Otherwise, by van Rooij & Wilf, two odd triangles
+on one edge whose apexes are not adjacent span at most six vertices that
+are not a line graph, and a forbidden induced subgraph is named among them
+by contains_induced, which runs the one induced-map search of graphs.py
+that also serves isomorphism testing and enumeration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, GraphError, beineke, complete, components, is_connected, star
-from .graphs import _induced_map
+from .graphs import _bits, _induced_map
 
 
 class NotALineGraph(GraphError):
@@ -142,6 +143,23 @@ def _odd_diamond(g: Graph) -> list[int]:
     raise AssertionError("claw-free and no Krausz partition, yet no odd diamond")
 
 
+def _claw(g: Graph) -> dict[int, int] | None:
+    """The first induced claw of g, as contains_induced(g, beineke(1))
+    returns it, or None: the lowest centre v, then the lexicographically
+    first a < b < c of its neighbours that are pairwise non-adjacent."""
+    rows = g._rows
+    for v, r in enumerate(rows):
+        for a in _bits(r):
+            # v's neighbours above a that a does not see, then above b
+            # that neither a nor b sees.
+            far = r & ~rows[a] & -(2 << a)
+            for b in _bits(far):
+                rest = far & ~rows[b] & -(2 << b)
+                if rest:
+                    return {0: v, 1: a, 2: b, 3: (rest & -rest).bit_length() - 1}
+    return None
+
+
 def _beineke_witness(g: Graph) -> tuple[int, dict[int, int]]:
     """(i, embedding) for a Beineke graph G_i induced in the
     connected g, which has no Krausz partition.
@@ -153,7 +171,7 @@ def _beineke_witness(g: Graph) -> tuple[int, dict[int, int]]:
     have c and d non-adjacent.  Its at most six vertices induce a
     claw-free non-line graph, named by the first G2..G9 in it.
     """
-    embedding = contains_induced(g, beineke(1))
+    embedding = _claw(g)
     if embedding is not None:
         return 1, embedding
     keep = _odd_diamond(g)

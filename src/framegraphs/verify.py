@@ -188,15 +188,17 @@ def root_order_theorem_check(max_n: int) -> SweepReport:
     For connected roots with as many edges as vertices, and for trees, the
     line graph must classify tight when the root is C_4, O_n (O_3 = C_3)
     or a star, and must carry a common-neighbor obstruction otherwise.
+    The roots are enumerate_connected(k, 0), which builds only the graphs
+    with m <= n, not every connected graph on k vertices.
     """
     if max_n > ENUMERATION_MAX_N:
         raise GraphError(
             f"root_order_theorem_check capped at max_n = {ENUMERATION_MAX_N}")
+    if max_n < 2:
+        raise GraphError("root_order_theorem_check needs max_n >= 2")
     report = SweepReport()
     for k in range(2, max_n + 1):
-        for p in enumerate_connected(k):
-            if p.m > p.n:
-                continue
+        for p in enumerate_connected(k, 0):
             # Exempt: a star or O_n (a vertex adjacent to all others), or C_4,
             # the one unicyclic root on 4 vertices with maximum degree 2.
             top = p.degree_sequence()[-1]
@@ -215,6 +217,8 @@ def induced_path_sweep(max_n: int) -> SweepReport:
     if max_n > ENUMERATION_MAX_N:
         raise GraphError(
             f"induced_path_sweep capped at max_n = {ENUMERATION_MAX_N}")
+    if max_n < 4:
+        raise GraphError("induced_path_sweep needs max_n >= 4")
     report = SweepReport()
     p4 = path(4)
     for k in range(4, max_n + 1):

@@ -257,6 +257,22 @@ def test_sweeps(runner):
     assert res.exit_code == 0 and "0 counterexample(s)" in res.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "root-order", "--max-n", "1"],
+    ["sweep", "root-order", "--max-n", "-3"],
+    ["sweep", "lemma-p4", "--max-n", "3"],
+    ["sweep", "lemma-p4", "--max-n", "0"],
+    ["sweep", "join-line", "--max-n", "2"],
+])
+def test_vacuous_sweep_exits_2(argv, capsys):
+    # A sweep that could check nothing is an error, not "checked 0".
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 def test_sweep_counterexamples_exit_1(runner, monkeypatch):
     monkeypatch.setattr(verify, "neighbor_obstruction", lambda g: None)
     res = run(runner, ["sweep", "lemma-p4", "--max-n", "5"])

@@ -456,6 +456,22 @@ def test_enumeration_guard():
         enumerate_connected(0)
     with pytest.raises(GraphError):
         enumerate_connected(graphs.ENUMERATION_MAX_N + 1)
+    with pytest.raises(GraphError):
+        enumerate_connected(5, -2)  # no connected graph has m - n < -1
+
+
+def test_bounded_enumeration_is_the_filtered_level():
+    # Same graphs, same labels, same order as the full level filtered by
+    # edge excess; level 8 is shared with test_enumeration_of_order_8
+    # through the cache.
+    for n, excesses in [*((n, range(-1, 3)) for n in range(1, 8)), (8, (-1, 0))]:
+        full = enumerate_connected(n)
+        for e in excesses:
+            assert enumerate_connected(n, e) == [g for g in full if g.m - g.n <= e], (n, e)
+    assert [len(enumerate_connected(n, 0)) for n in (7, 8)] == [44, 112]
+    # One cache entry per (n, excess), however the excess is passed.
+    assert enumerate_connected(6) is enumerate_connected(6, None) \
+        is enumerate_connected(6, excess=None)
 
 
 # ---------------------------------------------------------------------------

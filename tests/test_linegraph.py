@@ -426,6 +426,17 @@ def test_contains_induced_matches_reference_search(atlas):
             ), (g, h)
 
 
+def test_claw_scan_matches_induced_search(atlas):
+    """The bitmask claw scan that names G1 returns the embedding the
+    induced-map search returns, on the atlas, every join the join-line
+    sweep checks at max-n 5, and the hosts past the atlas."""
+    pool = [g for k in range(3, 6) for g in enumerate_connected(k)]
+    joins = [join(g, h) for i, g in enumerate(pool) for h in pool[i:]]
+    for g in [g for _, g in atlas] + joins + _hosts_beyond_atlas():
+        expected = contains_induced(g, beineke(1)) if g.n >= 4 else None
+        assert linegraph._claw(g) == expected, g
+
+
 def test_contains_induced_has_no_recursion_limit():
     g, h = path(1200), path(1100)
     phi = contains_induced(g, h)

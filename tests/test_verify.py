@@ -358,19 +358,32 @@ def test_every_certificate_is_verified(monkeypatch):
 def test_root_order_sweep():
     report = root_order_theorem_check(6)
     assert report.ok and report.checked > 0
-    with pytest.raises(GraphError):
-        root_order_theorem_check(9)
+    for max_n in (9, 1, -3):  # above the cap, or no root to check
+        with pytest.raises(GraphError):
+            root_order_theorem_check(max_n)
     report = root_order_theorem_check(7)
     assert report.ok and report.checked == 78
     report = root_order_theorem_check(8)
     assert report.ok and report.checked == 190
 
 
+def test_root_order_sweep_enumerates_only_its_roots(monkeypatch):
+    # The roots have m <= n, so each level is requested at excess 0 and
+    # no full level is built.
+    requested = []
+    enumerate_all = verify.enumerate_connected
+    monkeypatch.setattr(verify, "enumerate_connected",
+                        lambda *args: requested.append(args) or enumerate_all(*args))
+    assert root_order_theorem_check(8).checked == 190
+    assert requested == [(k, 0) for k in range(2, 9)]
+
+
 def test_induced_path_sweep():
     report = induced_path_sweep(6)
     assert report.ok and report.checked == 89
-    with pytest.raises(GraphError):
-        induced_path_sweep(9)
+    for max_n in (9, 3, 0):  # above the cap, or too small to hold a P_4
+        with pytest.raises(GraphError):
+            induced_path_sweep(max_n)
     report = induced_path_sweep(7)
     assert report.ok and report.checked == 852
     report = induced_path_sweep(8)
