@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -115,23 +116,25 @@ class Graph:
     def _order(self) -> tuple[int, ...]:
         """The vertices in the order _induced_map maps them: next is the
         vertex with the most neighbours already ordered, then the highest
-        degree, then the lowest index.  In a connected graph every vertex
-        after the first has a neighbour earlier in the order."""
-        n, rows = self.n, self._rows
-        # One priority per vertex, larger first: an ordered neighbour adds
-        # n * n, more than any degree * n plus index term.
-        priority = [r.bit_count() * n + n - 1 - u for u, r in enumerate(rows)]
-        left = list(range(n))
+        degree, then the lowest index, popped from a heap keyed so.  Each
+        count a vertex reaches is pushed once, so an entry whose count has
+        since grown is stale and skipped.  In a connected graph every
+        vertex after the first has a neighbour earlier in the order."""
+        rows = self._rows
+        count = [0] * self.n  # neighbours already ordered
+        heap = [(0, -r.bit_count(), u) for u, r in enumerate(rows)]
+        heapq.heapify(heap)
         order = []
+        left = (1 << self.n) - 1  # the vertices not yet ordered
         while left:
-            u = max(left, key=priority.__getitem__)
-            left.remove(u)
+            k, _, u = heapq.heappop(heap)
+            if count[u] != -k:
+                continue
             order.append(u)
-            r = rows[u]
-            while r:
-                low = r & -r
-                r ^= low
-                priority[low.bit_length() - 1] += n * n
+            left ^= 1 << u
+            for w in _bits(rows[u] & left):
+                count[w] += 1
+                heapq.heappush(heap, (-count[w], -rows[w].bit_count(), w))
         return tuple(order)
 
     @staticmethod
@@ -241,12 +244,11 @@ def diamond() -> Graph:
 
 
 def hypercube(n: int) -> Graph:
+    """Q_n: vertex v is a bit string, adjacent to each v with one bit flipped."""
     if n < 1:
         raise GraphError("Q_n needs n >= 1")
-    g = complete(2)
-    for _ in range(n - 1):
-        g = cartesian_product(g, complete(2))
-    return g
+    return Graph(1 << n, tuple(
+        (v, v | 1 << i) for v in range(1 << n) for i in range(n) if not v >> i & 1))
 
 
 @functools.cache
@@ -536,6 +538,25 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     return find_isomorphism(g, h) is not None
+
+
+def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
+    """An injective map V(h) -> V(g) inducing h exactly, keyed in h._order,
+    or None.
+
+    The induced-map search behind find_isomorphism and enumerate_connected:
+    h's vertices in h._order, each to the vertices of g of at least its
+    degree, tried in increasing order.  So the embedding returned is the
+    first one in that fixed search order.
+    """
+    if h.n > g.n:
+        raise GraphError("pattern graph is larger than host")
+    grows = g._rows
+    degree = [r.bit_count() for r in h._rows]
+    at_least = {d: sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
+                for d in set(degree)}
+    image = _induced_map(h, grows, [at_least[d] for d in degree])
+    return None if image is None else {u: image[u] for u in h._order}
 
 
 def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:

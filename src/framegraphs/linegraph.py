@@ -12,8 +12,8 @@ found by a scan of each vertex's bitmask row for three pairwise
 non-adjacent neighbours.  Otherwise, by van Rooij & Wilf, two odd triangles
 on one edge whose apexes are not adjacent span at most six vertices that
 are not a line graph, and a forbidden induced subgraph is named among them
-by contains_induced, which runs the one induced-map search of graphs.py
-that also serves isomorphism testing and enumeration.
+by graphs.contains_induced, the induced-map search that also serves
+isomorphism testing and enumeration; it stays importable from here.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, beineke, complete, components, is_connected, star
-from .graphs import _bits, _induced_map
+from .graphs import Graph, GraphError, _bits, beineke, complete, components, \
+    contains_induced, is_connected, star
 
 
 class NotALineGraph(GraphError):
@@ -92,25 +92,6 @@ def line_graph(g: Graph) -> LineGraphMap:
     # Each pair is (i, j) with i < j; the constructor sorts them.
     edges = tuple(pair for inc in incident for pair in itertools.combinations(inc, 2))
     return LineGraphMap(line=Graph(g.m, edges))
-
-
-def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
-    """An injective map V(h) -> V(g) inducing h exactly, or None.
-
-    The induced-map search behind find_isomorphism and enumerate_connected:
-    h's vertices in h._order (most neighbours already ordered, then highest
-    degree, then lowest index), each to the vertices of g of at least its
-    degree, tried in increasing order.  So the embedding returned is the
-    first one in that fixed search order.
-    """
-    if h.n > g.n:
-        raise GraphError("pattern graph is larger than host")
-    grows = g._rows
-    degree = [r.bit_count() for r in h._rows]
-    at_least = {d: sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
-                for d in set(degree)}
-    image = _induced_map(h, grows, [at_least[d] for d in degree])
-    return None if image is None else {u: image[u] for u in h._order}
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:

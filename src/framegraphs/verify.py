@@ -14,9 +14,9 @@ import numpy as np
 
 from . import constructions, graphs
 from .frames import Frame, associated_graph, represents, tightness
-from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, \
+from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, contains_induced, \
     enumerate_connected, find_isomorphism, is_connected, path
-from .linegraph import contains_induced, is_line_graph, line_graph
+from .linegraph import is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
 
@@ -83,44 +83,34 @@ def edge_cycle_check(g: Graph) -> tuple[int, int] | None:
 # Classification
 # ---------------------------------------------------------------------------
 
-def _catalog_frames(n: int, m: int):
-    """Candidate (name, frame) pairs whose pattern could match an (n, m) graph."""
-    if n == 1:
-        yield "k1", Frame(np.array([[1.0]]))
-        return
-    if m == n * (n - 1) // 2:
-        yield "complete", constructions.star_frame(n, n - 1)
-    if n >= 4 and m == n * (n - 1) // 2 - 1:
-        yield "complete-minus-edge", constructions.kn_minus_e_frame(n)
-    if n == 4 and m == 4:
-        yield "cycle4", constructions.c4_frame()
-    if n >= 4 and m == (n - 1) * (n - 2) // 2 + 2:
-        yield "line-of-o", constructions.line_o_frame(n)
-    if n == 5 and m == 7:
-        yield "g2", constructions.g2_frame()
-    if n == 6 and m == 11:
-        yield "g6", constructions.g6_frame()
-    for k in range(3, n + 1):
-        if k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m:
-            yield f"line-of-complete{k}", constructions.laplacian_method(graphs.complete(k))
-    if n % 2 == 0 and n >= 6:
-        k = n // 2
-        if m == k * (k - 1) + k:
-            yield f"k2-box-k{k}", constructions.k2kn_frame(k)
-
-
 @functools.lru_cache(maxsize=512)
 def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
-    """The catalog entries for an (n, m) graph, each as (name, frame,
-    pattern), the pattern being the frame's Gram graph with the labels and
-    search order find_isomorphism reads already built.  Memoised per
-    (n, m, tol): every call shares the frames, which are read-only."""
-    entries = []
-    for name, frame in _catalog_frames(n, m):
-        pattern = associated_graph(frame, tol).graph
-        pattern._labels, pattern._order  # the views every match reads
-        entries.append((name, frame, pattern))
-    return tuple(entries)
+    """The catalog entries that could match an (n, m) graph, each as (name,
+    frame, pattern), the pattern being the frame's Gram graph.  A family's
+    frame is built only when (n, m) passes its edge-count test, so a large
+    sparse graph builds none.  Memoised per (n, m, tol): every call shares
+    the frames and patterns, which are read-only, and each pattern builds
+    its matching views on its first match."""
+    found = [("k1", Frame(np.array([[1.0]])))] if n == 1 else []
+    if n > 1 and m == n * (n - 1) // 2:
+        found.append(("complete", constructions.star_frame(n, n - 1)))
+    if n >= 4 and m == n * (n - 1) // 2 - 1:
+        found.append(("complete-minus-edge", constructions.kn_minus_e_frame(n)))
+    if n == 4 and m == 4:
+        found.append(("cycle4", constructions.c4_frame()))
+    if n >= 4 and m == (n - 1) * (n - 2) // 2 + 2:
+        found.append(("line-of-o", constructions.line_o_frame(n)))
+    if n == 5 and m == 7:
+        found.append(("g2", constructions.g2_frame()))
+    if n == 6 and m == 11:
+        found.append(("g6", constructions.g6_frame()))
+    for k in range(3, n + 1):
+        if k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m:
+            found.append((f"line-of-complete{k}",
+                          constructions.laplacian_method(graphs.complete(k))))
+    if n % 2 == 0 and n >= 6 and m == (n // 2) ** 2:
+        found.append((f"k2-box-k{n // 2}", constructions.k2kn_frame(n // 2)))
+    return tuple((name, frame, associated_graph(frame, tol).graph) for name, frame in found)
 
 
 def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import framegraphs
 from framegraphs import verify
 from framegraphs.cli import cli, main
 from framegraphs.graphs import complete, cycle, edgeless, from_text, path, star, to_text
@@ -237,6 +239,23 @@ def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" in err and "error: internal error" in err
+
+
+def test_every_error_class_is_a_value_error():
+    # main maps OSError and ValueError to "error: ..." and exit 2, so an
+    # error class outside ValueError would turn an input error into an
+    # internal-error traceback.
+    errors = {
+        obj for info in pkgutil.iter_modules(framegraphs.__path__)
+        if info.name != "__main__"
+        for obj in vars(importlib.import_module(f"framegraphs.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and not issubclass(obj, Warning) and obj.__module__.startswith("framegraphs.")
+    }
+    assert {e.__name__ for e in errors} >= {
+        "GraphError", "NotALineGraph", "FrameError", "ToleranceInconsistencyError",
+        "SpectralError", "MatrixFormatError"}
+    assert all(issubclass(e, ValueError) for e in errors)
 
 
 def test_tolerance_option(runner):

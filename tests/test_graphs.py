@@ -3,13 +3,14 @@
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_graphs as reference
-from framegraphs import graphs
+from framegraphs import graphs, linegraph
 from framegraphs.graphs import (
     Graph,
     GraphError,
@@ -131,6 +132,11 @@ def test_family_sizes():
     assert complete_bipartite(2, 4).m == 8
     assert o_graph(6).m == 6  # star plus one leaf-leaf edge
     assert hypercube(3).n == 8 and hypercube(3).m == 12
+    # Bit flips give the graph and labels of chained products with K_2.
+    cube = complete(2)
+    for n in range(1, 11):
+        assert hypercube(n) == cube
+        cube = cartesian_product(cube, complete(2))
     assert diamond().n == 4 and not diamond().has_edge(0, 1)
 
 
@@ -356,6 +362,19 @@ def test_isomorphism_agrees_with_networkx(n, bits, seed, move):
     assert (phi is not None) == nx.is_isomorphic(a, b)
     if phi is not None:
         assert sorted(h.edges) == sorted(tuple(sorted((phi[u], phi[v]))) for u, v in g.edges)
+
+
+def test_only_graphs_reads_the_matcher_internals():
+    # The induced-map search, its candidate masks and the views it reads
+    # live in graphs.py; every other module goes through its three
+    # questions: find_isomorphism, enumerate_connected, contains_induced.
+    for path_ in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        if path_.name != "graphs.py":
+            text = path_.read_text()
+            for name in ("_induced_map", "_label_masks", "._labels", "._order"):
+                assert name not in text, f"{path_.name} names {name}"
+    assert graphs.contains_induced.__module__ == "framegraphs.graphs"
+    assert linegraph.contains_induced is graphs.contains_induced
 
 
 @given(st.integers(1, 14), st.integers(0, 2**40), st.integers(0, 10**6))

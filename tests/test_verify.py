@@ -1,6 +1,8 @@
 """Obstruction tests, classification certificates, and exhaustive sweeps."""
 
+import inspect
 import random
+import time
 import warnings
 from collections import Counter
 
@@ -330,6 +332,32 @@ def test_catalog_frame_built_once_per_key(monkeypatch):
     assert classify(k12e, TolerancePolicy(1e-6)).detail == "complete-minus-edge"
     assert built == [12, 12]
     assert verify._catalog.cache_info().currsize == 2
+
+
+def test_catalog_builds_no_frame_it_cannot_match(monkeypatch):
+    # The per-family edge-count tests carry load: a catalog built per order
+    # alone would build star_frame(100_000, 99_999), about 80 GB, to
+    # classify a path.
+    built = []
+
+    def refuse(name):
+        def builder(*args, **kwargs):
+            built.append(name)
+            raise AssertionError(f"{name}{args} built for a graph it cannot match")
+        return builder
+
+    for name, fn in vars(constructions).items():
+        if inspect.isfunction(fn) and fn.__module__ == constructions.__name__ \
+                and not name.startswith("_"):
+            monkeypatch.setattr(constructions, name, refuse(name))
+    verify._catalog.cache_clear()
+    assert verify._catalog(100_000, 99_999, DEFAULT_TOL) == ()
+    g = path(60_000)
+    start = time.perf_counter()
+    assert classify(g).verdict == "not_tight"
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+    verify._catalog.cache_clear()
 
 
 def test_every_certificate_is_verified(monkeypatch):
