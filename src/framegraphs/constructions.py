@@ -20,7 +20,7 @@ from .linegraph import laplacian, oriented_incidence
 from .spectral import DEFAULT_TOL, TolerancePolicy, group_eigenvalues, sym_eig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletionResult:
     """A frame extended to a tight frame: original columns plus `added`."""
 

@@ -29,18 +29,21 @@ class BorderlineEntryWarning(UserWarning):
     """A Gram entry sits close to the zero threshold; the pattern is fragile."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Frame for R^d given by its synthesis matrix (columns = frame vectors).
 
     The synthesis matrix is a read-only copy, so the ascending eigenvalues
     of the frame operator that the rank check keeps, and frame_bounds and
-    tightness read, stay those of the frame."""
+    tightness read, stay those of the frame.  Complex input raises, and
+    frames compare and hash by identity (arrays have no truth value)."""
 
     synthesis: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.synthesis):
+            raise FrameError("synthesis matrix is complex; only real frames are supported")
         mat = np.array(self.synthesis, dtype=float)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise FrameError(f"synthesis matrix must be 2-d, got shape {mat.shape}")

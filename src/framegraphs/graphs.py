@@ -391,25 +391,23 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
 
     p's vertices are mapped in p._order, u to the unused host vertices of
     the bitmask allowed[u] adjacent to the images of u's mapped neighbours
-    and to no other image, tried in ascending order.  The rows of the
-    neighbours' images, ANDed, give a mask of candidates.  When no more
-    vertices are mapped than u has unused allowed vertices, the rows of the
-    other images are masked out as well; otherwise each candidate is
-    tested against all images as it comes up, so a step on a long sparse
-    pattern costs the neighbours mapped, not all vertices mapped.  The
-    search is kept on an explicit stack, so the recursion limit does not
-    bound its depth.
+    and to no other image, tried in ascending order.  One step rule: the
+    rows of the neighbours' images, ANDed, less the row of the image of u's
+    lowest-numbered mapped non-neighbour, mask the candidates; a candidate v,
+    which sees every neighbour's image, is kept iff hrows[v] meets no more
+    images than u has mapped neighbours.  A step costs the neighbours
+    mapped, and on a dense host the masked row prunes most candidates.  An
+    explicit stack keeps the search's depth free of the recursion limit.
     """
     order, prows = p._order, p._rows
     n = p.n
-    # Per position k: the candidates not yet tried, and, when they are yet
-    # to be tested against the images, the images they must see.
+    # Per position k: the candidates not yet tried, and how many images each sees.
     left = [0] * n
-    sees: list[int | None] = [None] * n
+    sees = [0] * n
     left[0] = allowed[order[0]]
     image = [0] * n
-    used = 0
-    before = None  # per position, the pattern vertices mapped before it
+    used = 0  # the images, as host vertices
+    done = 0  # the mapped pattern vertices
     k = 0
     while True:
         cands = left[k]
@@ -418,50 +416,35 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
             if k == 0:
                 return None
             k -= 1
-            used ^= 1 << image[order[k]]
+            u = order[k]
+            used ^= 1 << image[u]
+            done ^= 1 << u
             continue
         low = cands & -cands
         left[k] = cands ^ low
         v = low.bit_length() - 1
-        seen = sees[k]
-        if seen is not None and hrows[v] & used != seen:
+        if (hrows[v] & used).bit_count() != sees[k]:
             continue
-        image[order[k]] = v
+        u = order[k]
+        image[u] = v
         used |= low
+        done |= 1 << u
         k += 1
         if k == n:
             return image
         u = order[k]
         row = prows[u]
         cands = allowed[u] & ~used
-        if k <= cands.bit_count():
-            # Few vertices mapped: mask out the rows of the images of u's
-            # non-neighbours now too.
-            far = 0
-            for w in order[:k]:
-                if row >> w & 1:
-                    cands &= hrows[image[w]]
-                else:
-                    far |= hrows[image[w]]
-            left[k] = cands & ~far
-            sees[k] = None
-        else:
-            # Many mapped: visit u's mapped neighbours only, and test each
-            # candidate against the other images when it comes up.
-            if before is None:
-                before = [0]
-                for w in order[:-1]:
-                    before.append(before[-1] | 1 << w)
-            mapped = row & before[k]
-            seen = 0
-            while mapped:
-                bit = mapped & -mapped
-                mapped ^= bit
-                x = image[bit.bit_length() - 1]
-                cands &= hrows[x]
-                seen |= 1 << x
-            left[k] = cands
-            sees[k] = seen
+        mapped = row & done
+        far = done ^ mapped
+        sees[k] = mapped.bit_count()
+        while mapped:
+            bit = mapped & -mapped
+            mapped ^= bit
+            cands &= hrows[image[bit.bit_length() - 1]]
+        if far:
+            cands &= ~hrows[image[(far & -far).bit_length() - 1]]
+        left[k] = cands
 
 
 def _bits(mask: int):

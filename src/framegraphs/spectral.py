@@ -34,15 +34,17 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigDecomp:
-    """Ascending eigenvalues and orthonormal column eigenvectors."""
+    """Ascending eigenvalues and orthonormal column eigenvectors; equal only to itself."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def _check_symmetric(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    if np.iscomplexobj(m):
+        raise SpectralError("matrix is complex; only real symmetric matrices are supported")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise SpectralError(f"matrix must be square and non-empty, got shape {m.shape}")

@@ -8,6 +8,7 @@ annotated from the literature; everything else is reported unknown.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .linegraph import is_line_graph, line_graph
 from .spectral import DEFAULT_TOL, TolerancePolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Evidence for or against the tight-frame-graph property.
 
@@ -104,10 +105,10 @@ def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
         found.append(("g2", constructions.g2_frame()))
     if n == 6 and m == 11:
         found.append(("g6", constructions.g6_frame()))
-    for k in range(3, n + 1):
-        if k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m:
-            found.append((f"line-of-complete{k}",
-                          constructions.laplacian_method(graphs.complete(k))))
+    k = (1 + math.isqrt(1 + 8 * n)) // 2  # the one k >= 3 with k(k - 1)/2 = n, if any
+    if k >= 3 and k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m:
+        found.append((f"line-of-complete{k}",
+                      constructions.laplacian_method(graphs.complete(k))))
     if n % 2 == 0 and n >= 6 and m == (n // 2) ** 2:
         found.append((f"k2-box-k{n // 2}", constructions.k2kn_frame(n // 2)))
     return tuple((name, frame, associated_graph(frame, tol).graph) for name, frame in found)
@@ -118,8 +119,9 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
 
     Tries the constructive catalog at any order (find_isomorphism from the
     catalog pattern onto the input, then the frame's columns relabeled and
-    re-verified), then the obstruction
-    tests, then the literature annotations; otherwise returns unknown.
+    re-verified), then the literature annotation of K_{2,n-2}, which no
+    obstruction test refutes, then the obstruction tests; otherwise returns
+    unknown.
     The catalog frames and their Gram patterns are built once per (order,
     size, tolerance) in a process; each certificate is still re-verified.
     """
@@ -137,6 +139,21 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
         if not represents(cert_frame, g, tol):
             raise AssertionError(f"catalog frame {name} does not match after relabeling")
         return Certificate("tight", detail=name, frame=cert_frame)
+    # Two non-adjacent vertices of degree n - 2 cover 2(n - 2) edges; if that
+    # is all of them, g is K_{2,n-2}, and they are the neighbours of any leaf:
+    # vertex 0, or else its lowest neighbour.  No pair there has exactly one
+    # common neighbour, so testing it first spares the pair scan.
+    n = g.n
+    if n >= 5 and g.m == 2 * (n - 2):
+        adj = g._adj
+        hubs = adj[0] if len(adj[0]) == 2 else adj[min(adj[0])]
+        if len(hubs) == 2:
+            u, v = hubs
+            if len(adj[u]) == len(adj[v]) == n - 2 and v not in adj[u]:
+                return Certificate(
+                    "literature_not_tight",
+                    detail="K_{m,n} is a tight frame graph only for m = n",
+                )
     witness = neighbor_obstruction(g)
     if witness is not None:
         return Certificate(
@@ -146,15 +163,6 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     # No edge_cycle_check stage: if edge uv (n >= 3) is on no 3- or 4-cycle,
     # u (say) has another neighbor w, and u is the only common neighbor of
     # the non-adjacent w and v, so neighbor_obstruction has returned.
-    # Two non-adjacent vertices of degree n - 2 cover 2(n - 2) edges; if that
-    # is all of them, g is K_{2,n-2}, whose other vertices have degree 2.
-    if g.n >= 5 and g.m == 2 * (g.n - 2):
-        hubs = [u for u in range(g.n) if g.degree(u) == g.n - 2]
-        if len(hubs) >= 2 and not g.has_edge(hubs[0], hubs[1]):
-            return Certificate(
-                "literature_not_tight",
-                detail="K_{m,n} is a tight frame graph only for m = n",
-            )
     return Certificate("unknown")
 
 

@@ -22,6 +22,7 @@ from framegraphs.constructions import (
     laplacian_method,
     line_o_frame,
     lkn_small_frame,
+    minimal_tight_completion,
     star_frame,
 )
 from framegraphs.frames import (
@@ -44,7 +45,8 @@ from framegraphs.frames import (
 from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
 from framegraphs.linegraph import line_graph
 from framegraphs.matio import matrix_to_text
-from framegraphs.spectral import TolerancePolicy
+from framegraphs.spectral import TolerancePolicy, sym_eig
+from framegraphs.verify import classify
 
 
 def mercedes_frame():
@@ -68,6 +70,29 @@ def test_frame_validation():
     f = Frame(np.eye(3))
     assert f.d == f.n == 3
     assert np.array_equal(f.column(1), np.array([0.0, 1.0, 0.0]))
+
+
+def test_complex_frame_rejected():
+    # Casting to float would drop the imaginary part: this one would pass
+    # as Parseval, with only a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameError, match="complex"):
+            Frame(np.array([[1 + 1j, 0], [0, 1]]))
+
+
+def test_records_compare_by_identity():
+    # The generated __eq__ compared arrays and raised; these records are
+    # equal only to themselves, and hash.
+    f = Frame(np.eye(2))
+    dec = sym_eig(np.eye(2))
+    done = minimal_tight_completion(Frame(np.array([[1.0, 0.0], [0.0, 2.0]])))
+    cert, other = classify(cycle(4)), classify(cycle(4))
+    for a, b in ((f, Frame(np.eye(2))), (dec, sym_eig(np.eye(2))), (done, done.frame),
+                 (cert, other)):
+        assert a == a and a != b
+        hash(a)
+    assert len({f, dec, done, cert, other}) == 5
 
 
 def test_too_few_columns_rejected_before_the_rank_test(monkeypatch):

@@ -426,6 +426,34 @@ def test_contains_induced_matches_reference_search(atlas):
             ), (g, h)
 
 
+def test_contains_induced_matches_networkx_on_dense_hosts():
+    # Dense hosts past the reference comparison's 14 vertices, where the
+    # masked row of the step rule prunes most candidates: networkx's
+    # induced matcher decides containment, and every returned map induces
+    # its pattern.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    hosts = [delete_edge(complete(n), (0, 1)) for n in (15, 18)]
+    rng = random.Random(4)
+    for _ in range(3):
+        hosts.append(Graph.from_edges(16, [
+            (u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.8
+        ]))
+    patterns = [beineke(i) for i in range(1, 10)] + [path(4)]
+    for g in hosts:
+        a = nx.Graph(g.edges)
+        a.add_nodes_from(range(g.n))
+        for h in patterns:
+            b = nx.Graph(h.edges)
+            b.add_nodes_from(range(h.n))
+            phi = contains_induced(g, h)
+            assert (phi is not None) == GraphMatcher(a, b).subgraph_is_isomorphic(), (g, h)
+            if phi is not None:
+                assert sorted(phi) == list(range(h.n)) and len(set(phi.values())) == h.n
+                assert all(g.has_edge(phi[u], phi[v]) == h.has_edge(u, v)
+                           for u, v in itertools.combinations(range(h.n), 2))
+
+
 def test_claw_scan_matches_induced_search(atlas):
     """The bitmask claw scan that names G1 returns the embedding the
     induced-map search returns, on the atlas, every join the join-line

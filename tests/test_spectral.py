@@ -89,6 +89,15 @@ def test_sym_eig_rejects_bad_input():
         sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_complex_input_is_rejected():
+    # Casting to float would drop the imaginary parts: the first matrix has
+    # eigenvalues 1 and 3, not 2 and 2, and the second has rank 1, not 2.
+    for call, m in ((sym_eig, [[2, 1j], [-1j, 2]]), (numeric_rank, [[1, 1j], [-1j, 1]]),
+                    (sym_eig, np.array([[2, 0], [0, 2]], dtype=complex))):
+        with pytest.raises(SpectralError, match="complex"):
+            call(m)
+
+
 def test_empty_matrix_is_rejected():
     for call in (sym_eig, numeric_rank):
         with pytest.raises(SpectralError, match="non-empty"):

@@ -177,6 +177,20 @@ def test_classify_literature_annotation():
     assert classify(complete_bipartite(2, 1000)).verdict == "literature_not_tight"
 
 
+def test_k2n_is_annotated_before_the_pair_scan(monkeypatch):
+    # K_{2,k} has no neighbour witness, and its shape is tested first, so
+    # classify(K_{2,4000}) does not pay the quadratic pair scan.
+    def no_scan(g):
+        raise AssertionError("pair scan reached")
+
+    monkeypatch.setattr(verify, "neighbor_obstruction", no_scan)
+    for k in [*range(3, 61), 4000]:
+        assert classify(complete_bipartite(2, k)).verdict == "literature_not_tight", k
+        # The same graph with its hubs last, so vertex 0 is a leaf.
+        leaves_first = Graph.from_edges(k + 2, [(i, k + j) for i in range(k) for j in (0, 1)])
+        assert classify(leaves_first).verdict == "literature_not_tight", k
+
+
 def test_classify_unknown():
     # The 6-vertex wheel matches no catalog entry and no obstruction fires.
     cert = classify(beineke(9))
@@ -290,6 +304,18 @@ def test_warm_catalog_matches_cold():
             details.add(warm.detail)
     assert details == {"complete", "complete-minus-edge", "cycle4", "line-of-o", "g2", "g6"} | {
         f"line-of-complete{k}" for k in range(4, 8)} | {f"k2-box-k{k}" for k in range(3, 13)}
+
+
+def test_line_of_complete_listed_exactly_at_its_order():
+    # One candidate k per order n, from k(k - 1)/2 = n.
+    def names(n, m):
+        return [name for name, *_ in verify._catalog(n, m, DEFAULT_TOL)
+                if name.startswith("line-of-complete")]
+
+    for k in range(3, 16):
+        n = k * (k - 1) // 2
+        assert names(n, n * (k - 2)) == [f"line-of-complete{k}"]
+        assert names(n - 1, n * (k - 2)) == names(n + 1, n * (k - 2)) == []
 
 
 def test_catalog_memo_cannot_be_poisoned():
