@@ -13,6 +13,7 @@ import functools
 import heapq
 import itertools
 import operator
+import os
 from dataclasses import dataclass
 
 
@@ -349,7 +350,17 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
+    """Whether a walk from vertex 0 reaches all n vertices."""
+    adj = g._adj
+    seen = [False] * g.n
+    seen[0] = True
+    reached = [0]
+    for u in reached:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+    return len(reached) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +538,10 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """An injective map V(h) -> V(g) inducing h exactly, keyed in h._order,
     or None.
 
-    The induced-map search behind find_isomorphism and enumerate_connected:
-    h's vertices in h._order, each to the vertices of g of at least its
-    degree, tried in increasing order.  So the embedding returned is the
-    first one in that fixed search order.
+    The induced-map search behind find_isomorphism: h's vertices in
+    h._order, each to the vertices of g of at least its degree, tried in
+    increasing order.  So the embedding returned is the first one in that
+    fixed search order.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
@@ -547,36 +558,11 @@ def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
     an excess c, only those with m - n <= c (c = -1 gives the trees, 0
     adds the unicyclic graphs), exactly the full list filtered so.
 
-    Level n is generated from level n-1 by attaching a new vertex to every
-    non-empty neighbour subset, taken as a bitmask in ascending order
-    (every connected graph has a non-cut vertex, so this reaches every
-    class); the first candidate of each class is kept.  Three rules keep the
-    work down without changing that list or its order:
-
-    - a subset is skipped when, for some twins u < v of the parent (equal
-      open or equal closed neighbourhoods), it holds v but not u.  Swapping
-      u and v is an automorphism of the parent, so the candidate is
-      isomorphic to one from a smaller subset of the same parent;
-    - each candidate's vertex labels are computed once, on bitmask rows,
-      and their sorted tuple is its bucket key.  Only the kept graphs in
-      its bucket are mapped into the candidate's rows, by the induced-map
-      search behind find_isomorphism, each vertex to the candidate's
-      vertices of its label;
-    - with an excess c, the parents are level n-1 at excess c, and a
-      subset of more than c + n - parent.m vertices is skipped.  Deleting
-      a non-cut vertex of degree d >= 1 from a connected graph with
-      m - n <= c leaves a connected parent with excess at most
-      c + 1 - d <= c, so every candidate with excess <= c comes from a
-      parent in the bounded level through a subset of at most that many
-      vertices: the bounded loop visits exactly the full loop's
-      candidates with excess <= c, in the same order.  The kept graphs in
-      one label bucket all have the same m, as labels hold degrees, so the
-      first candidate of each class is the one the full loop keeps.
-
-    A Graph is built only for the graphs kept; each computes its search
-    order once.
-    Results are memoized per (n, excess); callers must not mutate the
-    returned list.
+    Level n is read from the committed table connected.g6 (CONNECTED_TABLE),
+    one graph6 line per graph, which tools/connected_table.py generates.
+    The file is read and checked once, on the first call; a line is
+    skipped by its bit count before a Graph is built.  Results are
+    memoized per (n, excess); callers must not mutate the returned list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
@@ -585,41 +571,53 @@ def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
     return _connected(n, excess)
 
 
+CONNECTED_TABLE = os.path.join(os.path.dirname(__file__), "connected.g6")
+# OEIS A001349: the connected graphs on n = 1, 2, ... vertices.
+CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
+
+
+@functools.cache
+def _table() -> dict[int, list[bytes]]:
+    """The table's graph6 lines by order, each level checked: its count,
+    the length of its lines, their characters and their zero padding."""
+    def bad(why):
+        return GraphError(f"{CONNECTED_TABLE}: {why}")
+
+    with open(CONNECTED_TABLE, "rb") as f:
+        data = f.read()
+    if data.translate(None, b"\n" + bytes(range(63, 127))):
+        raise bad("a character outside 63..126")
+    levels: dict[int, list[bytes]] = {}
+    for order, level in itertools.groupby(data.splitlines(), lambda line: line[:1]):
+        n = ord(order or b"?") - 63  # an empty line has order 0
+        if n != len(levels) + 1:
+            raise bad(f"a level of order {n} out of place")
+        levels[n] = level = list(level)
+        chars = -(-n * (n - 1) // 12)  # ceil(n(n - 1)/2 / 6)
+        if {len(line) for line in level} != {1 + chars}:
+            raise bad(f"a line of order {n} not {1 + chars} characters long")
+        pad = (1 << 6 * chars - n * (n - 1) // 2) - 1  # the padding bits
+        if any(line[-1] - 63 & pad for line in level):
+            raise bad(f"a line of order {n} with nonzero padding bits")
+    counts = tuple(map(len, levels.values()))  # levels 1, 2, ... in order
+    if counts != CONNECTED_COUNTS:
+        raise bad(f"{counts} graphs per order, not {CONNECTED_COUNTS}")
+    return levels
+
+
 @functools.cache
 def _connected(n: int, excess: int | None) -> list[Graph]:
     """enumerate_connected on checked arguments, cached once per (n, excess)."""
-    if n == 1:
-        return [Graph(1, ())]
-    new = n - 1
-    buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    pairs += [None] * (-len(pairs) % 6)  # padding bits, all zero
+    pairs.reverse()  # by bit position, lowest first
     out = []
-    for parent in _connected(new, excess):
-        base = parent._rows
-        cap = new if excess is None else excess + n - parent.m
-        # (bit of v, bit of u) for twins u < v: a kept subset holding v holds u.
-        twins = [
-            (1 << v, 1 << u)
-            for v in range(new) for u in range(v)
-            if base[u] == base[v] or base[u] | 1 << u == base[v] | 1 << v
-        ]
-        for mask in range(1, 1 << new):
-            if mask.bit_count() > cap or any(
-                    mask & bv and not mask & bu for bv, bu in twins):
-                continue
-            rows = [r | (mask >> u & 1) << new for u, r in enumerate(base)]
-            rows.append(mask)
-            labels = _vertex_labels(rows)
-            bucket = buckets.setdefault(tuple(sorted(labels)), [])
-            if bucket:
-                masks = _label_masks(labels)
-                if any(_induced_map(seen, rows, [masks[label] for label in seen_labels])
-                       is not None for seen, seen_labels in bucket):
-                    continue
-            g = Graph(n, tuple(
-                (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
-            ))
-            bucket.append((g, labels))
-            out.append(g)
+    for line in _table()[n]:
+        x = 0
+        for c in line[1:]:
+            x = x << 6 | c - 63
+        if excess is None or x.bit_count() - n <= excess:
+            out.append(Graph(n, tuple(pairs[b] for b in _bits(x))))
     return out
 
 

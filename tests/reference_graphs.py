@@ -1,8 +1,9 @@
 """Reference enumeration and isomorphism: pairwise backtracking on Graphs.
 
-The library enumerates on bitmask rows, skips subsets that a twin swap
-makes redundant, and matches with an iterative, label-guided search.  This
-module keeps the plain versions: a recursive, degree-pruned
+The library reads its enumeration from a committed table, whose
+generator (tools/connected_table.py) works on bitmask rows and skips
+subsets that a twin swap makes redundant, and it matches with an
+iterative, label-guided search.  This module keeps the plain versions: a recursive, degree-pruned
 ``find_isomorphism`` and an ``enumerate_connected`` that builds a Graph for
 every candidate and tests it against each kept graph with the same
 invariant key, so differential tests can require identical results.

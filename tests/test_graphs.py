@@ -1,8 +1,14 @@
 """Graph families, operations, isomorphism, enumeration, serialization."""
 
+import importlib.util
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -228,6 +234,12 @@ def test_is_connected():
     assert is_connected(path(7))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(complete(1))
+
+
+def test_is_connected_agrees_with_components_on_atlas(atlas):
+    nx = pytest.importorskip("networkx")
+    for a, g in atlas:
+        assert is_connected(g) == (len(components(g)) == 1) == nx.is_connected(a), g
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +503,110 @@ def test_bounded_enumeration_is_the_filtered_level():
     # One cache entry per (n, excess), however the excess is passed.
     assert enumerate_connected(6) is enumerate_connected(6, None) \
         is enumerate_connected(6, excess=None)
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_table_is_what_its_script_writes():
+    # The full n <= 8 table is compared in CI (about 3 s); n <= 7 here.
+    spec = importlib.util.spec_from_file_location(
+        "connected_table", TOOLS / "connected_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with open(graphs.CONNECTED_TABLE) as f:
+        head = list(itertools.islice(f, sum(graphs.CONNECTED_COUNTS[:7])))
+    assert len(head) == 996 and list(script.lines(7)) == head
+    # The generator's bounded-parent rule keeps exactly the filtered level.
+    for e in (-1, 0, 1):
+        assert script.connected(7, e) == enumerate_connected(7, e)
+
+
+def test_table_agrees_with_networkx():
+    # networkx reads graph6 independently: each line is a connected graph
+    # of its level's order with the enumerated edges, and level 8 has no
+    # two isomorphic graphs (bucketed by Weisfeiler-Lehman hash first).
+    nx = pytest.importorskip("networkx")
+    with open(graphs.CONNECTED_TABLE, "rb") as f:
+        lines = f.read().splitlines()
+    enumerated = [g for n in range(1, 9) for g in enumerate_connected(n)]
+    assert len(lines) == len(enumerated) == 12113
+    buckets = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the WL hash may change
+        for line, g in zip(lines, enumerated):
+            a = nx.from_graph6_bytes(line)
+            assert a.number_of_nodes() == g.n and nx.is_connected(a), line
+            assert sorted(tuple(sorted(e)) for e in a.edges()) == list(g.edges), line
+            if g.n == 8:
+                buckets.setdefault(nx.weisfeiler_lehman_graph_hash(a), []).append(a)
+    assert sum(map(len, buckets.values())) == 11117
+    for bucket in buckets.values():
+        for a, b in itertools.combinations(bucket, 2):
+            assert not nx.is_isomorphic(a, b)
+
+
+@pytest.fixture
+def damaged_table(tmp_path, monkeypatch):
+    """A function that writes a copy of the table's lines, damaged, and
+    points the loader at it; the memo is cleared around the test."""
+    with open(graphs.CONNECTED_TABLE, "rb") as f:
+        lines = f.read().splitlines(keepends=True)
+
+    def damage(edit):
+        copy = tmp_path / "connected.g6"
+        copy.write_bytes(b"".join(edit(list(lines))))
+        monkeypatch.setattr(graphs, "CONNECTED_TABLE", str(copy))
+        return copy
+
+    graphs._table.cache_clear()
+    graphs._connected.cache_clear()
+    yield damage
+    graphs._table.cache_clear()
+    graphs._connected.cache_clear()
+
+
+def _set_line(i, line):
+    def edit(lines):
+        lines[i] = line
+        return lines
+    return edit
+
+
+@pytest.mark.parametrize("edit, why", [
+    (_set_line(500, b"FsRp\n"), "not 5 characters long"),  # a character short
+    (_set_line(500, b"FsRpO?\n"), "not 5 characters long"),  # one too many
+    (lambda lines: lines[:5000] + [lines[5000][:3]], "not 6 characters long"),  # cut
+    (_set_line(500, b"FsR O\n"), "outside 63..126"),
+    (_set_line(500, b"FsR\x7fO\n"), "outside 63..126"),
+    (_set_line(500, b"FsRpP\n"), "nonzero padding"),  # "P" - 63 = 17: bit 0 is padding
+    (lambda lines: lines[:500] + lines[501:], r"\(1, 1, 2, 6, 21, 112, 852, 11117\)"),
+    (lambda lines: lines[:996], r"\(1, 1, 2, 6, 21, 112, 853\) graphs"),  # truncated
+    (lambda lines: lines + lines[-1:], "11118"),
+    (lambda lines: lines + [b"H" + b"?" * 6 + b"\n"], r"11117, 1\)"),  # a level 9
+    (lambda lines: lines[:3] + [b"\n"] + lines[3:], "order 0"),  # a blank line
+    (lambda lines: lines[996:] + lines[:996], "order 8 out of place"),
+], ids=["short", "long", "cut", "space", "del", "padding", "missing", "truncated",
+        "repeated", "level-9", "blank", "reordered"])
+def test_damaged_table_is_rejected(damaged_table, edit, why):
+    copy = damaged_table(edit)
+    for n in (1, 7):
+        with pytest.raises(GraphError, match=re.escape(str(copy)) + ".*" + why):
+            enumerate_connected(n, 0)
+
+
+def test_import_reads_no_table():
+    code = ("import framegraphs.cli; from framegraphs import graphs; "
+            "assert graphs._table.cache_info().currsize == 0")
+    env = {**os.environ, "PYTHONPATH": str(Path(graphs.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_table_is_read_on_first_call_only(damaged_table):
+    copy = damaged_table(lambda lines: lines)
+    assert len(enumerate_connected(7)) == 853
+    copy.unlink()  # already read: later levels decode from memory
+    assert len(enumerate_connected(8, 0)) == 112
 
 
 # ---------------------------------------------------------------------------

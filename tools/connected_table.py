@@ -1,0 +1,115 @@
+"""Write the table of connected graphs, one graph6 line per graph.
+
+``framegraphs.graphs.enumerate_connected`` reads its graphs from the table
+``src/framegraphs/connected.g6``; this script is the generator that wrote
+it, and rewrites it byte for byte:
+
+    PYTHONPATH=src python tools/connected_table.py > src/framegraphs/connected.g6
+
+The table holds the levels n = 1 .. ENUMERATION_MAX_N in order, with no
+header.  Each line is McKay's graph6 of one graph in the labelling that
+``connected`` below keeps: the character 63 + n, then the upper triangle of
+the adjacency matrix column by column (01, 02, 12, 03, ...), six bits to a
+character plus 63, zero-padded.  nauty's ``geng`` writes the format and
+networkx reads it (``from_graph6_bytes``).
+"""
+
+from __future__ import annotations
+
+import functools
+import sys
+
+from framegraphs.graphs import (
+    ENUMERATION_MAX_N, Graph, _induced_map, _label_masks, _vertex_labels,
+)
+
+
+@functools.cache
+def connected(n: int, excess: int | None = None) -> list[Graph]:
+    """All connected graphs on n vertices, one per isomorphism class; with
+    an excess c, only those with m - n <= c (c = -1 gives the trees, 0
+    adds the unicyclic graphs), exactly the full list filtered so.
+
+    Level n is generated from level n-1 by attaching a new vertex to every
+    non-empty neighbour subset, taken as a bitmask in ascending order
+    (every connected graph has a non-cut vertex, so this reaches every
+    class); the first candidate of each class is kept.  Three rules keep the
+    work down without changing that list or its order:
+
+    - a subset is skipped when, for some twins u < v of the parent (equal
+      open or equal closed neighbourhoods), it holds v but not u.  Swapping
+      u and v is an automorphism of the parent, so the candidate is
+      isomorphic to one from a smaller subset of the same parent;
+    - each candidate's vertex labels are computed once, on bitmask rows,
+      and their sorted tuple is its bucket key.  Only the kept graphs in
+      its bucket are mapped into the candidate's rows, by the induced-map
+      search behind find_isomorphism, each vertex to the candidate's
+      vertices of its label;
+    - with an excess c, the parents are level n-1 at excess c, and a
+      subset of more than c + n - parent.m vertices is skipped.  Deleting
+      a non-cut vertex of degree d >= 1 from a connected graph with
+      m - n <= c leaves a connected parent with excess at most
+      c + 1 - d <= c, so every candidate with excess <= c comes from a
+      parent in the bounded level through a subset of at most that many
+      vertices: the bounded loop visits exactly the full loop's
+      candidates with excess <= c, in the same order.  The kept graphs in
+      one label bucket all have the same m, as labels hold degrees, so the
+      first candidate of each class is the one the full loop keeps.
+
+    A Graph is built only for the graphs kept.  Results are memoized per
+    (n, excess).
+    """
+    if n == 1:
+        return [Graph(1, ())]
+    new = n - 1
+    buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
+    out = []
+    for parent in connected(new, excess):
+        base = parent._rows
+        cap = new if excess is None else excess + n - parent.m
+        # (bit of v, bit of u) for twins u < v: a kept subset holding v holds u.
+        twins = [
+            (1 << v, 1 << u)
+            for v in range(new) for u in range(v)
+            if base[u] == base[v] or base[u] | 1 << u == base[v] | 1 << v
+        ]
+        for mask in range(1, 1 << new):
+            if mask.bit_count() > cap or any(
+                    mask & bv and not mask & bu for bv, bu in twins):
+                continue
+            rows = [r | (mask >> u & 1) << new for u, r in enumerate(base)]
+            rows.append(mask)
+            labels = _vertex_labels(rows)
+            bucket = buckets.setdefault(tuple(sorted(labels)), [])
+            if bucket:
+                masks = _label_masks(labels)
+                if any(_induced_map(seen, rows, [masks[label] for label in seen_labels])
+                       is not None for seen, seen_labels in bucket):
+                    continue
+            g = Graph(n, tuple(
+                (u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1
+            ))
+            bucket.append((g, labels))
+            out.append(g)
+    return out
+
+
+def graph6(g: Graph) -> str:
+    """g in graph6 (n <= 62): chr(63 + n), then the upper triangle column
+    by column, six bits to a character, zero-padded."""
+    rows = g._rows
+    bits = [rows[i] >> j & 1 for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    return chr(63 + g.n) + "".join(
+        chr(63 + int("".join(map(str, bits[k:k + 6])), 2)) for k in range(0, len(bits), 6))
+
+
+def lines(max_n: int = ENUMERATION_MAX_N):
+    """The table's lines for the levels 1 .. max_n, newline-terminated."""
+    for n in range(1, max_n + 1):
+        for g in connected(n):
+            yield graph6(g) + "\n"
+
+
+if __name__ == "__main__":
+    sys.stdout.writelines(lines())
