@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectral import DEFAULT_TOL, TolerancePolicy, numeric_rank, sym_eig
+from .spectral import DEFAULT_TOL, TolerancePolicy, numeric_rank, sym_eig, sym_eigvals
 
 
 class FrameError(ValueError):
@@ -55,7 +55,7 @@ class Frame:
         if self.d > self.n:
             raise FrameError("columns do not span the space: not a frame")
         # S has full rank iff every |eigenvalue| is above numeric_rank's threshold.
-        values = sym_eig(mat @ mat.T).values
+        values = sym_eigvals(mat @ mat.T)
         if np.min(np.abs(values)) <= DEFAULT_TOL.threshold(np.max(np.abs(values))):
             raise FrameError("columns do not span the space: not a frame")
         object.__setattr__(self, "_spectrum", values)
@@ -147,13 +147,9 @@ def rescale_to_parseval(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Frame:
     return Frame(f.synthesis / np.sqrt(t.upper))
 
 
-def associated_graph(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> GramPattern:
-    """Graph on n vertices with an edge where the Gram entry is nonzero.
-
-    Each entry within a decade of the zero threshold triggers a
-    BorderlineEntryWarning, in row-major order: the discrete pattern
-    extracted from floats is fragile there.
-    """
+def _gram_support(f: Frame, tol: TolerancePolicy) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, with a nonzero Gram entry, sorted as Graph
+    edges are; warns for associated_graph and represents, at their caller."""
     g = gramian(f)
     thr = tol.threshold(np.max(np.abs(g)))
     mag = np.abs(np.triu(g, 1))
@@ -162,16 +158,25 @@ def associated_graph(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> GramPatter
             f"Gram entry ({i}, {j}) = {g[i, j]:.3e} is within a decade "
             f"of the zero threshold {thr:.3e}",
             BorderlineEntryWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    # Upper-triangle entries, so u < v for each edge (u, v).
     rows, cols = np.nonzero(mag > thr)
-    return GramPattern(graph=Graph(f.n, tuple(zip(rows.tolist(), cols.tolist()))))
+    return tuple(zip(rows.tolist(), cols.tolist()))
+
+
+def associated_graph(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> GramPattern:
+    """Graph on n vertices with an edge where the Gram entry is nonzero.
+
+    Each entry within a decade of the zero threshold triggers a
+    BorderlineEntryWarning, in row-major order: the discrete pattern
+    extracted from floats is fragile there.
+    """
+    return GramPattern(graph=Graph(f.n, _gram_support(f, tol)))
 
 
 def represents(f: Frame, g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff the Gram pattern equals g as a labeled graph."""
-    return associated_graph(f, tol).graph == g
+    """True iff the Gram pattern equals g as a labeled graph (no Graph built)."""
+    return f.n == g.n and _gram_support(f, tol) == g.edges
 
 
 def naimark_complement(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Frame:

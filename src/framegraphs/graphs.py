@@ -49,8 +49,8 @@ class Graph:
     """Immutable simple graph on vertices ``0..n-1``, stored as n and the
     sorted edges, as Python ints (bools and numpy integers are converted;
     any other type, or an edge that is not a pair, raises GraphError).
-    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), vertex
-    labels (_labels) and the search order (_order) are derived on first
+    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), label
+    classes (_labels) and the search order (_order) are derived on first
     use; a cached view is slower to read than a plain attribute, so loops
     read it into a local once."""
 
@@ -107,11 +107,11 @@ class Graph:
         return tuple(rows)
 
     @functools.cached_property
-    def _labels(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-        """The per-vertex isomorphism invariants, and their sorted tuple: a
-        key that isomorphic graphs share."""
-        labels = tuple(_vertex_labels(self._rows))
-        return labels, tuple(sorted(labels))
+    def _labels(self) -> tuple[dict[tuple, int], tuple[tuple, ...]]:
+        """The vertex label classes as bitmasks (_label_masks), and the sorted
+        labels: a key that isomorphic graphs share."""
+        labels = _vertex_labels(self._rows)
+        return _label_masks(labels), tuple(sorted(labels))
 
     @functools.cached_property
     def _order(self) -> tuple[int, ...]:
@@ -470,11 +470,14 @@ def _equitable(rows: list[int], cells: list[int]) -> list[int]:
     """The coarsest refinement of the partition cells (vertex bitmasks) in
     which the vertices of each cell have equally many neighbours in every
     cell: colour refinement.  Each queued cell splits the cells of its
-    neighbours by their count in it.  A split cell keeps its largest part,
-    queued or not, and queues the others: counts in the largest part follow
-    from those in the whole cell and the others (Hopcroft)."""
+    neighbours by their count in it, and counts in a largest part follow
+    from the others and their union (Hopcroft): all starting cells but a
+    largest are queued, each starting cell must hold one degree, and a
+    split cell keeps its largest part, queued or not, and queues the rest."""
+    queue = sorted(range(len(cells)), key=lambda i: cells[i].bit_count())[:-1]
+    if not queue:
+        return cells
     cell = {v: i for i, c in enumerate(cells) for v in _bits(c)}
-    queue = list(range(len(cells)))
     while queue:
         s = cells[queue.pop()]
         touched = 0  # the neighbours of s
@@ -502,9 +505,9 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
     None at once when the orders, the sizes or the multisets of vertex
     labels (degree, edges among the neighbours, sorted neighbour degrees)
-    differ.  The label classes of both graphs are then refined together
-    until equitable (_equitable); a class with more vertices of one graph
-    than of the other also means None.  Otherwise the induced-map search
+    differ.  The label classes of both graphs, cached per graph, are then
+    refined together until equitable (_equitable); a class with more
+    vertices of one graph than of the other also means None.  Otherwise the induced-map search
     maps g's vertices in g._order to h's vertices of their class, tried in
     ascending order.  The classes only remove branches that cannot
     complete, so the map is the first one the search finds among all
@@ -512,15 +515,15 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.n != h.n or g.m != h.m:
         return None
-    glabels, key = g._labels
-    hlabels, hkey = h._labels
+    gmasks, key = g._labels
+    hmasks, hkey = h._labels
     if key != hkey:
         return None
     # Refine one partition of the disjoint union, h's vertices shifted by n.
     n = g.n
     allowed = [0] * n
     for c in _equitable(list(g._rows) + [r << n for r in h._rows],
-                        list(_label_masks(glabels + hlabels).values())):
+                        [mask | hmasks[label] << n for label, mask in gmasks.items()]):
         ours, theirs = c & ((1 << n) - 1), c >> n
         if ours.bit_count() != theirs.bit_count():
             return None

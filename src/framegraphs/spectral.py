@@ -42,7 +42,8 @@ class EigDecomp:
     vectors: np.ndarray
 
 
-def _check_symmetric(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+def _eigh(m: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's eigh of m made exactly symmetric, once m is checked."""
     if np.iscomplexobj(m):
         raise SpectralError("matrix is complex; only real symmetric matrices are supported")
     m = np.asarray(m, dtype=float)
@@ -53,7 +54,16 @@ def _check_symmetric(m: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     scale = np.max(np.abs(m))
     if np.max(np.abs(m - m.T)) > tol.threshold(scale):
         raise SpectralError("matrix is not symmetric within tolerance")
-    return (m + m.T) / 2.0
+    try:
+        return np.linalg.eigh((m + m.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"eigendecomposition failed: {exc}") from exc
+
+
+def sym_eigvals(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """sym_eig(m, tol).values, bit for bit (the same eigh call), without
+    normalising the signs of eigenvectors it then drops."""
+    return _eigh(m, tol)[0]
 
 
 def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
@@ -63,11 +73,7 @@ def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
     eigenvector the first entry of magnitude above the tolerance is made
     positive.
     """
-    sym = _check_symmetric(m, tol)
-    try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = _eigh(m, tol)
     big = np.abs(vectors) > tol.tau_rel
     first = np.argmax(big, axis=0)  # row of each column's first big entry, or 0
     cols = np.arange(vectors.shape[1])
@@ -77,9 +83,8 @@ def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
 
 def numeric_rank(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
     """Number of eigenvalues with |lambda| > tau_rel * |lambda_max|."""
-    dec = sym_eig(m, tol)
-    lam_max = np.max(np.abs(dec.values))
-    return int(np.sum(np.abs(dec.values) > tol.threshold(lam_max)))
+    values = np.abs(sym_eigvals(m, tol))
+    return int(np.sum(values > tol.threshold(np.max(values))))
 
 
 def group_eigenvalues(values: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[list[int]]:

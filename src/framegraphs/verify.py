@@ -131,8 +131,10 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
         image = find_isomorphism(pattern, g)
         if image is None:
             continue
-        # Column v of the certificate is the catalog column mapped onto v.
-        cert_frame = Frame(frame.synthesis[:, sorted(range(g.n), key=image.__getitem__)])
+        columns = [0] * g.n  # the catalog column mapped onto each vertex
+        for u, v in image.items():
+            columns[v] = u
+        cert_frame = Frame(frame.synthesis[:, columns])
         verdict = tightness(cert_frame, tol)
         if verdict.kind not in ("tight", "parseval"):
             raise AssertionError(f"catalog frame {name} is not tight")

@@ -102,6 +102,7 @@ def test_too_few_columns_rejected_before_the_rank_test(monkeypatch):
         raise AssertionError("rank test reached")
 
     monkeypatch.setattr(frames, "sym_eig", no_rank)
+    monkeypatch.setattr(frames, "sym_eigvals", no_rank)
     for shape in [(2, 1), (5, 3), (40, 1)]:
         with pytest.raises(FrameError, match="do not span the space"):
             Frame(np.ones(shape))
@@ -126,19 +127,20 @@ def test_frame_bounds():
 
 
 def test_tightness_reuses_the_rank_check_eigenvalues(monkeypatch):
-    # Frame keeps the frame-operator eigenvalues of its rank check, so the
-    # bounds are those of sym_eig on S, and tightness on an existing frame
-    # runs no eigendecomposition.
+    # Frame keeps the frame-operator eigenvalues of its rank check, which
+    # asks sym_eigvals for eigenvalues alone, so the bounds are those of
+    # sym_eig on S, bit for bit, and tightness on an existing frame runs no
+    # eigendecomposition.
     calls = []
-    original = frames.sym_eig
+    original = frames.sym_eigvals
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(frames, "sym_eig", counted)
+    monkeypatch.setattr(frames, "sym_eigvals", counted)
     for f in (mercedes_frame(), laplacian_method(complete(6)), c4_frame()):
-        values = original(frame_operator(f)).values
+        values = sym_eig(frame_operator(f)).values
         calls.clear()
         assert tightness(f).kind in ("tight", "parseval")
         b = frame_bounds(f)
@@ -249,6 +251,25 @@ def test_borderline_entry_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         associated_graph(Frame(np.eye(2)))
+
+
+def test_pattern_warnings_point_at_the_caller():
+    # Both public functions warn at their caller, so a filter on the
+    # caller's module sees the warnings, and represents warns exactly as
+    # associated_graph does.
+    mat = np.eye(4)
+    mat[0, 3], mat[1, 2] = 5e-9, 2e-10
+    f = Frame(mat)
+    with warnings.catch_warnings(record=True) as pattern:
+        warnings.simplefilter("always")
+        associated_graph(f)
+    with warnings.catch_warnings(record=True) as represented:
+        warnings.simplefilter("always")
+        assert represents(f, Graph(4, ((0, 3),)))
+    assert len(pattern) == 2
+    assert [w.filename for w in pattern + represented] == [__file__] * 4
+    assert ([(w.category, str(w.message)) for w in represented]
+            == [(w.category, str(w.message)) for w in pattern])
 
 
 def test_tiny_frames_are_frames():
@@ -416,12 +437,21 @@ def _is_tight(f):
     return tightness(f).kind != "not_tight"
 
 
+def _represents_exactly(f, pattern):
+    """represents holds for pattern, and fails for it with the edge {0, 1}
+    toggled or with one more vertex."""
+    assert represents(f, pattern)
+    assert not represents(f, Graph(f.n, tuple(set(pattern.edges) ^ {(0, 1)})))
+    assert not represents(f, Graph(f.n + 1, pattern.edges))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FRAMES), st.floats(min_value=-6, max_value=6))
 def test_scaling_keeps_tightness_and_pattern(f, log_scale):
     scaled = Frame(10.0 ** log_scale * f.synthesis)
     assert _is_tight(scaled) == _is_tight(f)
     assert associated_graph(scaled).graph == associated_graph(f).graph
+    _represents_exactly(scaled, associated_graph(f).graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,6 +466,7 @@ def test_column_permutation_permutes_pattern(f, data):
         if pattern.has_edge(perm[i], perm[j])
     ])
     assert associated_graph(permuted).graph == expected
+    _represents_exactly(permuted, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,6 +476,7 @@ def test_orthogonal_rotation_keeps_tightness_and_pattern(f, seed):
     rotated = Frame(q @ f.synthesis)
     assert tightness(rotated).kind == tightness(f).kind
     assert associated_graph(rotated).graph == associated_graph(f).graph
+    _represents_exactly(rotated, associated_graph(f).graph)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,73 @@ def test_find_isomorphism_matches_reference_on_atlas(atlas):
         assert reference.find_isomorphism(g, h) is None
 
 
+def _naive_equitable(rows, cells):
+    """Colour refinement by every cell at once until no cell splits: each
+    vertex keyed by its cell and its counts in all cells, each round."""
+    while True:
+        keys = {}
+        for i, c in enumerate(cells):
+            for v in graphs._bits(c):
+                key = (i, *((rows[v] & d).bit_count() for d in cells))
+                keys[key] = keys.get(key, 0) | 1 << v
+        if len(keys) == len(cells):
+            return cells
+        cells = list(keys.values())
+
+
+def _refinement_pairs():
+    """Pairs (g, h) whose labels share a key: every pair of connected graphs
+    on at most six vertices, h relabelled, and relabelled copies of K_n,
+    K_n - e, L(K_k), K_2 x K_k, Q_4, the Petersen graph and, as their
+    labels already are equitable, of graphs that refinement must split:
+    each connected graph on seven vertices, paths and random trees."""
+    pairs = []
+    for n in range(1, 7):
+        level = enumerate_connected(n)
+        for i, g in enumerate(level):
+            for j, h in enumerate(level):
+                h = _relabel(h, 100 * i + j)
+                if g._labels[1] == h._labels[1]:
+                    pairs.append((g, h))
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    family = [complete(n) for n in (2, 5, 9)]
+    family += [delete_edge(complete(n), (0, 1)) for n in (4, 7, 10)]
+    family += [line_graph(complete(k)).line for k in (4, 5, 6)]
+    family += [cartesian_product(complete(2), complete(k)) for k in (3, 5, 7)]
+    family += [hypercube(4), petersen]
+    family += enumerate_connected(7) + [path(10), path(17)]
+    family += [_random_tree(n, seed) for n in (12, 20, 30) for seed in range(3)]
+    pairs += [(g, _relabel(g, seed)) for seed, g in enumerate(family)]
+    square = list(cycle(4).edges)  # C_8 and two squares share a key
+    return pairs + [(cycle(8), Graph.from_edges(8, square + [(u + 4, v + 4) for u, v in square]))]
+
+
+def test_refinement_matches_naive_refinement():
+    # _equitable queues every starting cell but the largest and then keeps
+    # the largest part of each split unqueued; splitting by every cell until
+    # stable must give the same cells.  find_isomorphism, which refines the
+    # joined label classes so, must agree with the reference search on
+    # whether a map exists, and each map it returns must be an isomorphism.
+    split = distinct = 0
+    for g, h in _refinement_pairs():
+        n = g.n
+        rows = list(g._rows) + [r << n for r in h._rows]
+        gmasks, hmasks = g._labels[0], h._labels[0]
+        cells = [mask | hmasks[label] << n for label, mask in gmasks.items()]
+        refined = graphs._equitable(rows, list(cells))
+        assert set(refined) == set(_naive_equitable(rows, cells))
+        split += len(refined) > len(cells)
+        phi = find_isomorphism(g, h)
+        assert (phi is None) == (reference.find_isomorphism(g, h) is None), (g, h)
+        if phi is not None:
+            assert sorted(phi.values()) == list(range(n))
+            assert sorted(tuple(sorted((phi[u], phi[v]))) for u, v in g.edges) == list(h.edges)
+        distinct += g.edges != h.edges and phi is None
+    assert split > 0 and distinct > 0  # refinement splits; a key can mislead
+
+
 @pytest.mark.parametrize("g", [path(1500), complete_bipartite(2, 1000)],
                          ids=["path1500", "k2_1000"])
 def test_isomorphism_has_no_recursion_limit(g):

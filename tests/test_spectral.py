@@ -1,11 +1,14 @@
 """Eigendecomposition contract: ordering, signs, tolerance policy, rank."""
 
+import re
+
 import numpy as np
 import pytest
 import reference_frames as reference
 
+from framegraphs import verify
 from framegraphs.constructions import laplacian_method
-from framegraphs.frames import gramian
+from framegraphs.frames import frame_operator, gramian
 from framegraphs.graphs import complete, cycle, path
 from framegraphs.linegraph import laplacian
 from framegraphs.spectral import (
@@ -15,6 +18,7 @@ from framegraphs.spectral import (
     group_eigenvalues,
     numeric_rank,
     sym_eig,
+    sym_eigvals,
 )
 
 
@@ -78,6 +82,32 @@ def test_sym_eig_signs_match_reference():
             assert np.array_equal(sym_eig(m, tol).vectors, expected)
             later_lead += np.sum(np.abs(expected[0]) <= tol.tau_rel)
     assert later_lead > 0  # some leading entries lie below the tolerance
+
+
+def test_eigenvalues_alone_are_those_of_sym_eig():
+    # Bit for bit, so the bounds a Frame keeps are those of sym_eig on S:
+    # on the frame operator of every catalog frame up to 24 vertices, and
+    # on seeded random symmetric matrices at several scales.
+    mats = [frame_operator(frame) for n in range(1, 25) for m in range(n * (n - 1) // 2 + 1)
+            for _, frame, _ in verify._catalog.__wrapped__(n, m, DEFAULT_TOL)]
+    assert len(mats) > 80
+    rng = np.random.default_rng(13)
+    for k in range(1, 30):
+        a = rng.standard_normal((k, k))
+        mats += [a + a.T, (a + a.T) * 1e-7, a @ a.T]
+    for m in mats:
+        for tol in (DEFAULT_TOL, TolerancePolicy(tau_rel=1e-4)):
+            assert sym_eigvals(m, tol).tobytes() == sym_eig(m, tol).values.tobytes()
+
+
+def test_eigenvalues_alone_reject_what_sym_eig_rejects():
+    for m in ([[2, 1j], [-1j, 2]], np.ones((2, 3)), np.zeros((0, 0)),
+              np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]]),
+              np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(SpectralError) as full:
+            sym_eig(m)
+        with pytest.raises(SpectralError, match=f"^{re.escape(str(full.value))}$"):
+            sym_eigvals(m)
 
 
 def test_sym_eig_rejects_bad_input():
