@@ -1,36 +1,42 @@
-"""Frames associated with graphs: constructions, certificates, obstructions."""
+"""Frames associated with graphs: constructions, certificates, obstructions.
 
-from .graphs import Graph, gen_named
-from .spectral import EigDecomp, TolerancePolicy, numeric_rank, sym_eig
-from .frames import (
-    Frame,
-    FrameBounds,
-    associated_graph,
-    frame_bounds,
-    frame_operator,
-    gramian,
-    naimark_complement,
-    rescale_to_parseval,
-    tightness,
-)
-from .verify import Certificate, classify
+Each export, and each submodule read as an attribute, loads on first
+access (PEP 562), so ``import framegraphs`` loads no numpy.
+"""
 
-__all__ = [
-    "Certificate",
-    "EigDecomp",
-    "Frame",
-    "FrameBounds",
-    "Graph",
-    "TolerancePolicy",
-    "associated_graph",
-    "classify",
-    "frame_bounds",
-    "frame_operator",
-    "gen_named",
-    "gramian",
-    "naimark_complement",
-    "numeric_rank",
-    "rescale_to_parseval",
-    "sym_eig",
-    "tightness",
-]
+from importlib import import_module
+
+_HOME = {
+    "Certificate": "verify",
+    "EigDecomp": "spectral",
+    "Frame": "frames",
+    "FrameBounds": "frames",
+    "Graph": "graphs",
+    "TolerancePolicy": "tolerance",
+    "associated_graph": "frames",
+    "classify": "verify",
+    "frame_bounds": "frames",
+    "frame_operator": "frames",
+    "gen_named": "graphs",
+    "gramian": "frames",
+    "naimark_complement": "frames",
+    "numeric_rank": "spectral",
+    "rescale_to_parseval": "frames",
+    "sym_eig": "spectral",
+    "tightness": "frames",
+}
+
+__all__ = sorted(_HOME)
+
+_SUBMODULES = {"cli", "constructions", "frames", "graphs", "linegraph", "matio",
+               "spectral", "tolerance", "verify"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

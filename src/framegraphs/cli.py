@@ -5,6 +5,9 @@ Exit codes: 0 for a positive verdict or plain success, 1 for a negative
 verdict, 2 for usage or internal errors.  Graphs and frames are piped
 between commands in the text formats of :mod:`framegraphs.graphs` and
 :mod:`framegraphs.matio`.
+
+Only the commands that build, read or classify frames import the numeric
+layers, when they run: the graph commands start without numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from pathlib import Path
 
 import click
 
-from . import constructions, graphs, matio, verify
-from .frames import erasure_robustness, represents, tightness
+from . import graphs, verify
 from .graphs import gen_named, from_text, to_text
 from .linegraph import is_line_graph, line_graph, root_graph
-from .spectral import TolerancePolicy
+from .tolerance import TolerancePolicy
 
 
 @dataclass
@@ -47,6 +49,7 @@ def _load_graph(source: str) -> graphs.Graph:
 
 
 def _load_frame(source: str):
+    from . import matio
     return matio.frame_from_text(_read(source))
 
 
@@ -105,6 +108,7 @@ def frame():
 
 
 def _emit_frame(f, out):
+    from . import matio
     _emit(matio.frame_to_text(f), out)
 
 
@@ -113,6 +117,7 @@ def _emit_frame(f, out):
 @click.option("--out", type=click.Path())
 def frame_laplacian(graph, out):
     """Laplacian-eigenbasis frame for the line graph of GRAPH."""
+    from . import constructions
     _emit_frame(constructions.laplacian_method(_load_graph(graph)), out)
 
 
@@ -121,6 +126,7 @@ def frame_laplacian(graph, out):
 @click.option("--out", type=click.Path())
 def frame_lkn(n, out):
     """Tight frame for the line graph of K_n in dimension n-1."""
+    from . import constructions
     _emit_frame(constructions.laplacian_method(graphs.complete(n)), out)
 
 
@@ -129,6 +135,7 @@ def frame_lkn(n, out):
 @click.option("--out", type=click.Path())
 def frame_lkn_small(n, out):
     """Tight frame for the line graph of K_n in dimension n-2."""
+    from . import constructions
     _emit_frame(constructions.lkn_small_frame(n), out)
 
 
@@ -139,6 +146,7 @@ def frame_lkn_small(n, out):
 @click.option("--out", type=click.Path())
 def frame_star(n, d, keep, out):
     """Parseval frame for K_n in dimension d via the star construction."""
+    from . import constructions
     keep_set = [int(x) for x in keep.split(",")] if keep else None
     _emit_frame(constructions.star_frame(n, d, keep_set), out)
 
@@ -148,6 +156,7 @@ def frame_star(n, d, keep, out):
 @click.option("--out", type=click.Path())
 def frame_k2kn(n, out):
     """Tight frame for the product of K_2 and K_n."""
+    from . import constructions
     _emit_frame(constructions.k2kn_frame(n), out)
 
 
@@ -155,6 +164,7 @@ def frame_k2kn(n, out):
 @click.option("--out", type=click.Path())
 def frame_diamond(out):
     """The 2 x 4 Parseval frame for the diamond graph."""
+    from . import constructions
     _emit_frame(constructions.diamond_frame(), out)
 
 
@@ -163,6 +173,7 @@ def frame_diamond(out):
 @click.option("--out", type=click.Path())
 def frame_kn_minus_e(n, out):
     """Parseval frame for K_n minus an edge (n >= 4)."""
+    from . import constructions
     _emit_frame(constructions.kn_minus_e_frame(n), out)
 
 
@@ -171,6 +182,7 @@ def frame_kn_minus_e(n, out):
 @click.option("--out", type=click.Path())
 def frame_dup_chain(name, out):
     """Duplication-chain catalog; without NAME, list the entry names."""
+    from . import constructions
     catalog = constructions.dup_chain_frames()
     if name is None:
         click.echo("\n".join(catalog))
@@ -190,6 +202,7 @@ def complete():
 
 
 def _emit_completion(result, out):
+    from . import matio
     header = f"# added {len(result.added)} bound {result.bound:.17g}\n"
     _emit(header + matio.frame_to_text(result.frame), out)
 
@@ -200,6 +213,7 @@ def _emit_completion(result, out):
 @click.pass_obj
 def complete_minimal(cfg, frame_src, out):
     """Minimal tight completion (eigenvalue-deficit vectors)."""
+    from . import constructions
     _emit_completion(
         constructions.minimal_tight_completion(_load_frame(frame_src), cfg.tol), out
     )
@@ -211,6 +225,7 @@ def complete_minimal(cfg, frame_src, out):
 @click.pass_obj
 def complete_twostep(cfg, frame_src, out):
     """Generic two-step completion (orthogonalize rows, then equalize norms)."""
+    from . import constructions
     _emit_completion(
         constructions.two_step_completion(_load_frame(frame_src), cfg.tol), out
     )
@@ -230,6 +245,7 @@ def check():
 @click.pass_obj
 def check_tight(cfg, frame_src):
     """Exit 0 iff the frame is tight (Parseval counts as tight)."""
+    from .frames import tightness
     t = tightness(_load_frame(frame_src), cfg.tol)
     click.echo(f"{t.kind} lower {t.lower:.17g} upper {t.upper:.17g}")
     sys.exit(0 if t.kind in ("tight", "parseval") else 1)
@@ -240,6 +256,7 @@ def check_tight(cfg, frame_src):
 @click.pass_obj
 def check_parseval(cfg, frame_src):
     """Exit 0 iff the frame is Parseval."""
+    from .frames import tightness
     t = tightness(_load_frame(frame_src), cfg.tol)
     click.echo(f"{t.kind} lower {t.lower:.17g} upper {t.upper:.17g}")
     sys.exit(0 if t.kind == "parseval" else 1)
@@ -251,6 +268,7 @@ def check_parseval(cfg, frame_src):
 @click.pass_obj
 def check_pattern(cfg, frame_src, graph_src):
     """Exit 0 iff the frame's Gram pattern equals the graph (labeled)."""
+    from .frames import represents
     ok = represents(_load_frame(frame_src), _load_graph(graph_src), cfg.tol)
     click.echo("match" if ok else "mismatch")
     sys.exit(0 if ok else 1)
@@ -302,6 +320,7 @@ def check_linegraph(graph):
 @click.pass_obj
 def check_erasure(cfg, frame_src, erasures):
     """Exit 0 iff the frame survives every erasure of the given size."""
+    from .frames import erasure_robustness
     ok = erasure_robustness(_load_frame(frame_src), erasures, cfg.tol)
     click.echo("robust" if ok else "not-robust")
     sys.exit(0 if ok else 1)
@@ -333,7 +352,7 @@ def classify(cfg, graph, out):
             kind, data = cert.witness
             click.echo(f"witness {kind} " + " ".join(str(x) for x in data))
     if out and cert.frame is not None:
-        Path(out).write_text(matio.frame_to_text(cert.frame))
+        _emit_frame(cert.frame, out)
         click.echo(f"certificate {out}")
     sys.exit(0 if cert.verdict == "tight" else 1)
 

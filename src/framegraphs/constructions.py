@@ -1,10 +1,13 @@
-"""Explicit frame constructions for graph families.
+"""Graph matrices and explicit frame constructions for graph families.
 
-Includes the Laplacian-eigenbasis frame for a root graph's line graph, the
-two tight frames for the line graph of a complete graph (dimensions n-1
-and n-2), the star-based Parseval frames for K_n, the K_2 x K_n product
-frame, tight completions (minimal and generic two-step), and the
-duplication-chain frames, which split a vector into equal copies in one step.
+The incidence, adjacency and Laplacian matrices of a graph are built here,
+beside the frames that use them, so that graphs and linegraph import no
+numpy.  The frames are the Laplacian-eigenbasis frame for a root graph's
+line graph, the two tight frames for the line graph of a complete graph
+(dimensions n-1 and n-2), the star-based Parseval frames for K_n, the
+K_2 x K_n product frame, tight completions (minimal and generic two-step),
+and the duplication-chain frames, which split a vector into equal copies in
+one step.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 from . import graphs
 from .frames import Frame, FrameError, duplicate_vector, tightness
 from .graphs import Graph, GraphError, is_connected
-from .linegraph import laplacian, oriented_incidence
 from .spectral import DEFAULT_TOL, TolerancePolicy, group_eigenvalues, sym_eig
 
 
@@ -27,6 +29,42 @@ class CompletionResult:
     frame: Frame
     added: tuple[np.ndarray, ...]
     bound: float
+
+
+# ---------------------------------------------------------------------------
+# Graph matrices
+# ---------------------------------------------------------------------------
+
+def oriented_incidence(g: Graph) -> np.ndarray:
+    """Oriented incidence matrix with -1 at the smaller-index endpoint.
+
+    Columns follow g.edges.  Satisfies B @ B.T == laplacian(g) exactly.
+    """
+    b = np.zeros((g.n, g.m))
+    for j, (u, v) in enumerate(g.edges):
+        b[u, j] = -1.0
+        b[v, j] = 1.0
+    return b
+
+
+def unoriented_incidence(g: Graph) -> np.ndarray:
+    """0/1 incidence matrix by g.edges; B^T B - 2I is the line graph's adjacency."""
+    return np.abs(oriented_incidence(g))
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Degree matrix minus adjacency matrix."""
+    lap = -adjacency(g)
+    for u in range(g.n):
+        lap[u, u] = g.degree(u)
+    return lap
 
 
 # ---------------------------------------------------------------------------

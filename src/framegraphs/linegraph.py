@@ -1,4 +1,4 @@
-"""Incidence matrices, Laplacians, line graphs, and root-graph recovery.
+"""Line graphs, line-graph recognition, and root-graph recovery.
 
 Line graphs are recognized, and their roots recovered, by searching for
 Krausz partitions: partitions of the edges into cliques with every vertex
@@ -14,6 +14,9 @@ on one edge whose apexes are not adjacent span at most six vertices that
 are not a line graph, and a forbidden induced subgraph is named among them
 by graphs.contains_induced, the induced-map search that also serves
 isomorphism testing and enumeration; it stays importable from here.
+
+Like graphs, this module imports no numpy; the matrix views of a graph
+(incidence, adjacency, Laplacian) are built in constructions.
 """
 
 from __future__ import annotations
@@ -22,50 +25,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Graph, GraphError, _bits, beineke, complete, components, \
     contains_induced, is_connected, star
 
 
 class NotALineGraph(GraphError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Matrices
-# ---------------------------------------------------------------------------
-
-def oriented_incidence(g: Graph) -> np.ndarray:
-    """Oriented incidence matrix with -1 at the smaller-index endpoint.
-
-    Columns follow g.edges.  Satisfies B @ B.T == laplacian(g) exactly.
-    """
-    b = np.zeros((g.n, g.m))
-    for j, (u, v) in enumerate(g.edges):
-        b[u, j] = -1.0
-        b[v, j] = 1.0
-    return b
-
-
-def unoriented_incidence(g: Graph) -> np.ndarray:
-    """0/1 incidence matrix by g.edges; B^T B - 2I is the line graph's adjacency."""
-    return np.abs(oriented_incidence(g))
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    return a
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix."""
-    lap = -adjacency(g)
-    for u in range(g.n):
-        lap[u, u] = g.degree(u)
-    return lap
 
 
 # ---------------------------------------------------------------------------

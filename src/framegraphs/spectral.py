@@ -3,7 +3,8 @@
 LAPACK (via numpy.linalg.eigh) does the heavy lifting; this module pins
 down the contract every consumer relies on: ascending eigenvalues, a
 deterministic sign convention for eigenvectors, and a single relative
-tolerance policy for all zero/nonzero decisions.
+tolerance policy for all zero/nonzero decisions (TolerancePolicy, from
+:mod:`framegraphs.tolerance`).
 """
 
 from __future__ import annotations
@@ -12,26 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerance import DEFAULT_TOL, TolerancePolicy
+
 
 class SpectralError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Relative zero threshold used for all pattern and rank decisions."""
-
-    tau_rel: float = 1e-9
-
-    def __post_init__(self):
-        if not 0 < self.tau_rel < 1e-3:
-            raise ValueError("tau_rel must lie in (0, 1e-3)")
-
-    def threshold(self, scale: float) -> float:
-        return self.tau_rel * abs(scale)
-
-
-DEFAULT_TOL = TolerancePolicy()
 
 
 @dataclass(frozen=True, eq=False)

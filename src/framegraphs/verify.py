@@ -3,6 +3,9 @@
 A graph is certified tight by attaching a verified tight frame whose Gram
 pattern equals the graph, refuted by a concrete obstruction witness, or
 annotated from the literature; everything else is reported unknown.
+frames, constructions and numpy load only to build a catalog or verify a
+match, so the obstruction tests and the sweeps that classify nothing run
+without them.
 """
 
 from __future__ import annotations
@@ -10,15 +13,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import constructions, graphs
-from .frames import Frame, associated_graph, represents, tightness
+from . import graphs
 from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, contains_induced, \
     enumerate_connected, find_isomorphism, is_connected, path
 from .linegraph import is_line_graph, line_graph
-from .spectral import DEFAULT_TOL, TolerancePolicy
+from .tolerance import DEFAULT_TOL, TolerancePolicy
+
+if TYPE_CHECKING:
+    from .frames import Frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +96,11 @@ def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
     sparse graph builds none.  Memoised per (n, m, tol): every call shares
     the frames and patterns, which are read-only, and each pattern builds
     its matching views on its first match."""
+    import numpy as np
+
+    from . import constructions
+    from .frames import Frame, associated_graph
+
     found = [("k1", Frame(np.array([[1.0]])))] if n == 1 else []
     if n > 1 and m == n * (n - 1) // 2:
         found.append(("complete", constructions.star_frame(n, n - 1)))
@@ -131,6 +140,8 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
         image = find_isomorphism(pattern, g)
         if image is None:
             continue
+        from .frames import Frame, represents, tightness
+
         columns = [0] * g.n  # the catalog column mapped onto each vertex
         for u, v in image.items():
             columns[v] = u

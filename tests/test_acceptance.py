@@ -141,9 +141,8 @@ def test_criterion_04_lkn_small():
         assert relabeled == lkn
         # Base-matrix spectrum: {0} once, n with multiplicity n-2.
         k = n - 1
-        from framegraphs.linegraph import oriented_incidence
         m = np.hstack([np.eye(k) - np.ones((k, k)) / k,
-                       oriented_incidence(complete(k))])
+                       cons.oriented_incidence(complete(k))])
         vals = sym_eig(m @ m.T).values
         assert abs(vals[0]) <= TAU8
         assert np.max(np.abs(vals[1:] - n)) <= TAU8

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from framegraphs import linegraph
+from framegraphs.constructions import adjacency, laplacian, oriented_incidence, \
+    unoriented_incidence
 from framegraphs.graphs import (
     Graph,
     GraphError,
@@ -27,14 +29,10 @@ from framegraphs.graphs import (
 )
 from framegraphs.linegraph import (
     NotALineGraph,
-    adjacency,
     contains_induced,
     is_line_graph,
-    laplacian,
     line_graph,
-    oriented_incidence,
     root_graph,
-    unoriented_incidence,
 )
 
 import reference_linegraph as reference

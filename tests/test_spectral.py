@@ -7,10 +7,9 @@ import pytest
 import reference_frames as reference
 
 from framegraphs import verify
-from framegraphs.constructions import laplacian_method
+from framegraphs.constructions import laplacian, laplacian_method
 from framegraphs.frames import frame_operator, gramian
 from framegraphs.graphs import complete, cycle, path
-from framegraphs.linegraph import laplacian
 from framegraphs.spectral import (
     DEFAULT_TOL,
     SpectralError,
