@@ -286,18 +286,6 @@ def check_neighbor(graph):
     sys.exit(0)
 
 
-@check.command("cycles")
-@click.argument("graph", default="-")
-def check_cycles(graph):
-    """Edge on no 3- or 4-cycle; exit 0 when an offending edge is found."""
-    e = verify.edge_cycle_check(_load_graph(graph))
-    if e is None:
-        click.echo("none")
-        sys.exit(1)
-    click.echo(f"offending-edge {e[0]} {e[1]}")
-    sys.exit(0)
-
-
 @check.command("linegraph")
 @click.argument("graph", default="-")
 def check_linegraph(graph):
@@ -312,18 +300,6 @@ def check_linegraph(graph):
     mapped = " ".join(str(embedding[k]) for k in sorted(embedding))
     click.echo(f"forbidden G{idx} vertices {mapped}")
     sys.exit(1)
-
-
-@check.command("erasure")
-@click.argument("frame_src", metavar="FRAME", default="-")
-@click.option("-e", "--erasures", type=int, required=True)
-@click.pass_obj
-def check_erasure(cfg, frame_src, erasures):
-    """Exit 0 iff the frame survives every erasure of the given size."""
-    from .frames import erasure_robustness
-    ok = erasure_robustness(_load_frame(frame_src), erasures, cfg.tol)
-    click.echo("robust" if ok else "not-robust")
-    sys.exit(0 if ok else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def lkn_small_frame(n: int) -> Frame:
 
     Built from the (n-1) x n(n-1)/2 block matrix [C D] with
     C = I - J/(n-1) and D the oriented incidence matrix of K_{n-1};
-    column order is the n-1 columns of C first, then the edges of K_{n-1}.
+    column i < n-1 (of C) stands for the edge {i, n-1} of K_n, and the
+    rest for the edges of K_{n-1} in canonical order.
     """
     if n < 3:
         raise GraphError("lkn_small_frame needs n >= 3")
@@ -105,16 +106,6 @@ def lkn_small_frame(n: int) -> Frame:
     dec = sym_eig(m @ m.T)
     x = dec.vectors[:, 1:]  # eigenvalue-n eigenspace (the top n-2)
     return Frame(x.T @ m)
-
-
-def lkn_small_column_edges(n: int) -> tuple[tuple[int, int], ...]:
-    """Edge of K_n represented by each column of lkn_small_frame(n).
-
-    Column i < n-1 is the edge {i, n-1}; the remaining columns are the
-    edges of K_{n-1} in canonical order.
-    """
-    first = tuple((i, n - 1) for i in range(n - 1))
-    return first + graphs.complete(n - 1).edges
 
 
 def star_frame(n: int, d: int, keep=None) -> Frame:

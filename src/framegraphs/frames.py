@@ -1,20 +1,19 @@
 """Frames and frame-level predicates and transforms.
 
 A frame is held by its d x n synthesis matrix whose columns are the frame
-vectors.  Tightness tests, the Gram-pattern graph, Naimark complements,
-vector duplication, and erasure robustness / reconstruction live here.
+vectors.  Tightness tests, the Gram-pattern graph, Naimark complements
+and vector duplication live here.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import Graph
-from .spectral import DEFAULT_TOL, TolerancePolicy, numeric_rank, sym_eig, sym_eigvals
+from .spectral import DEFAULT_TOL, TolerancePolicy, sym_eig, sym_eigvals
 
 
 class FrameError(ValueError):
@@ -220,41 +219,3 @@ def duplicate_vector(f: Frame, i: int, copies: int = 2) -> Frame:
     mat[:, i] = scaled
     return Frame(np.column_stack([mat] + [scaled] * (copies - 1)))
 
-
-def erasure_robustness(f: Frame, e: int, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """True iff every subset of n - e columns still spans R^d."""
-    if not 0 <= e < f.n:
-        raise FrameError("erasure count must satisfy 0 <= e < n")
-    if e == 0:
-        return True
-    for erased in itertools.combinations(range(f.n), e):
-        keep = [j for j in range(f.n) if j not in erased]
-        sub = f.synthesis[:, keep]
-        if numeric_rank(sub @ sub.T, tol) < f.d:
-            return False
-    return True
-
-
-def reconstruct(
-    f: Frame,
-    coefficients,
-    erased=(),
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> np.ndarray:
-    """Recover x from inner products <x, f_i>, ignoring erased columns.
-
-    Uses the inverse frame operator of the surviving columns:
-    x = sum_i c_i * S~^{-1} f_i over the survivors.
-    """
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.shape != (f.n,):
-        raise FrameError(f"need {f.n} coefficients, got shape {coeffs.shape}")
-    erased = set(erased)
-    if not erased <= set(range(f.n)):
-        raise FrameError(f"erased indices must lie in 0..{f.n - 1}, got {sorted(erased)}")
-    keep = [j for j in range(f.n) if j not in erased]
-    sub = f.synthesis[:, keep]
-    s_sub = sub @ sub.T
-    if numeric_rank(s_sub, tol) < f.d:
-        raise FrameError("surviving columns do not span the space")
-    return np.linalg.solve(s_sub, sub @ coeffs[keep])

@@ -4,8 +4,8 @@ A graph is certified tight by attaching a verified tight frame whose Gram
 pattern equals the graph, refuted by a concrete obstruction witness, or
 annotated from the literature; everything else is reported unknown.
 frames, constructions and numpy load only to build a catalog or verify a
-match, so the obstruction tests and the sweeps that classify nothing run
-without them.
+match, so the obstruction tests, the sweeps that classify nothing and the
+classification of a graph that no catalog family fits run without them.
 """
 
 from __future__ import annotations
@@ -63,27 +63,6 @@ def neighbor_obstruction(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def edge_cycle_check(g: Graph) -> tuple[int, int] | None:
-    """First edge lying on no 3-cycle and no 4-cycle; None if every edge
-    does (a necessary condition for tightness on >= 3 vertices)."""
-    if g.n < 3:
-        raise GraphError("edge_cycle_check needs at least three vertices")
-    if not is_connected(g):
-        raise GraphError("edge_cycle_check needs a connected graph")
-    adj = g._adj
-    for u, v in g.edges:
-        if adj[u] & adj[v]:
-            continue  # 3-cycle
-        on_c4 = any(
-            w != x and x in adj[w]
-            for w in adj[u] if w != v
-            for x in adj[v] if x != u
-        )
-        if not on_c4:
-            return (u, v)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -91,35 +70,40 @@ def edge_cycle_check(g: Graph) -> tuple[int, int] | None:
 @functools.lru_cache(maxsize=512)
 def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
     """The catalog entries that could match an (n, m) graph, each as (name,
-    frame, pattern), the pattern being the frame's Gram graph.  A family's
-    frame is built only when (n, m) passes its edge-count test, so a large
-    sparse graph builds none.  Memoised per (n, m, tol): every call shares
-    the frames and patterns, which are read-only, and each pattern builds
-    its matching views on its first match."""
+    frame, pattern), the pattern being the frame's Gram graph.  The edge-count
+    tests run first: an (n, m) that no family fits returns () before numpy,
+    frames or constructions load, and a family's frame is built only when
+    (n, m) passes its test, so a large sparse graph builds none.  Memoised
+    per (n, m, tol): every call shares the frames and patterns, which are
+    read-only, and each pattern builds its matching views on its first match."""
+    k = (1 + math.isqrt(1 + 8 * n)) // 2  # the one k >= 3 with k(k - 1)/2 = n, if any
+    # Each builder runs after the imports below bind the names it reads.
+    families = (
+        ("k1", n == 1, lambda: Frame(np.array([[1.0]]))),
+        ("complete", n > 1 and m == n * (n - 1) // 2,
+         lambda: constructions.star_frame(n, n - 1)),
+        ("complete-minus-edge", n >= 4 and m == n * (n - 1) // 2 - 1,
+         lambda: constructions.kn_minus_e_frame(n)),
+        ("cycle4", n == 4 and m == 4, lambda: constructions.c4_frame()),
+        ("line-of-o", n >= 4 and m == (n - 1) * (n - 2) // 2 + 2,
+         lambda: constructions.line_o_frame(n)),
+        ("g2", n == 5 and m == 7, lambda: constructions.g2_frame()),
+        ("g6", n == 6 and m == 11, lambda: constructions.g6_frame()),
+        (f"line-of-complete{k}",
+         k >= 3 and k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m,
+         lambda: constructions.laplacian_method(graphs.complete(k))),
+        (f"k2-box-k{n // 2}", n % 2 == 0 and n >= 6 and m == (n // 2) ** 2,
+         lambda: constructions.k2kn_frame(n // 2)),
+    )
+    fits = [(name, build) for name, ok, build in families if ok]
+    if not fits:
+        return ()
     import numpy as np
 
     from . import constructions
     from .frames import Frame, associated_graph
 
-    found = [("k1", Frame(np.array([[1.0]])))] if n == 1 else []
-    if n > 1 and m == n * (n - 1) // 2:
-        found.append(("complete", constructions.star_frame(n, n - 1)))
-    if n >= 4 and m == n * (n - 1) // 2 - 1:
-        found.append(("complete-minus-edge", constructions.kn_minus_e_frame(n)))
-    if n == 4 and m == 4:
-        found.append(("cycle4", constructions.c4_frame()))
-    if n >= 4 and m == (n - 1) * (n - 2) // 2 + 2:
-        found.append(("line-of-o", constructions.line_o_frame(n)))
-    if n == 5 and m == 7:
-        found.append(("g2", constructions.g2_frame()))
-    if n == 6 and m == 11:
-        found.append(("g6", constructions.g6_frame()))
-    k = (1 + math.isqrt(1 + 8 * n)) // 2  # the one k >= 3 with k(k - 1)/2 = n, if any
-    if k >= 3 and k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m:
-        found.append((f"line-of-complete{k}",
-                      constructions.laplacian_method(graphs.complete(k))))
-    if n % 2 == 0 and n >= 6 and m == (n // 2) ** 2:
-        found.append((f"k2-box-k{n // 2}", constructions.k2kn_frame(n // 2)))
+    found = [(name, build()) for name, build in fits]
     return tuple((name, frame, associated_graph(frame, tol).graph) for name, frame in found)
 
 
@@ -173,7 +157,8 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
             "not_tight", detail="non-adjacent pair with a unique common neighbor",
             witness=("neighbor", witness),
         )
-    # No edge_cycle_check stage: if edge uv (n >= 3) is on no 3- or 4-cycle,
+    # Every edge of a tight frame graph on n >= 3 vertices lies on a 3- or
+    # 4-cycle, but that test refutes nothing more: if edge uv is on neither,
     # u (say) has another neighbor w, and u is the only common neighbor of
     # the non-adjacent w and v, so neighbor_obstruction has returned.
     return Certificate("unknown")

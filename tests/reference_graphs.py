@@ -1,4 +1,4 @@
-"""Reference enumeration and isomorphism: pairwise backtracking on Graphs.
+"""Reference enumeration, isomorphism and edge-cycle check on Graphs.
 
 The library reads its enumeration from a committed table, whose
 generator (tools/connected_table.py) works on bitmask rows and skips
@@ -8,6 +8,11 @@ iterative, label-guided search.  This module keeps the plain versions: a recursi
 every candidate and tests it against each kept graph with the same
 invariant key, so differential tests can require identical results.
 It has no size cap; callers keep inputs small.
+
+``edge_cycle_check`` is the necessary condition that every edge of a tight
+frame graph on >= 3 vertices lies on a 3- or 4-cycle.  The library has no
+such test: it refutes only graphs that the common-neighbour test already
+refutes, which test_verify and test_acceptance pin.
 """
 
 from __future__ import annotations
@@ -112,3 +117,15 @@ def enumerate_connected(n: int) -> list[Graph]:
                 bucket.append(cand)
                 out.append(cand)
     return out
+
+
+def edge_cycle_check(g: Graph) -> tuple[int, int] | None:
+    """The first edge, in g.edges order, on no 3-cycle and no 4-cycle; None
+    if every edge lies on one."""
+    nbr = _neighbours(g)
+    for u, v in g.edges:
+        on_c3 = bool(nbr[u] & nbr[v])
+        on_c4 = any(w != x and x in nbr[w] for w in nbr[u] - {v} for x in nbr[v] - {u})
+        if not (on_c3 or on_c4):
+            return (u, v)
+    return None

@@ -148,26 +148,11 @@ def test_check_neighbor_polarity(runner):
     assert res.exit_code == 1 and res.output.strip() == "none"
 
 
-def test_check_cycles(runner):
-    res = run(runner, ["check", "cycles"], stdin=to_text(cycle(5)))
-    assert res.exit_code == 0 and res.output.startswith("offending-edge")
-    res = run(runner, ["check", "cycles"], stdin=to_text(cycle(4)))
-    assert res.exit_code == 1
-
-
 def test_check_linegraph(runner):
     res = run(runner, ["check", "linegraph"], stdin=to_text(cycle(6)))
     assert res.exit_code == 0 and "line-graph" in res.output
     res = run(runner, ["check", "linegraph"], stdin=to_text(star(4)))
     assert res.exit_code == 1 and "forbidden G1" in res.output
-
-
-def test_check_erasure(runner):
-    frame_text = run(runner, ["frame", "diamond"]).output
-    res = run(runner, ["check", "erasure", "-e", "2"], stdin=frame_text)
-    assert res.exit_code == 0 and "robust" in res.output
-    res = run(runner, ["check", "erasure", "-e", "3"], stdin=frame_text)
-    assert res.exit_code == 1 and "not-robust" in res.output
 
 
 def test_frame_dup_chain(runner):

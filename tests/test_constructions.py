@@ -85,8 +85,9 @@ def test_lkn_small_frame():
         f = cons.lkn_small_frame(n)
         assert f.d == n - 2
         assert np.max(np.abs(frame_operator(f) - n * np.eye(n - 2))) < 1e-8
-        # Columns follow the documented edge order of K_n.
-        col_edges = cons.lkn_small_column_edges(n)
+        # Columns follow the documented edge order of K_n: column i < n - 1
+        # is the edge {i, n - 1}, the rest are the edges of K_{n-1}.
+        col_edges = [(i, n - 1) for i in range(n - 1)] + list(complete(n - 1).edges)
         kn = complete(n)
         lkn = line_graph(kn).line
         perm = {i: kn.edge_index(*e) for i, e in enumerate(col_edges)}

@@ -1,5 +1,5 @@
 """Frame predicates and transforms: bounds, tightness, patterns, Naimark,
-duplication, erasures."""
+duplication."""
 
 import random
 import warnings
@@ -32,12 +32,10 @@ from framegraphs.frames import (
     ToleranceInconsistencyError,
     associated_graph,
     duplicate_vector,
-    erasure_robustness,
     frame_bounds,
     frame_operator,
     gramian,
     naimark_complement,
-    reconstruct,
     represents,
     rescale_to_parseval,
     tightness,
@@ -360,52 +358,8 @@ def test_duplicate_zero_column_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Erasures and reconstruction
+# Reconstruction
 # ---------------------------------------------------------------------------
-
-def test_erasure_robustness_diamond():
-    f = diamond_frame()
-    assert erasure_robustness(f, 0)
-    assert erasure_robustness(f, 1)
-    assert erasure_robustness(f, 2)
-    assert not erasure_robustness(f, 3)
-    with pytest.raises(FrameError):
-        erasure_robustness(f, 4)
-
-
-def test_repeated_vector_weakens_robustness():
-    # {f1, f2, f3, f3}: one erasure is fine, two can leave parallel vectors.
-    f = diamond_frame()
-    cols = f.synthesis[:, [0, 1, 2, 2]]
-    rep = Frame(cols)
-    assert erasure_robustness(rep, 1)
-    assert not erasure_robustness(rep, 2)
-
-
-def test_reconstruct_exact_and_with_erasure():
-    f = diamond_frame()
-    x = np.array([1.0, 2.0])
-    coeffs = f.synthesis.T @ x
-    assert np.allclose(reconstruct(f, coeffs), x)
-    assert np.allclose(reconstruct(f, coeffs, erased=(0, 2)), x)
-
-
-def test_reconstruct_guards():
-    f = diamond_frame()
-    with pytest.raises(FrameError):
-        reconstruct(f, np.zeros(3))
-    # Erasing all but one column of a 2-d frame cannot span.
-    with pytest.raises(FrameError):
-        reconstruct(f, np.zeros(4), erased=(0, 1, 2))
-
-
-def test_reconstruct_rejects_out_of_range_erasures():
-    f = star_frame(5, 3)
-    coeffs = f.synthesis.T @ np.array([1.0, -2.0, 0.5])
-    for erased in [(99, -1), (-1,), (5,), (0, 5)]:
-        with pytest.raises(FrameError, match="0..4"):
-            reconstruct(f, coeffs, erased=erased)
-
 
 def test_star_frame_parseval_reconstruction():
     f = star_frame(6, 3)
@@ -413,7 +367,6 @@ def test_star_frame_parseval_reconstruction():
     coeffs = f.synthesis.T @ x
     # Parseval frames reconstruct by plain synthesis.
     assert np.allclose(f.synthesis @ coeffs, x)
-    assert np.allclose(reconstruct(f, coeffs), x)
 
 
 # ---------------------------------------------------------------------------

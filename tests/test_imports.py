@@ -46,7 +46,7 @@ GRAPH_COMMANDS = [
     (["check", "linegraph"], to_text(line_graph(complete(5)).line), 0),
     (["check", "linegraph"], to_text(delete_edge(complete(5), (0, 1))), 1),
     (["check", "neighbor"], to_text(path(4)), 0),
-    (["check", "cycles"], to_text(path(4)), 0),
+    (["classify"], to_text(path(5)), 1),
     (["sweep", "lemma-p4", "--max-n", "5"], None, 0),
     (["sweep", "join-line", "--max-n", "4"], None, 0),
     (["--tol", "0.5", "gen", "cycle", "4"], None, 2),

@@ -36,7 +36,6 @@ from framegraphs.spectral import DEFAULT_TOL, TolerancePolicy
 from framegraphs.verify import (
     Certificate,
     classify,
-    edge_cycle_check,
     induced_path_sweep,
     join_line_check,
     neighbor_obstruction,
@@ -44,6 +43,7 @@ from framegraphs.verify import (
 )
 
 import reference_linegraph as reference
+from reference_graphs import edge_cycle_check
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +74,11 @@ def test_neighbor_obstruction_witness_is_valid():
         assert g.neighbors(u) & g.neighbors(v) == {c}
 
 
-def test_edge_cycle_check():
-    # Every edge of C_4 lies on a 4-cycle; every edge of K_4 on a triangle.
-    assert edge_cycle_check(cycle(4)) is None
-    assert edge_cycle_check(complete(4)) is None
-    assert edge_cycle_check(path(3)) == (0, 1)
-    assert edge_cycle_check(cycle(5)) == (0, 1)
-    with pytest.raises(GraphError):
-        edge_cycle_check(path(2))
-    with pytest.raises(GraphError):
-        edge_cycle_check(Graph.from_edges(4, [(0, 1), (2, 3)]))
-
-
 def test_sparse_checks_build_no_rows():
     # Bitmask rows of P_60000 would take about 225 MB; these checks read
     # the neighbour sets alone.
     g = path(60000)
     assert is_connected(g) and len(components(g)) == 1
-    assert edge_cycle_check(g) == (0, 1)
     assert neighbor_obstruction(g) == (0, 2, 1)
     assert "_adj" in vars(g) and "_rows" not in vars(g)
 
@@ -111,6 +98,8 @@ def test_edge_cycle_witness_implies_neighbor_witness():
     # Why classify has no edge-cycle stage: on a connected graph with
     # n >= 3, an edge on no 3- or 4-cycle always comes with a non-adjacent
     # pair whose only common neighbor is one of its endpoints.
+    assert edge_cycle_check(cycle(4)) is None and edge_cycle_check(complete(4)) is None
+    assert edge_cycle_check(path(3)) == edge_cycle_check(cycle(5)) == (0, 1)
     nx = pytest.importorskip("networkx")
     graphs = [
         Graph.from_edges(a.number_of_nodes(), a.edges())
