@@ -12,7 +12,6 @@ _HOME = {
     "Frame": "frames",
     "FrameBounds": "frames",
     "Graph": "graphs",
-    "TolerancePolicy": "tolerance",
     "associated_graph": "frames",
     "classify": "verify",
     "frame_bounds": "frames",
@@ -29,7 +28,7 @@ _HOME = {
 __all__ = sorted(_HOME)
 
 _SUBMODULES = {"cli", "constructions", "frames", "graphs", "linegraph", "matio",
-               "spectral", "tolerance", "verify"}
+               "spectral", "verify"}
 
 
 def __getattr__(name: str):

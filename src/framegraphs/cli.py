@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -22,13 +21,6 @@ import click
 from . import graphs, verify
 from .graphs import gen_named, from_text, to_text
 from .linegraph import is_line_graph, line_graph, root_graph
-from .tolerance import TolerancePolicy
-
-
-@dataclass
-class RunConfig:
-    tol: TolerancePolicy
-    fmt: str
 
 
 def _read(source: str) -> str:
@@ -54,18 +46,8 @@ def _load_frame(source: str):
 
 
 @click.group()
-@click.option("--tol", type=float, default=1e-9, show_default=True,
-              help="Relative zero threshold for all pattern/rank decisions.")
-@click.option("--format", "fmt", type=click.Choice(["text", "structured"]),
-              default="structured", show_default=True,
-              help="Report style for classify/sweep output.")
-@click.pass_context
-def cli(ctx, tol, fmt):
-    try:
-        policy = TolerancePolicy(tau_rel=tol)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    ctx.obj = RunConfig(tol=policy, fmt=fmt)
+def cli():
+    """Tight frame graphs: generate, build, check, classify and sweep."""
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +192,22 @@ def _emit_completion(result, out):
 @complete.command("minimal")
 @click.argument("frame_src", metavar="FRAME", default="-")
 @click.option("--out", type=click.Path())
-@click.pass_obj
-def complete_minimal(cfg, frame_src, out):
+def complete_minimal(frame_src, out):
     """Minimal tight completion (eigenvalue-deficit vectors)."""
     from . import constructions
     _emit_completion(
-        constructions.minimal_tight_completion(_load_frame(frame_src), cfg.tol), out
+        constructions.minimal_tight_completion(_load_frame(frame_src)), out
     )
 
 
 @complete.command("twostep")
 @click.argument("frame_src", metavar="FRAME", default="-")
 @click.option("--out", type=click.Path())
-@click.pass_obj
-def complete_twostep(cfg, frame_src, out):
+def complete_twostep(frame_src, out):
     """Generic two-step completion (orthogonalize rows, then equalize norms)."""
     from . import constructions
     _emit_completion(
-        constructions.two_step_completion(_load_frame(frame_src), cfg.tol), out
+        constructions.two_step_completion(_load_frame(frame_src)), out
     )
 
 
@@ -242,22 +222,20 @@ def check():
 
 @check.command("tight")
 @click.argument("frame_src", metavar="FRAME", default="-")
-@click.pass_obj
-def check_tight(cfg, frame_src):
+def check_tight(frame_src):
     """Exit 0 iff the frame is tight (Parseval counts as tight)."""
     from .frames import tightness
-    t = tightness(_load_frame(frame_src), cfg.tol)
+    t = tightness(_load_frame(frame_src))
     click.echo(f"{t.kind} lower {t.lower:.17g} upper {t.upper:.17g}")
     sys.exit(0 if t.kind in ("tight", "parseval") else 1)
 
 
 @check.command("parseval")
 @click.argument("frame_src", metavar="FRAME", default="-")
-@click.pass_obj
-def check_parseval(cfg, frame_src):
+def check_parseval(frame_src):
     """Exit 0 iff the frame is Parseval."""
     from .frames import tightness
-    t = tightness(_load_frame(frame_src), cfg.tol)
+    t = tightness(_load_frame(frame_src))
     click.echo(f"{t.kind} lower {t.lower:.17g} upper {t.upper:.17g}")
     sys.exit(0 if t.kind == "parseval" else 1)
 
@@ -265,11 +243,10 @@ def check_parseval(cfg, frame_src):
 @check.command("pattern")
 @click.argument("frame_src", metavar="FRAME", default="-")
 @click.option("--graph", "graph_src", required=True, help="Graph file to compare against.")
-@click.pass_obj
-def check_pattern(cfg, frame_src, graph_src):
+def check_pattern(frame_src, graph_src):
     """Exit 0 iff the frame's Gram pattern equals the graph (labeled)."""
     from .frames import represents
-    ok = represents(_load_frame(frame_src), _load_graph(graph_src), cfg.tol)
+    ok = represents(_load_frame(frame_src), _load_graph(graph_src))
     click.echo("match" if ok else "mismatch")
     sys.exit(0 if ok else 1)
 
@@ -309,24 +286,17 @@ def check_linegraph(graph):
 @cli.command()
 @click.argument("graph", default="-")
 @click.option("--out", type=click.Path(), help="Write the certificate frame here.")
-@click.pass_obj
-def classify(cfg, graph, out):
+def classify(graph, out):
     """Classify GRAPH; exit 0 only for a machine-verified tight certificate."""
-    cert = verify.classify(_load_graph(graph), cfg.tol)
-    if cfg.fmt == "text":
-        bits = [f"The graph is {cert.verdict.replace('_', ' ')}"]
-        if cert.detail:
-            bits.append(f"({cert.detail})")
-        click.echo(" ".join(bits))
-    else:
-        click.echo(f"verdict {cert.verdict}")
-        if cert.detail:
-            click.echo(f"detail {cert.detail}")
-        if cert.dimension is not None:
-            click.echo(f"dimension {cert.dimension}")
-        if cert.witness is not None:
-            kind, data = cert.witness
-            click.echo(f"witness {kind} " + " ".join(str(x) for x in data))
+    cert = verify.classify(_load_graph(graph))
+    click.echo(f"verdict {cert.verdict}")
+    if cert.detail:
+        click.echo(f"detail {cert.detail}")
+    if cert.dimension is not None:
+        click.echo(f"dimension {cert.dimension}")
+    if cert.witness is not None:
+        kind, data = cert.witness
+        click.echo(f"witness {kind} " + " ".join(str(x) for x in data))
     if out and cert.frame is not None:
         _emit_frame(cert.frame, out)
         click.echo(f"certificate {out}")
@@ -338,40 +308,31 @@ def sweep():
     """Exhaustive small-graph sweeps; exit 0 when no counterexample is found."""
 
 
-def _emit_report(cfg, report):
-    if cfg.fmt == "text":
-        click.echo(
-            f"Checked {report.checked} cases, "
-            f"{len(report.counterexamples)} counterexample(s)."
-        )
-    else:
-        click.echo(f"checked {report.checked}")
-        click.echo(f"counterexamples {len(report.counterexamples)}")
+def _emit_report(report):
+    click.echo(f"checked {report.checked}")
+    click.echo(f"counterexamples {len(report.counterexamples)}")
     sys.exit(0 if report.ok else 1)
 
 
 @sweep.command("root-order")
 @click.option("--max-n", type=int, default=6, show_default=True)
-@click.pass_obj
-def sweep_root_order(cfg, max_n):
+def sweep_root_order(max_n):
     """Root-order classification sweep."""
-    _emit_report(cfg, verify.root_order_theorem_check(max_n))
+    _emit_report(verify.root_order_theorem_check(max_n))
 
 
 @sweep.command("join-line")
 @click.option("--max-n", type=int, default=4, show_default=True)
-@click.pass_obj
-def sweep_join_line(cfg, max_n):
+def sweep_join_line(max_n):
     """Joins of connected graphs are not line graphs."""
-    _emit_report(cfg, verify.join_line_check(max_n))
+    _emit_report(verify.join_line_check(max_n))
 
 
 @sweep.command("lemma-p4")
 @click.option("--max-n", type=int, default=6, show_default=True)
-@click.pass_obj
-def sweep_lemma_p4(cfg, max_n):
+def sweep_lemma_p4(max_n):
     """Induced 4-paths in the root force an obstruction in the line graph."""
-    _emit_report(cfg, verify.induced_path_sweep(max_n))
+    _emit_report(verify.induced_path_sweep(max_n))
 
 
 def main(argv=None):

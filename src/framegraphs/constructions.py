@@ -19,7 +19,7 @@ import numpy as np
 from . import graphs
 from .frames import Frame, FrameError, duplicate_vector, tightness
 from .graphs import Graph, GraphError, is_connected
-from .spectral import DEFAULT_TOL, TolerancePolicy, group_eigenvalues, sym_eig
+from .spectral import TAU, group_eigenvalues, sym_eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,17 +166,15 @@ def k2kn_frame(n: int) -> Frame:
 # Tight completions
 # ---------------------------------------------------------------------------
 
-def minimal_tight_completion(
-    f: Frame, tol: TolerancePolicy = DEFAULT_TOL
-) -> CompletionResult:
+def minimal_tight_completion(f: Frame) -> CompletionResult:
     """Append sqrt(B - lambda_i) x_i for every frame-operator eigenvalue
     below the top one (under multiplicity grouping).
 
     The result is B-tight with B = lambda_max, and no completion with
     fewer added vectors exists.
     """
-    dec = sym_eig(f.synthesis @ f.synthesis.T, tol)
-    groups = group_eigenvalues(dec.values, tol)
+    dec = sym_eig(f.synthesis @ f.synthesis.T)
+    groups = group_eigenvalues(dec.values)
     bound = float(np.mean(dec.values[groups[-1]]))
     deficit = [i for grp in groups[:-1] for i in grp]
     added = tuple(
@@ -189,9 +187,7 @@ def minimal_tight_completion(
     return CompletionResult(frame=Frame(mat), added=added, bound=bound)
 
 
-def two_step_completion(
-    f: Frame, tol: TolerancePolicy = DEFAULT_TOL
-) -> CompletionResult:
+def two_step_completion(f: Frame) -> CompletionResult:
     """Generic two-step tight completion.
 
     Step 1 appends, for each non-orthogonal row pair (i, j) in
@@ -202,7 +198,7 @@ def two_step_completion(
     """
     mat = f.synthesis
     d = f.d
-    thr = tol.threshold(float(np.max(np.abs(mat @ mat.T))))
+    thr = TAU * float(np.max(np.abs(mat @ mat.T)))
     added: list[np.ndarray] = []
     for i in range(d):
         for j in range(i + 1, d):

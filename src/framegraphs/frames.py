@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectral import DEFAULT_TOL, TolerancePolicy, sym_eig, sym_eigvals
+from .spectral import TAU, sym_eig, sym_eigvals
 
 
 class FrameError(ValueError):
@@ -53,9 +53,9 @@ class Frame:
         # d > n columns cannot span R^d; say so before forming the d x d S.
         if self.d > self.n:
             raise FrameError("columns do not span the space: not a frame")
-        # S has full rank iff every |eigenvalue| is above numeric_rank's threshold.
+        # S has full rank iff every |eigenvalue| is above TAU * |lambda_max|.
         values = sym_eigvals(mat @ mat.T)
-        if np.min(np.abs(values)) <= DEFAULT_TOL.threshold(np.max(np.abs(values))):
+        if np.min(np.abs(values)) <= TAU * np.max(np.abs(values)):
             raise FrameError("columns do not span the space: not a frame")
         object.__setattr__(self, "_spectrum", values)
 
@@ -106,24 +106,25 @@ def frame_bounds(f: Frame) -> FrameBounds:
     return FrameBounds(lower=float(values[0]), upper=float(values[-1]))
 
 
-def tightness(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Tightness:
+def tightness(f: Frame) -> Tightness:
     """Classify the frame as Parseval, tight, or not tight.
 
     The Parseval verdict from the frame operator is cross-checked against
     the Gramian projection identity G^2 = G, and disagreement raises.  The
-    largest entry of G^2 - G is at most tau * n * B for a Parseval frame and
-    above tau * min(B, 1) / (2n) for any other, so only a value past these
-    bounds (the lower one halved for margin) contradicts S.
+    largest entry of G^2 - G is at most TAU * n * B for a Parseval frame and,
+    as Frame's rank check holds every eigenvalue of S above TAU * B, above
+    TAU * min(B, 1) / (2n) for any other, so only a value past these bounds
+    (the lower one halved for margin) contradicts S.
     """
     bounds = frame_bounds(f)
     a, b = bounds.lower, bounds.upper
-    is_tight = b - a <= tol.threshold(b)
-    s_parseval = is_tight and abs(b - 1.0) <= tol.tau_rel
+    is_tight = b - a <= TAU * b
+    s_parseval = is_tight and abs(b - 1.0) <= TAU
     # G^2 - G = F^T (S - I) F: d * n^2 flops instead of the n^3 of G @ G.
     x = f.synthesis
     dev = np.max(np.abs(x.T @ ((frame_operator(f) - np.eye(f.d)) @ x)))
-    if (s_parseval and dev > tol.threshold(b) * f.n) or (
-        not s_parseval and 4 * f.n * dev <= tol.threshold(min(b, 1.0))
+    if (s_parseval and dev > TAU * b * f.n) or (
+        not s_parseval and 4 * f.n * dev <= TAU * min(b, 1.0)
     ):
         raise ToleranceInconsistencyError(
             f"frame-operator test says parseval={s_parseval} but "
@@ -136,9 +137,9 @@ def tightness(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Tightness:
     return Tightness("not_tight", a, b)
 
 
-def rescale_to_parseval(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Frame:
+def rescale_to_parseval(f: Frame) -> Frame:
     """Divide by sqrt(B); requires a tight frame.  The Gram pattern is unchanged."""
-    t = tightness(f, tol)
+    t = tightness(f)
     if t.kind == "parseval":
         return f
     if t.kind != "tight":
@@ -146,11 +147,11 @@ def rescale_to_parseval(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Frame:
     return Frame(f.synthesis / np.sqrt(t.upper))
 
 
-def _gram_support(f: Frame, tol: TolerancePolicy) -> tuple[tuple[int, int], ...]:
+def _gram_support(f: Frame) -> tuple[tuple[int, int], ...]:
     """The pairs (i, j), i < j, with a nonzero Gram entry, sorted as Graph
     edges are; warns for associated_graph and represents, at their caller."""
     g = gramian(f)
-    thr = tol.threshold(np.max(np.abs(g)))
+    thr = TAU * np.max(np.abs(g))
     mag = np.abs(np.triu(g, 1))
     for i, j in zip(*np.nonzero((thr / 10 < mag) & (mag < thr * 10))):
         warnings.warn(
@@ -163,34 +164,34 @@ def _gram_support(f: Frame, tol: TolerancePolicy) -> tuple[tuple[int, int], ...]
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
-def associated_graph(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> GramPattern:
+def associated_graph(f: Frame) -> GramPattern:
     """Graph on n vertices with an edge where the Gram entry is nonzero.
 
     Each entry within a decade of the zero threshold triggers a
     BorderlineEntryWarning, in row-major order: the discrete pattern
     extracted from floats is fragile there.
     """
-    return GramPattern(graph=Graph(f.n, _gram_support(f, tol)))
+    return GramPattern(graph=Graph(f.n, _gram_support(f)))
 
 
-def represents(f: Frame, g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def represents(f: Frame, g: Graph) -> bool:
     """True iff the Gram pattern equals g as a labeled graph (no Graph built)."""
-    return f.n == g.n and _gram_support(f, tol) == g.edges
+    return f.n == g.n and _gram_support(f) == g.edges
 
 
-def naimark_complement(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Frame:
+def naimark_complement(f: Frame) -> Frame:
     """The (n-d) x n Parseval frame whose Gramian is I - G.
 
     Rows are the eigenvectors of G for eigenvalue 0; requires a Parseval
     frame with d < n.
     """
-    t = tightness(f, tol)
+    t = tightness(f)
     if t.kind != "parseval":
         raise FrameError("Naimark complement needs a Parseval frame")
     if f.d >= f.n:
         raise FrameError("Gramian has full rank (d = n): complement is empty")
-    dec = sym_eig(gramian(f), tol)
-    thr = tol.threshold(dec.values[-1])
+    dec = sym_eig(gramian(f))
+    thr = TAU * dec.values[-1]
     zero_cols = np.flatnonzero(np.abs(dec.values) <= thr)
     if zero_cols.size != f.n - f.d:
         raise FrameError(

@@ -368,23 +368,19 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def _vertex_labels(rows: list[int]) -> list[tuple]:
-    """Per-vertex isomorphism invariants: degree, the edges among the
-    neighbours (each counted from both ends, so twice the triangles at
-    the vertex), then the sorted neighbour degrees, in one flat tuple."""
-    deg = [r.bit_count() for r in rows]
+    """Per-vertex isomorphism invariants: the degree, and the edges among
+    the neighbours (each counted from both ends, so twice the triangles at
+    the vertex).  The sorted neighbour degrees would be one round of the
+    refinement _equitable runs on these classes anyway."""
     labels = []
     for r in rows:
         tri = 0
-        nbr_degs = []
         x = r
         while x:
             low = x & -x
-            w = low.bit_length() - 1
+            tri += (rows[low.bit_length() - 1] & r).bit_count()
             x ^= low
-            tri += (rows[w] & r).bit_count()
-            nbr_degs.append(deg[w])
-        nbr_degs.sort()
-        labels.append((len(nbr_degs), tri, *nbr_degs))
+        labels.append((r.bit_count(), tri))
     return labels
 
 
@@ -504,11 +500,11 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An adjacency-preserving bijection V(g) -> V(h), or None.
 
     None at once when the orders, the sizes or the multisets of vertex
-    labels (degree, edges among the neighbours, sorted neighbour degrees)
-    differ.  The label classes of both graphs, cached per graph, are then
-    refined together until equitable (_equitable); a class with more
-    vertices of one graph than of the other also means None.  Otherwise the induced-map search
-    maps g's vertices in g._order to h's vertices of their class, tried in
+    labels (degree, edges among the neighbours) differ.  The label classes
+    of both graphs, cached per graph, are then refined together until
+    equitable (_equitable); a class with more vertices of one graph than of
+    the other also means None.  Otherwise the induced-map search maps g's
+    vertices in g._order to h's vertices of their class, tried in
     ascending order.  The classes only remove branches that cannot
     complete, so the map is the first one the search finds among all
     bijections in that order.

@@ -1,10 +1,10 @@
-"""Dense symmetric eigendecomposition and tolerance-aware numeric rank.
+"""Dense symmetric eigendecomposition and numeric rank.
 
 LAPACK (via numpy.linalg.eigh) does the heavy lifting; this module pins
 down the contract every consumer relies on: ascending eigenvalues, a
-deterministic sign convention for eigenvectors, and a single relative
-tolerance policy for all zero/nonzero decisions (TolerancePolicy, from
-:mod:`framegraphs.tolerance`).
+deterministic sign convention for eigenvectors, and the one relative zero
+threshold TAU behind every zero/nonzero decision: x is zero at scale s
+when |x| <= TAU * |s|.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerance import DEFAULT_TOL, TolerancePolicy
+TAU = 1e-9
 
 
 class SpectralError(ValueError):
@@ -28,7 +28,7 @@ class EigDecomp:
     vectors: np.ndarray
 
 
-def _eigh(m: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy's eigh of m made exactly symmetric, once m is checked."""
     if np.iscomplexobj(m):
         raise SpectralError("matrix is complex; only real symmetric matrices are supported")
@@ -38,7 +38,7 @@ def _eigh(m: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(m)):
         raise SpectralError("matrix has non-finite entries")
     scale = np.max(np.abs(m))
-    if np.max(np.abs(m - m.T)) > tol.threshold(scale):
+    if np.max(np.abs(m - m.T)) > TAU * scale:
         raise SpectralError("matrix is not symmetric within tolerance")
     try:
         return np.linalg.eigh((m + m.T) / 2.0)
@@ -46,44 +46,44 @@ def _eigh(m: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
         raise SpectralError(f"eigendecomposition failed: {exc}") from exc
 
 
-def sym_eigvals(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """sym_eig(m, tol).values, bit for bit (the same eigh call), without
+def sym_eigvals(m: np.ndarray) -> np.ndarray:
+    """sym_eig(m).values, bit for bit (the same eigh call), without
     normalising the signs of eigenvectors it then drops."""
-    return _eigh(m, tol)[0]
+    return _eigh(m)[0]
 
 
-def sym_eig(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> EigDecomp:
+def sym_eig(m: np.ndarray) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix.
 
     Deterministic for identical input: eigenvalues ascending, and in each
-    eigenvector the first entry of magnitude above the tolerance is made
+    eigenvector the first entry of magnitude above TAU is made
     positive.
     """
-    values, vectors = _eigh(m, tol)
-    big = np.abs(vectors) > tol.tau_rel
+    values, vectors = _eigh(m)
+    big = np.abs(vectors) > TAU
     first = np.argmax(big, axis=0)  # row of each column's first big entry, or 0
     cols = np.arange(vectors.shape[1])
     flip = big[first, cols] & (vectors[first, cols] < 0)
     return EigDecomp(values=values, vectors=np.where(flip, -vectors, vectors))
 
 
-def numeric_rank(m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    """Number of eigenvalues with |lambda| > tau_rel * |lambda_max|."""
-    values = np.abs(sym_eigvals(m, tol))
-    return int(np.sum(values > tol.threshold(np.max(values))))
+def numeric_rank(m: np.ndarray) -> int:
+    """Number of eigenvalues with |lambda| > TAU * |lambda_max|."""
+    values = np.abs(sym_eigvals(m))
+    return int(np.sum(values > TAU * np.max(values)))
 
 
-def group_eigenvalues(values: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> list[list[int]]:
+def group_eigenvalues(values: np.ndarray) -> list[list[int]]:
     """Indices of eigenvalues grouped into multiplicity classes.
 
-    Consecutive (ascending) eigenvalues within the relative tolerance of
+    Consecutive (ascending) eigenvalues within TAU * |lambda_max| of
     each other land in the same group.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
     lam_max = np.max(np.abs(values))
-    thr = tol.threshold(lam_max)
+    thr = TAU * lam_max
     groups = [[0]]
     for i in range(1, values.size):
         if values[i] - values[groups[-1][-1]] <= thr:

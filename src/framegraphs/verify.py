@@ -19,7 +19,6 @@ from . import graphs
 from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, contains_induced, \
     enumerate_connected, find_isomorphism, is_connected, path
 from .linegraph import is_line_graph, line_graph
-from .tolerance import DEFAULT_TOL, TolerancePolicy
 
 if TYPE_CHECKING:
     from .frames import Frame
@@ -68,13 +67,13 @@ def neighbor_obstruction(g: Graph) -> tuple[int, int, int] | None:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=512)
-def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
+def _catalog(n: int, m: int) -> tuple:
     """The catalog entries that could match an (n, m) graph, each as (name,
     frame, pattern), the pattern being the frame's Gram graph.  The edge-count
     tests run first: an (n, m) that no family fits returns () before numpy,
     frames or constructions load, and a family's frame is built only when
     (n, m) passes its test, so a large sparse graph builds none.  Memoised
-    per (n, m, tol): every call shares the frames and patterns, which are
+    per (n, m): every call shares the frames and patterns, which are
     read-only, and each pattern builds its matching views on its first match."""
     k = (1 + math.isqrt(1 + 8 * n)) // 2  # the one k >= 3 with k(k - 1)/2 = n, if any
     # Each builder runs after the imports below bind the names it reads.
@@ -104,10 +103,10 @@ def _catalog(n: int, m: int, tol: TolerancePolicy) -> tuple:
     from .frames import Frame, associated_graph
 
     found = [(name, build()) for name, build in fits]
-    return tuple((name, frame, associated_graph(frame, tol).graph) for name, frame in found)
+    return tuple((name, frame, associated_graph(frame).graph) for name, frame in found)
 
 
-def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
+def classify(g: Graph) -> Certificate:
     """Certify, refute, or annotate the tight-frame-graph property.
 
     Tries the constructive catalog at any order (find_isomorphism from the
@@ -116,11 +115,11 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
     obstruction test refutes, then the obstruction tests; otherwise returns
     unknown.
     The catalog frames and their Gram patterns are built once per (order,
-    size, tolerance) in a process; each certificate is still re-verified.
+    size) in a process; each certificate is still re-verified.
     """
     if not is_connected(g):
         raise GraphError("classification needs a connected graph")
-    for name, frame, pattern in _catalog(g.n, g.m, tol):
+    for name, frame, pattern in _catalog(g.n, g.m):
         image = find_isomorphism(pattern, g)
         if image is None:
             continue
@@ -130,10 +129,10 @@ def classify(g: Graph, tol: TolerancePolicy = DEFAULT_TOL) -> Certificate:
         for u, v in image.items():
             columns[v] = u
         cert_frame = Frame(frame.synthesis[:, columns])
-        verdict = tightness(cert_frame, tol)
+        verdict = tightness(cert_frame)
         if verdict.kind not in ("tight", "parseval"):
             raise AssertionError(f"catalog frame {name} is not tight")
-        if not represents(cert_frame, g, tol):
+        if not represents(cert_frame, g):
             raise AssertionError(f"catalog frame {name} does not match after relabeling")
         return Certificate("tight", detail=name, frame=cert_frame)
     # Two non-adjacent vertices of degree n - 2 cover 2(n - 2) edges; if that

@@ -23,14 +23,14 @@ from framegraphs.frames import (
     frame_bounds,
     gramian,
 )
-from framegraphs.spectral import DEFAULT_TOL, TolerancePolicy
+from framegraphs.spectral import TAU
 
 
-def associated_edges(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple[int, int]]:
+def associated_edges(f: Frame) -> list[tuple[int, int]]:
     """Edges (i, j), i < j, where |G_ij| exceeds the threshold; warns on
     each entry within a decade of it, in loop order."""
     g = gramian(f)
-    thr = tol.threshold(np.max(np.abs(g)))
+    thr = TAU * np.max(np.abs(g))
     edges = []
     for i in range(f.n):
         for j in range(i + 1, f.n):
@@ -47,16 +47,16 @@ def associated_edges(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> list[tuple
     return edges
 
 
-def tightness(f: Frame, tol: TolerancePolicy = DEFAULT_TOL) -> Tightness:
+def tightness(f: Frame) -> Tightness:
     """The library's verdict, cross-checked with G @ G - G."""
     bounds = frame_bounds(f)
     a, b = bounds.lower, bounds.upper
-    is_tight = b - a <= tol.threshold(b)
-    s_parseval = is_tight and abs(b - 1.0) <= tol.tau_rel
+    is_tight = b - a <= TAU * b
+    s_parseval = is_tight and abs(b - 1.0) <= TAU
     g = gramian(f)
     dev = np.max(np.abs(g @ g - g))
-    if (s_parseval and dev > tol.threshold(b) * f.n) or (
-        not s_parseval and 4 * f.n * dev <= tol.threshold(min(b, 1.0))
+    if (s_parseval and dev > TAU * b * f.n) or (
+        not s_parseval and 4 * f.n * dev <= TAU * min(b, 1.0)
     ):
         raise ToleranceInconsistencyError(
             f"frame-operator test says parseval={s_parseval} but "
@@ -77,12 +77,12 @@ def matrix_to_text(mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sign_convention(vectors: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Negate each column whose first entry above tau_rel in magnitude is negative."""
+def sign_convention(vectors: np.ndarray) -> np.ndarray:
+    """Negate each column whose first entry above TAU in magnitude is negative."""
     vectors = vectors.copy()
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
-        big = np.flatnonzero(np.abs(col) > tol.tau_rel)
+        big = np.flatnonzero(np.abs(col) > TAU)
         if big.size and col[big[0]] < 0:
             vectors[:, j] = -col
     return vectors

@@ -43,7 +43,6 @@ from framegraphs.verify import (
     classify,
     induced_path_sweep,
     join_line_check,
-    neighbor_obstruction,
     root_order_theorem_check,
 )
 

@@ -205,16 +205,10 @@ def test_classify_negative_exit_code(runner):
     assert "witness neighbor" in res.output
 
 
-def test_classify_text_format(runner):
-    res = run(runner, ["--format", "text", "classify"], stdin=to_text(cycle(4)))
-    assert res.exit_code == 0
-    assert "The graph is tight" in res.output
-
-
 def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     # An unexpected exception is a fault of the program, not a verdict, so
     # it must not exit 1, which means "not tight".
-    def fail(g, tol):
+    def fail(g):
         raise AssertionError("catalog frame is not tight")
     monkeypatch.setattr(verify, "classify", fail)
     graph = tmp_path / "g.txt"
@@ -243,13 +237,8 @@ def test_every_error_class_is_a_value_error():
     assert all(issubclass(e, ValueError) for e in errors)
 
 
-def test_tolerance_option(runner):
-    res = run(runner, ["--tol", "0.5", "gen", "cycle", "4"])
-    assert res.exit_code == 2  # outside the allowed policy range
-
-
 def test_global_options():
-    assert [p.name for p in cli.params] == ["tol", "fmt"]
+    assert cli.params == []
 
 
 def test_sweeps(runner):
@@ -257,8 +246,8 @@ def test_sweeps(runner):
     assert res.exit_code == 0 and "counterexamples 0" in res.output
     res = run(runner, ["sweep", "lemma-p4", "--max-n", "5"])
     assert res.exit_code == 0
-    res = run(runner, ["--format", "text", "sweep", "join-line", "--max-n", "3"])
-    assert res.exit_code == 0 and "0 counterexample(s)" in res.output
+    res = run(runner, ["sweep", "join-line", "--max-n", "3"])
+    assert res.exit_code == 0 and "counterexamples 0" in res.output
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,6 @@ from framegraphs.frames import (
     BorderlineEntryWarning,
     Frame,
     associated_graph,
-    frame_bounds,
     frame_operator,
     gramian,
     represents,
@@ -29,7 +28,6 @@ from framegraphs.graphs import (
     is_isomorphic,
     o_graph,
     path,
-    star,
 )
 from framegraphs.linegraph import line_graph
 from framegraphs.spectral import sym_eig

@@ -43,7 +43,7 @@ from framegraphs.frames import (
 from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
 from framegraphs.linegraph import line_graph
 from framegraphs.matio import matrix_to_text
-from framegraphs.spectral import TolerancePolicy, sym_eig
+from framegraphs.spectral import sym_eig
 from framegraphs.verify import classify
 
 
@@ -279,10 +279,26 @@ def test_tiny_frames_are_frames():
         assert tightness(Frame(np.diag([1.0, 1.5]) * scale)).kind == "not_tight"
 
 
+def test_nearly_rank_deficient_frames_get_a_verdict():
+    # The Gramian cross-check in tightness assumes the rank check's
+    # threshold: a frame whose smallest frame-operator eigenvalue s^2 lies
+    # just above TAU * B is a frame, and must get a verdict, not raise
+    # ToleranceInconsistencyError.  Both shapes have S = diag(B, s^2).
+    ratios = np.concatenate([1e-9 * (1 + np.logspace(-6, 3, 60)), np.logspace(-8.9, 0, 540),
+                             1 - np.logspace(-11, -7, 60)])
+    kinds = {"parseval": 0, "tight": 0, "not_tight": 0}
+    for b in (1e-6, 1.0, 1e4):
+        for s in np.sqrt(ratios * b):
+            half = s / np.sqrt(2)
+            for mat in (np.diag([np.sqrt(b), s]), [[np.sqrt(b), 0, 0], [0, half, half]]):
+                kinds[tightness(Frame(mat)).kind] += 1
+    assert sum(kinds.values()) == 6 * ratios.size
+    assert min(kinds.values()) > 0
+
+
 def test_pattern_respects_tolerance_policy():
+    # An entry at 1e-6 of the largest is far above the zero threshold.
     mat = np.array([[1.0, 1e-6], [0.0, 1.0]])
-    loose = TolerancePolicy(tau_rel=1e-4)
-    assert associated_graph(Frame(mat), loose).graph.m == 0
     assert associated_graph(Frame(mat)).graph.m == 1
 
 
@@ -464,7 +480,7 @@ def _differential_frames():
     frames += [lkn_small_frame(n) for n in range(4, 9)]
     frames += [k2kn_frame(n) for n in range(3, 7)]
     frames += [laplacian_method(complete(n)) for n in range(3, 13)]
-    # Parseval frames scaled across the tolerance band of the cross-check.
+    # Parseval frames scaled across the threshold band of the cross-check.
     frames += [Frame((1 + c * 1e-9) * f.synthesis)
                for f in catalog.values() for c in (-3, -1, 0.5, 1, 3)]
     frames += [laplacian_method(_random_root(rng, rng.randint(3, 30))) for _ in range(40)]

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import framegraphs
-from framegraphs import frames, graphs, spectral, tolerance, verify
+from framegraphs import frames, graphs, spectral, verify
 from framegraphs.cli import cli
 from framegraphs.graphs import complete, delete_edge, path, to_text
 from framegraphs.linegraph import line_graph
@@ -49,7 +49,6 @@ GRAPH_COMMANDS = [
     (["classify"], to_text(path(5)), 1),
     (["sweep", "lemma-p4", "--max-n", "5"], None, 0),
     (["sweep", "join-line", "--max-n", "4"], None, 0),
-    (["--tol", "0.5", "gen", "cycle", "4"], None, 2),
 ]
 
 
@@ -58,8 +57,7 @@ GRAPH_COMMANDS = [
 def test_graph_commands_load_no_numpy(argv, stdin, status):
     rc, out, numpy_loaded = fresh_cli(argv, stdin or "")
     assert (rc, numpy_loaded) == (status, False)
-    if status != 2:
-        assert out == CliRunner().invoke(cli, argv, input=stdin).stdout
+    assert out == CliRunner().invoke(cli, argv, input=stdin).stdout
 
 
 def test_frame_commands_load_numpy_on_demand():
@@ -74,11 +72,9 @@ def test_frame_commands_load_numpy_on_demand():
 # The lazy package
 # ---------------------------------------------------------------------------
 
-# Each export and the module it comes from; __all__ is unchanged from when
-# the package imported them eagerly.
+# Each export and the module it comes from.
 HOMES = {
     graphs: ["Graph", "gen_named"],
-    tolerance: ["TolerancePolicy"],
     spectral: ["EigDecomp", "numeric_rank", "sym_eig"],
     frames: ["Frame", "FrameBounds", "associated_graph", "frame_bounds", "frame_operator",
              "gramian", "naimark_complement", "rescale_to_parseval", "tightness"],
@@ -91,8 +87,6 @@ def test_exports_are_the_home_objects():
     for home, names in HOMES.items():
         for name in names:
             assert getattr(framegraphs, name) is getattr(home, name), name
-    assert framegraphs.TolerancePolicy is spectral.TolerancePolicy
-    assert spectral.DEFAULT_TOL is tolerance.DEFAULT_TOL
 
 
 def test_star_import_binds_every_export():

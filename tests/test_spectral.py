@@ -1,4 +1,4 @@
-"""Eigendecomposition contract: ordering, signs, tolerance policy, rank."""
+"""Eigendecomposition contract: ordering, signs, zero threshold, rank."""
 
 import re
 
@@ -11,33 +11,13 @@ from framegraphs.constructions import laplacian, laplacian_method
 from framegraphs.frames import frame_operator, gramian
 from framegraphs.graphs import complete, cycle, path
 from framegraphs.spectral import (
-    DEFAULT_TOL,
+    TAU,
     SpectralError,
-    TolerancePolicy,
     group_eigenvalues,
     numeric_rank,
     sym_eig,
     sym_eigvals,
 )
-
-
-def test_tolerance_policy_validation():
-    assert TolerancePolicy().tau_rel == 1e-9
-    with pytest.raises(ValueError):
-        TolerancePolicy(tau_rel=0.0)
-    with pytest.raises(ValueError):
-        TolerancePolicy(tau_rel=1e-3)
-    with pytest.raises(ValueError):
-        TolerancePolicy(tau_rel=-1e-9)
-
-
-def test_threshold_is_relative():
-    tol = TolerancePolicy(tau_rel=1e-8)
-    assert tol.threshold(0.5) == 5e-9       # no floor below scale 1
-    assert tol.threshold(1e-6) == 1e-14
-    assert tol.threshold(0.0) == 0.0
-    assert tol.threshold(100.0) == 1e-6
-    assert tol.threshold(-100.0) == 1e-6
 
 
 def test_sym_eig_reconstructs():
@@ -60,7 +40,7 @@ def test_sym_eig_sign_convention_and_determinism():
     assert np.array_equal(d1.vectors, d2.vectors)
     for j in range(6):
         col = d1.vectors[:, j]
-        lead = col[np.abs(col) > DEFAULT_TOL.tau_rel][0]
+        lead = col[np.abs(col) > TAU][0]
         assert lead > 0
 
 
@@ -75,12 +55,11 @@ def test_sym_eig_signs_match_reference():
         mats += [a + a.T, block, block * rng.choice([1e-6, 1e6])]
     later_lead = 0
     for m in mats:
-        for tol in (DEFAULT_TOL, TolerancePolicy(tau_rel=1e-4)):
-            vectors = np.linalg.eigh((m + m.T) / 2.0)[1]
-            expected = reference.sign_convention(vectors, tol)
-            assert np.array_equal(sym_eig(m, tol).vectors, expected)
-            later_lead += np.sum(np.abs(expected[0]) <= tol.tau_rel)
-    assert later_lead > 0  # some leading entries lie below the tolerance
+        vectors = np.linalg.eigh((m + m.T) / 2.0)[1]
+        expected = reference.sign_convention(vectors)
+        assert np.array_equal(sym_eig(m).vectors, expected)
+        later_lead += np.sum(np.abs(expected[0]) <= TAU)
+    assert later_lead > 0  # some leading entries lie below the threshold
 
 
 def test_eigenvalues_alone_are_those_of_sym_eig():
@@ -88,15 +67,14 @@ def test_eigenvalues_alone_are_those_of_sym_eig():
     # on the frame operator of every catalog frame up to 24 vertices, and
     # on seeded random symmetric matrices at several scales.
     mats = [frame_operator(frame) for n in range(1, 25) for m in range(n * (n - 1) // 2 + 1)
-            for _, frame, _ in verify._catalog.__wrapped__(n, m, DEFAULT_TOL)]
+            for _, frame, _ in verify._catalog.__wrapped__(n, m)]
     assert len(mats) > 80
     rng = np.random.default_rng(13)
     for k in range(1, 30):
         a = rng.standard_normal((k, k))
         mats += [a + a.T, (a + a.T) * 1e-7, a @ a.T]
     for m in mats:
-        for tol in (DEFAULT_TOL, TolerancePolicy(tau_rel=1e-4)):
-            assert sym_eigvals(m, tol).tobytes() == sym_eig(m, tol).values.tobytes()
+        assert sym_eigvals(m).tobytes() == sym_eig(m).values.tobytes()
 
 
 def test_eigenvalues_alone_reject_what_sym_eig_rejects():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from framegraphs import constructions, frames, verify
-from framegraphs.frames import BorderlineEntryWarning, frame_operator, represents, tightness
+from framegraphs.frames import BorderlineEntryWarning, represents, tightness
 from framegraphs.graphs import (
     Graph,
     GraphError,
@@ -32,7 +32,6 @@ from framegraphs.graphs import (
     star,
 )
 from framegraphs.linegraph import is_line_graph, line_graph
-from framegraphs.spectral import DEFAULT_TOL, TolerancePolicy
 from framegraphs.verify import (
     Certificate,
     classify,
@@ -298,7 +297,7 @@ def test_warm_catalog_matches_cold():
 def test_line_of_complete_listed_exactly_at_its_order():
     # One candidate k per order n, from k(k - 1)/2 = n.
     def names(n, m):
-        return [name for name, *_ in verify._catalog(n, m, DEFAULT_TOL)
+        return [name for name, *_ in verify._catalog(n, m)
                 if name.startswith("line-of-complete")]
 
     for k in range(3, 16):
@@ -316,7 +315,7 @@ def test_catalog_memo_cannot_be_poisoned():
             cert.frame.synthesis[:] = 7.0
     # The memoised frames themselves refuse writes.
     for n, m in ((6, 15), (1, 0)):
-        for _, frame, *_ in verify._catalog(n, m, DEFAULT_TOL):
+        for _, frame, *_ in verify._catalog(n, m):
             with pytest.raises(ValueError):
                 frame.synthesis[0, 0] = 7.0
     again = [classify(complete(6)), classify(complete(1))]
@@ -343,10 +342,7 @@ def test_catalog_frame_built_once_per_key(monkeypatch):
         g = _shuffled(k12e, rng)
         check_tight_certificate(g, classify(g))
     assert built == [12]
-    # Another tolerance is another key, not a reuse of the default entry.
-    assert classify(k12e, TolerancePolicy(1e-6)).detail == "complete-minus-edge"
-    assert built == [12, 12]
-    assert verify._catalog.cache_info().currsize == 2
+    assert verify._catalog.cache_info().currsize == 1
 
 
 def test_catalog_builds_no_frame_it_cannot_match(monkeypatch):
@@ -366,7 +362,7 @@ def test_catalog_builds_no_frame_it_cannot_match(monkeypatch):
                 and not name.startswith("_"):
             monkeypatch.setattr(constructions, name, refuse(name))
     verify._catalog.cache_clear()
-    assert verify._catalog(100_000, 99_999, DEFAULT_TOL) == ()
+    assert verify._catalog(100_000, 99_999) == ()
     g = path(60_000)
     start = time.perf_counter()
     assert classify(g).verdict == "not_tight"
