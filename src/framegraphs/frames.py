@@ -46,7 +46,7 @@ class Frame:
         mat = np.array(self.synthesis, dtype=float)
         if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
             raise FrameError(f"synthesis matrix must be 2-d, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise FrameError("synthesis matrix has non-finite entries")
         mat.flags.writeable = False
         object.__setattr__(self, "synthesis", mat)
@@ -55,7 +55,8 @@ class Frame:
             raise FrameError("columns do not span the space: not a frame")
         # S has full rank iff every |eigenvalue| is above TAU * |lambda_max|.
         values = sym_eigvals(mat @ mat.T)
-        if np.min(np.abs(values)) <= TAU * np.max(np.abs(values)):
+        size = np.abs(values)
+        if size.min() <= TAU * size.max():
             raise FrameError("columns do not span the space: not a frame")
         object.__setattr__(self, "_spectrum", values)
 
@@ -120,9 +121,9 @@ def tightness(f: Frame) -> Tightness:
     a, b = bounds.lower, bounds.upper
     is_tight = b - a <= TAU * b
     s_parseval = is_tight and abs(b - 1.0) <= TAU
-    # G^2 - G = F^T (S - I) F: d * n^2 flops instead of the n^3 of G @ G.
+    # G^2 - G = F^T (S F - F): d * n^2 flops instead of the n^3 of G @ G.
     x = f.synthesis
-    dev = np.max(np.abs(x.T @ ((frame_operator(f) - np.eye(f.d)) @ x)))
+    dev = np.abs(x.T @ (frame_operator(f) @ x - x)).max()
     if (s_parseval and dev > TAU * b * f.n) or (
         not s_parseval and 4 * f.n * dev <= TAU * min(b, 1.0)
     ):
@@ -149,19 +150,27 @@ def rescale_to_parseval(f: Frame) -> Frame:
 
 def _gram_support(f: Frame) -> tuple[tuple[int, int], ...]:
     """The pairs (i, j), i < j, with a nonzero Gram entry, sorted as Graph
-    edges are; warns for associated_graph and represents, at their caller."""
+    edges are; warns for associated_graph and represents, at their caller.
+    One pass over G finds the entries above a tenth of the threshold, in
+    row-major order; the upper-triangle, warning and edge tests read only
+    those candidates."""
     g = gramian(f)
-    thr = TAU * np.max(np.abs(g))
-    mag = np.abs(np.triu(g, 1))
-    for i, j in zip(*np.nonzero((thr / 10 < mag) & (mag < thr * 10))):
+    mag = np.abs(g)
+    thr = TAU * mag.max()
+    rows, cols = np.nonzero(mag > thr / 10)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    cand = mag[rows, cols]
+    near = cand < thr * 10
+    for i, j in zip(rows[near], cols[near]):
         warnings.warn(
             f"Gram entry ({i}, {j}) = {g[i, j]:.3e} is within a decade "
             f"of the zero threshold {thr:.3e}",
             BorderlineEntryWarning,
             stacklevel=3,
         )
-    rows, cols = np.nonzero(mag > thr)
-    return tuple(zip(rows.tolist(), cols.tolist()))
+    edge = cand > thr
+    return tuple(zip(rows[edge].tolist(), cols[edge].tolist()))
 
 
 def associated_graph(f: Frame) -> GramPattern:

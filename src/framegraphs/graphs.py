@@ -50,9 +50,9 @@ class Graph:
     sorted edges, as Python ints (bools and numpy integers are converted;
     any other type, or an edge that is not a pair, raises GraphError).
     Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), label
-    classes (_labels) and the search order (_order) are derived on first
-    use; a cached view is slower to read than a plain attribute, so loops
-    read it into a local once."""
+    classes (_labels), the search order (_order) and, for a pattern, its
+    match steps (_steps) are derived on first use; a cached view is slower
+    to read than a plain attribute, so loops read it into a local once."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -138,6 +138,19 @@ class Graph:
                 heapq.heappush(heap, (-count[w], -rows[w].bit_count(), w))
         return tuple(order)
 
+    @functools.cached_property
+    def _steps(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per position k of _order: the earlier vertices adjacent to
+        order[k], ascending, and the lowest-numbered earlier non-neighbour,
+        or -1.  The vertices before k are always order[:k], so a pattern's
+        steps are fixed; _induced_map reads them, and a host builds none."""
+        rows, steps, done = self._rows, [], 0
+        for u in self._order:
+            far = done & ~rows[u]
+            steps.append((tuple(_bits(done & rows[u])), (far & -far).bit_length() - 1))
+            done |= 1 << u
+        return tuple(steps)
+
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, tuple(tuple(sorted(e)) for e in edges))
@@ -162,10 +175,10 @@ class Graph:
     def edge_index(self, u: int, v: int) -> int:
         """Position of edge {u, v} in the canonical edge order."""
         e = (min(u, v), max(u, v))
-        try:
-            return self.edges.index(e)
-        except ValueError:
-            raise GraphError(f"edge {e} not in graph") from None
+        i = bisect.bisect_left(self.edges, e)
+        if self.edges[i:i + 1] != (e,):
+            raise GraphError(f"edge {e} not in graph")
+        return i
 
     def _check_vertex(self, u: int):
         if not 0 <= u < self.n:
@@ -398,23 +411,21 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
 
     p's vertices are mapped in p._order, u to the unused host vertices of
     the bitmask allowed[u] adjacent to the images of u's mapped neighbours
-    and to no other image, tried in ascending order.  One step rule: the
-    rows of the neighbours' images, ANDed, less the row of the image of u's
-    lowest-numbered mapped non-neighbour, mask the candidates; a candidate v,
-    which sees every neighbour's image, is kept iff hrows[v] meets no more
-    images than u has mapped neighbours.  A step costs the neighbours
-    mapped, and on a dense host the masked row prunes most candidates.  An
-    explicit stack keeps the search's depth free of the recursion limit.
+    and to no other image, tried in ascending order.  One step rule, read
+    from p._steps: the rows of the neighbours' images, ANDed, less the row
+    of the image of u's lowest-numbered mapped non-neighbour, mask the
+    candidates; a candidate v, which sees every neighbour's image, is kept
+    iff hrows[v] meets no more images than u has mapped neighbours.  A step
+    costs the neighbours mapped, and on a dense host the masked row prunes
+    most candidates.  An explicit stack keeps the search's depth free of
+    the recursion limit.
     """
-    order, prows = p._order, p._rows
+    order, steps = p._order, p._steps
     n = p.n
-    # Per position k: the candidates not yet tried, and how many images each sees.
-    left = [0] * n
-    sees = [0] * n
+    left = [0] * n  # per position k: the candidates not yet tried
     left[0] = allowed[order[0]]
     image = [0] * n
     used = 0  # the images, as host vertices
-    done = 0  # the mapped pattern vertices
     k = 0
     while True:
         cands = left[k]
@@ -423,34 +434,24 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
             if k == 0:
                 return None
             k -= 1
-            u = order[k]
-            used ^= 1 << image[u]
-            done ^= 1 << u
+            used ^= 1 << image[order[k]]
             continue
         low = cands & -cands
         left[k] = cands ^ low
         v = low.bit_length() - 1
-        if (hrows[v] & used).bit_count() != sees[k]:
+        if (hrows[v] & used).bit_count() != len(steps[k][0]):
             continue
-        u = order[k]
-        image[u] = v
+        image[order[k]] = v
         used |= low
-        done |= 1 << u
         k += 1
         if k == n:
             return image
-        u = order[k]
-        row = prows[u]
-        cands = allowed[u] & ~used
-        mapped = row & done
-        far = done ^ mapped
-        sees[k] = mapped.bit_count()
-        while mapped:
-            bit = mapped & -mapped
-            mapped ^= bit
-            cands &= hrows[image[bit.bit_length() - 1]]
-        if far:
-            cands &= ~hrows[image[(far & -far).bit_length() - 1]]
+        near, far = steps[k]
+        cands = allowed[order[k]] & ~used
+        for w in near:
+            cands &= hrows[image[w]]
+        if far >= 0:
+            cands &= ~hrows[image[far]]
         left[k] = cands
 
 

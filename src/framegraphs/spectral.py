@@ -35,10 +35,10 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise SpectralError(f"matrix must be square and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    scale = np.abs(m).max()  # inf or nan iff an entry is not finite
+    if not np.isfinite(scale):
         raise SpectralError("matrix has non-finite entries")
-    scale = np.max(np.abs(m))
-    if np.max(np.abs(m - m.T)) > TAU * scale:
+    if np.abs(m - m.T).max() > TAU * scale:
         raise SpectralError("matrix is not symmetric within tolerance")
     try:
         return np.linalg.eigh((m + m.T) / 2.0)

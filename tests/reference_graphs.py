@@ -4,9 +4,10 @@ The library reads its enumeration from a committed table, whose
 generator (tools/connected_table.py) works on bitmask rows and skips
 subsets that a twin swap makes redundant, and it matches with an
 iterative, label-guided search.  This module keeps the plain versions: a recursive, degree-pruned
-``find_isomorphism`` and an ``enumerate_connected`` that builds a Graph for
-every candidate and tests it against each kept graph with the same
-invariant key, so differential tests can require identical results.
+``find_isomorphism``, the match steps that search reads per position of
+its order (``match_steps``), and an ``enumerate_connected`` that builds a
+Graph for every candidate and tests it against each kept graph with the
+same invariant key, so differential tests can require identical results.
 It has no size cap; callers keep inputs small.
 
 ``edge_cycle_check`` is the necessary condition that every edge of a tight
@@ -96,6 +97,20 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
         return False
 
     return {u: mapping[u] for u in range(g.n)} if extend(0) else None
+
+
+def match_steps(g: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """Per position k of the search order: the earlier neighbours of
+    order[k] in ascending order, and the lowest earlier non-neighbour, or
+    -1 if there is none."""
+    nbr = _neighbours(g)
+    order = _search_order(g, nbr)
+    steps = []
+    for k, u in enumerate(order):
+        earlier = sorted(order[:k])
+        far = [w for w in earlier if w not in nbr[u]]
+        steps.append((tuple(w for w in earlier if w in nbr[u]), far[0] if far else -1))
+    return steps
 
 
 @functools.cache

@@ -122,8 +122,11 @@ def test_degree_and_neighbors():
     assert g.degree_sequence() == (2, 2, 3, 3)
     assert g.neighbors(2) == frozenset({0, 1, 3})
     assert g.edge_index(3, 2) == g.edges.index((2, 3))
-    with pytest.raises(GraphError):
-        g.edge_index(0, 1)
+    for u, v in ((0, 1), (3, 4)):
+        with pytest.raises(GraphError):
+            g.edge_index(u, v)
+    k = complete(300)
+    assert [k.edge_index(v, u) for u, v in k.edges] == list(range(k.m))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +453,7 @@ def test_only_graphs_reads_the_matcher_internals():
     for path_ in sorted(Path(graphs.__file__).parent.glob("*.py")):
         if path_.name != "graphs.py":
             text = path_.read_text()
-            for name in ("_induced_map", "_label_masks", "._labels", "._order"):
+            for name in ("_induced_map", "_label_masks", "._labels", "._order", "._steps"):
                 assert name not in text, f"{path_.name} names {name}"
     assert graphs.contains_induced.__module__ == "framegraphs.graphs"
     assert linegraph.contains_induced is graphs.contains_induced
@@ -465,9 +468,29 @@ def test_search_order_follows_edges(n, bits, seed):
     order = g._order
     assert sorted(order) == list(range(n))
     assert list(order) == reference._search_order(g, [g.neighbors(u) for u in range(n)])
+    assert list(g._steps) == reference.match_steps(g)
     if is_connected(g):
         for k in range(1, n):
             assert any(g.has_edge(order[k], w) for w in order[:k])
+
+
+def test_pattern_match_steps_follow_the_plain_rule():
+    from framegraphs import verify
+
+    patterns = [beineke(i) for i in range(1, 10)] + [path(4)]
+    patterns += [p for n in range(1, 13) for m in range(n * (n - 1) // 2 + 1)
+                 for _, _, p in verify._catalog(n, m)]
+    assert len(patterns) > 10
+    for p in patterns:
+        assert list(p._steps) == reference.match_steps(p), p
+
+
+def test_a_host_builds_no_match_steps():
+    pattern = hypercube(3)
+    g = _relabel(pattern, 1)
+    assert find_isomorphism(pattern, g) is not None
+    assert graphs.contains_induced(g, beineke(1)) is not None
+    assert "_steps" in pattern.__dict__ and "_steps" not in g.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,19 @@ def test_catalog_frame_built_once_per_key(monkeypatch):
     assert verify._catalog.cache_info().currsize == 1
 
 
+def test_catalog_pattern_builds_its_steps_once():
+    verify._catalog.cache_clear()
+    rng = random.Random(8)
+    k8 = complete(8)
+    (_, _, pattern), = verify._catalog(k8.n, k8.m)
+    hosts = [_shuffled(k8, rng) for _ in range(2)]
+    check_tight_certificate(hosts[0], classify(hosts[0]))
+    steps = pattern.__dict__["_steps"]
+    check_tight_certificate(hosts[1], classify(hosts[1]))
+    assert pattern.__dict__["_steps"] is steps
+    assert not any("_steps" in g.__dict__ for g in hosts)
+
+
 def test_catalog_builds_no_frame_it_cannot_match(monkeypatch):
     # The per-family edge-count tests carry load: a catalog built per order
     # alone would build star_frame(100_000, 99_999), about 80 GB, to
