@@ -2,9 +2,10 @@
 classification, and exhaustive sweeps.
 
 Exit codes: 0 for a positive verdict or plain success, 1 for a negative
-verdict, 2 for usage or internal errors.  Graphs and frames are piped
-between commands in the text formats of :mod:`framegraphs.graphs` and
-:mod:`framegraphs.matio`.
+verdict, 2 for usage or internal errors.  Every command writes to stdout
+only, except that `classify --out` also writes its certificate frame to a
+file.  Graphs and frames are piped between commands in the text formats of
+:mod:`framegraphs.graphs` and :mod:`framegraphs.matio`.
 
 Only the commands that build, read or classify frames import the numeric
 layers, when they run: the graph commands start without numpy.
@@ -29,13 +30,6 @@ def _read(source: str) -> str:
     return Path(source).read_text()
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
-
-
 def _load_graph(source: str) -> graphs.Graph:
     return from_text(_read(source))
 
@@ -57,27 +51,24 @@ def cli():
 @cli.command()
 @click.argument("family")
 @click.argument("params", nargs=-1, type=int)
-@click.option("--out", type=click.Path(), help="Write the graph here instead of stdout.")
-def gen(family, params, out):
+def gen(family, params):
     """Generate a named graph family member (e.g. `gen cycle 5`)."""
-    _emit(to_text(gen_named(family, *params)), out)
+    click.echo(to_text(gen_named(family, *params)), nl=False)
 
 
 @cli.command()
 @click.argument("graph", default="-")
-@click.option("--out", type=click.Path())
-def linegraph(graph, out):
+def linegraph(graph):
     """Line graph of GRAPH (file or '-' for stdin)."""
-    _emit(to_text(line_graph(_load_graph(graph)).line), out)
+    click.echo(to_text(line_graph(_load_graph(graph)).line), nl=False)
 
 
 @cli.command()
 @click.argument("graph", default="-")
-@click.option("--out", type=click.Path())
-def rootgraph(graph, out):
+def rootgraph(graph):
     """Root graph(s) of a connected line graph; K_3 yields two."""
     roots = root_graph(_load_graph(graph))
-    _emit("\n".join(to_text(r) for r in roots), out)
+    click.echo("\n".join(to_text(r) for r in roots), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -89,89 +80,58 @@ def frame():
     """Build frames for graph families."""
 
 
-def _emit_frame(f, out):
+def _emit_frame(f):
     from . import matio
-    _emit(matio.frame_to_text(f), out)
+    click.echo(matio.frame_to_text(f), nl=False)
 
 
 @frame.command("laplacian")
 @click.argument("graph", default="-")
-@click.option("--out", type=click.Path())
-def frame_laplacian(graph, out):
+def frame_laplacian(graph):
     """Laplacian-eigenbasis frame for the line graph of GRAPH."""
     from . import constructions
-    _emit_frame(constructions.laplacian_method(_load_graph(graph)), out)
+    _emit_frame(constructions.laplacian_method(_load_graph(graph)))
 
 
 @frame.command("lkn")
 @click.argument("n", type=int)
-@click.option("--out", type=click.Path())
-def frame_lkn(n, out):
+def frame_lkn(n):
     """Tight frame for the line graph of K_n in dimension n-1."""
     from . import constructions
-    _emit_frame(constructions.laplacian_method(graphs.complete(n)), out)
+    _emit_frame(constructions.laplacian_method(graphs.complete(n)))
 
 
 @frame.command("lkn-small")
 @click.argument("n", type=int)
-@click.option("--out", type=click.Path())
-def frame_lkn_small(n, out):
+def frame_lkn_small(n):
     """Tight frame for the line graph of K_n in dimension n-2."""
     from . import constructions
-    _emit_frame(constructions.lkn_small_frame(n), out)
+    _emit_frame(constructions.lkn_small_frame(n))
 
 
 @frame.command("star")
 @click.argument("n", type=int)
 @click.argument("d", type=int)
-@click.option("--keep", help="Comma-separated 1-based columns to keep (must include 1).")
-@click.option("--out", type=click.Path())
-def frame_star(n, d, keep, out):
+def frame_star(n, d):
     """Parseval frame for K_n in dimension d via the star construction."""
     from . import constructions
-    keep_set = [int(x) for x in keep.split(",")] if keep else None
-    _emit_frame(constructions.star_frame(n, d, keep_set), out)
+    _emit_frame(constructions.star_frame(n, d))
 
 
 @frame.command("k2kn")
 @click.argument("n", type=int)
-@click.option("--out", type=click.Path())
-def frame_k2kn(n, out):
+def frame_k2kn(n):
     """Tight frame for the product of K_2 and K_n."""
     from . import constructions
-    _emit_frame(constructions.k2kn_frame(n), out)
-
-
-@frame.command("diamond")
-@click.option("--out", type=click.Path())
-def frame_diamond(out):
-    """The 2 x 4 Parseval frame for the diamond graph."""
-    from . import constructions
-    _emit_frame(constructions.diamond_frame(), out)
+    _emit_frame(constructions.k2kn_frame(n))
 
 
 @frame.command("kn-minus-e")
 @click.argument("n", type=int)
-@click.option("--out", type=click.Path())
-def frame_kn_minus_e(n, out):
-    """Parseval frame for K_n minus an edge (n >= 4)."""
+def frame_kn_minus_e(n):
+    """Parseval frame for K_n minus an edge (n >= 4); n = 4 is the diamond."""
     from . import constructions
-    _emit_frame(constructions.kn_minus_e_frame(n), out)
-
-
-@frame.command("dup-chain")
-@click.argument("name", required=False)
-@click.option("--out", type=click.Path())
-def frame_dup_chain(name, out):
-    """Duplication-chain catalog; without NAME, list the entry names."""
-    from . import constructions
-    catalog = constructions.dup_chain_frames()
-    if name is None:
-        click.echo("\n".join(catalog))
-        return
-    if name not in catalog:
-        raise click.UsageError(f"unknown catalog entry {name!r}; one of {', '.join(catalog)}")
-    _emit_frame(catalog[name], out)
+    _emit_frame(constructions.kn_minus_e_frame(n))
 
 
 # ---------------------------------------------------------------------------
@@ -183,32 +143,26 @@ def complete():
     """Complete a frame to a tight frame."""
 
 
-def _emit_completion(result, out):
+def _emit_completion(result):
     from . import matio
     header = f"# added {len(result.added)} bound {result.bound:.17g}\n"
-    _emit(header + matio.frame_to_text(result.frame), out)
+    click.echo(header + matio.frame_to_text(result.frame), nl=False)
 
 
 @complete.command("minimal")
 @click.argument("frame_src", metavar="FRAME", default="-")
-@click.option("--out", type=click.Path())
-def complete_minimal(frame_src, out):
+def complete_minimal(frame_src):
     """Minimal tight completion (eigenvalue-deficit vectors)."""
     from . import constructions
-    _emit_completion(
-        constructions.minimal_tight_completion(_load_frame(frame_src)), out
-    )
+    _emit_completion(constructions.minimal_tight_completion(_load_frame(frame_src)))
 
 
 @complete.command("twostep")
 @click.argument("frame_src", metavar="FRAME", default="-")
-@click.option("--out", type=click.Path())
-def complete_twostep(frame_src, out):
+def complete_twostep(frame_src):
     """Generic two-step completion (orthogonalize rows, then equalize norms)."""
     from . import constructions
-    _emit_completion(
-        constructions.two_step_completion(_load_frame(frame_src)), out
-    )
+    _emit_completion(constructions.two_step_completion(_load_frame(frame_src)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +252,8 @@ def classify(graph, out):
         kind, data = cert.witness
         click.echo(f"witness {kind} " + " ".join(str(x) for x in data))
     if out and cert.frame is not None:
-        _emit_frame(cert.frame, out)
+        from . import matio
+        Path(out).write_text(matio.frame_to_text(cert.frame))
         click.echo(f"certificate {out}")
     sys.exit(0 if cert.verdict == "tight" else 1)
 

@@ -6,8 +6,9 @@ numpy.  The frames are the Laplacian-eigenbasis frame for a root graph's
 line graph, the two tight frames for the line graph of a complete graph
 (dimensions n-1 and n-2), the star-based Parseval frames for K_n, the
 K_2 x K_n product frame, tight completions (minimal and generic two-step),
-and the duplication-chain frames, which split a vector into equal copies in
-one step.
+and the duplication-chain frames, which split a vector of the diamond or
+4-cycle frame into equal copies: K_n minus an edge, the line graphs of O_n,
+and the forbidden subgraphs G2 and G6 (G3 is K_5 minus an edge).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .frames import Frame, FrameError, duplicate_vector, tightness
+from .frames import Frame, duplicate_vector
 from .graphs import Graph, GraphError, is_connected
 from .spectral import TAU, group_eigenvalues, sym_eig
 
@@ -269,16 +270,3 @@ def g6_frame() -> Frame:
     """Parseval frame for G6: the diamond frame with vertices 0 and 1 duplicated."""
     return duplicate_vector(duplicate_vector(diamond_frame(), 0), 1)
 
-
-def dup_chain_frames() -> dict[str, Frame]:
-    """Catalog of tight frames reachable by vertex duplication.
-
-    Covers the line graphs of O_n for 4 <= n <= 8 and the tight forbidden
-    subgraphs G2, G3 (= K_5 minus an edge) and G6.
-    """
-    catalog = {f"line-o{n}": line_o_frame(n) for n in range(4, 9)}
-    catalog.update(g2=g2_frame(), g3=kn_minus_e_frame(5), g6=g6_frame())
-    for name, frame in catalog.items():
-        if tightness(frame).kind != "parseval":
-            raise FrameError(f"catalog entry {name} failed the Parseval check")
-    return catalog

@@ -38,7 +38,10 @@ def _pair(e) -> tuple[int, int]:
     return _integer(u), _integer(v)
 
 
-ENUMERATION_MAX_N = 8
+# OEIS A001349: the connected graphs on n = 1, 2, ... vertices, one count
+# per level of the table connected.g6, which enumerate_connected reads.
+CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
+ENUMERATION_MAX_N = len(CONNECTED_COUNTS)
 # Largest order from_text accepts: a header alone names n, and the stages
 # downstream allocate per vertex (adjacency views, component lists).
 TEXT_MAX_N = 100_000
@@ -572,8 +575,6 @@ def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
 
 
 CONNECTED_TABLE = os.path.join(os.path.dirname(__file__), "connected.g6")
-# OEIS A001349: the connected graphs on n = 1, 2, ... vertices.
-CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
 @functools.cache

@@ -203,7 +203,8 @@ def test_criterion_08_duplication_chain():
         f = cons.kn_minus_e_frame(n)
         assert tightness(f).kind == "parseval"
         assert associated_graph(f).graph == delete_edge(complete(n), (0, 1))
-    catalog = cons.dup_chain_frames()
+    catalog = {f"line-o{n}": cons.line_o_frame(n) for n in range(4, 9)}
+    catalog.update(g2=cons.g2_frame(), g3=cons.kn_minus_e_frame(5), g6=cons.g6_frame())
     for name, f in catalog.items():
         assert tightness(f).kind == "parseval", name
     for n in range(4, 9):

