@@ -52,10 +52,10 @@ class Graph:
     """Immutable simple graph on vertices ``0..n-1``, stored as n and the
     sorted edges, as Python ints (bools and numpy integers are converted;
     any other type, or an edge that is not a pair, raises GraphError).
-    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), label
-    classes (_labels), the search order (_order) and, for a pattern, its
-    match steps (_steps) are derived on first use; a cached view is slower
-    to read than a plain attribute, so loops read it into a local once."""
+    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), the search
+    order (_order) and, for a pattern, its match steps (_steps) are derived
+    on first use; a cached view is slower to read than a plain attribute,
+    so loops read it into a local once."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -108,13 +108,6 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return tuple(rows)
-
-    @functools.cached_property
-    def _labels(self) -> tuple[dict[tuple, int], tuple[tuple, ...]]:
-        """The vertex label classes as bitmasks (_label_masks), and the sorted
-        labels: a key that isomorphic graphs share."""
-        labels = _vertex_labels(self._rows)
-        return _label_masks(labels), tuple(sorted(labels))
 
     @functools.cached_property
     def _order(self) -> tuple[int, ...]:
@@ -380,33 +373,8 @@ def is_connected(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and enumeration
+# Induced subgraphs and enumeration
 # ---------------------------------------------------------------------------
-
-def _vertex_labels(rows: list[int]) -> list[tuple]:
-    """Per-vertex isomorphism invariants: the degree, and the edges among
-    the neighbours (each counted from both ends, so twice the triangles at
-    the vertex).  The sorted neighbour degrees would be one round of the
-    refinement _equitable runs on these classes anyway."""
-    labels = []
-    for r in rows:
-        tri = 0
-        x = r
-        while x:
-            low = x & -x
-            tri += (rows[low.bit_length() - 1] & r).bit_count()
-            x ^= low
-        labels.append((r.bit_count(), tri))
-    return labels
-
-
-def _label_masks(labels: list[tuple]) -> dict[tuple, int]:
-    """Each vertex label's vertices, as one bitmask."""
-    masks: dict[tuple, int] = {}
-    for v, label in enumerate(labels):
-        masks[label] = masks.get(label, 0) | 1 << v
-    return masks
-
 
 def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | None:
     """The first injective map from the pattern p into a host that induces
@@ -466,85 +434,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _equitable(rows: list[int], cells: list[int]) -> list[int]:
-    """The coarsest refinement of the partition cells (vertex bitmasks) in
-    which the vertices of each cell have equally many neighbours in every
-    cell: colour refinement.  Each queued cell splits the cells of its
-    neighbours by their count in it, and counts in a largest part follow
-    from the others and their union (Hopcroft): all starting cells but a
-    largest are queued, each starting cell must hold one degree, and a
-    split cell keeps its largest part, queued or not, and queues the rest."""
-    queue = sorted(range(len(cells)), key=lambda i: cells[i].bit_count())[:-1]
-    if not queue:
-        return cells
-    cell = {v: i for i, c in enumerate(cells) for v in _bits(c)}
-    while queue:
-        s = cells[queue.pop()]
-        touched = 0  # the neighbours of s
-        for w in _bits(s):
-            touched |= rows[w]
-        parts: dict[int, dict[int, int]] = {}  # cell -> count in s -> vertices
-        for v in _bits(touched):
-            split = parts.setdefault(cell[v], {})
-            count = (rows[v] & s).bit_count()
-            split[count] = split.get(count, 0) | 1 << v
-        for i, split in parts.items():
-            rest = cells[i] & ~sum(split.values())  # no neighbour in s
-            pieces = sorted([*split.values(), rest] if rest else split.values(),
-                            key=int.bit_count)
-            cells[i] = pieces.pop()
-            for piece in pieces:
-                cell.update(dict.fromkeys(_bits(piece), len(cells)))
-                queue.append(len(cells))
-                cells.append(piece)
-    return cells
-
-
-def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
-    """An adjacency-preserving bijection V(g) -> V(h), or None.
-
-    None at once when the orders, the sizes or the multisets of vertex
-    labels (degree, edges among the neighbours) differ.  The label classes
-    of both graphs, cached per graph, are then refined together until
-    equitable (_equitable); a class with more vertices of one graph than of
-    the other also means None.  Otherwise the induced-map search maps g's
-    vertices in g._order to h's vertices of their class, tried in
-    ascending order.  The classes only remove branches that cannot
-    complete, so the map is the first one the search finds among all
-    bijections in that order.
-    """
-    if g.n != h.n or g.m != h.m:
-        return None
-    gmasks, key = g._labels
-    hmasks, hkey = h._labels
-    if key != hkey:
-        return None
-    # Refine one partition of the disjoint union, h's vertices shifted by n.
-    n = g.n
-    allowed = [0] * n
-    for c in _equitable(list(g._rows) + [r << n for r in h._rows],
-                        [mask | hmasks[label] << n for label, mask in gmasks.items()]):
-        ours, theirs = c & ((1 << n) - 1), c >> n
-        if ours.bit_count() != theirs.bit_count():
-            return None
-        for u in _bits(ours):
-            allowed[u] = theirs
-    image = _induced_map(g, h._rows, allowed)
-    return None if image is None else dict(enumerate(image))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None
-
-
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """An injective map V(h) -> V(g) inducing h exactly, keyed in h._order,
     or None.
 
-    The induced-map search behind find_isomorphism: h's vertices in
-    h._order, each to the vertices of g of at least its degree, tried in
-    increasing order.  So the embedding returned is the first one in that
-    fixed search order.
+    The induced-map search: h's vertices in h._order, each to the vertices
+    of g of at least its degree, tried in increasing order.  So the
+    embedding returned is the first one in that fixed search order.  With
+    g and h of equal order and size, it is an isomorphism.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")

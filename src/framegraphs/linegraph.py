@@ -6,14 +6,16 @@ in at most two of them.  Per connected component the search tries at most
 two first cliques, as any other would leave an edge that no clique can
 cover, and propagates each with no further branch, so it is polynomial; by
 Whitney's theorem its first partition gives the one root (K_3 has two),
-read from each vertex's cliques.  A non-line graph is named in its first
-component with no Krausz partition, by the first claw there if it has one,
-found by a scan of each vertex's bitmask row for three pairwise
-non-adjacent neighbours.  Otherwise, by van Rooij & Wilf, two odd triangles
-on one edge whose apexes are not adjacent span at most six vertices that
-are not a line graph, and a forbidden induced subgraph is named among them
-by graphs.contains_induced, the induced-map search that also serves
-isomorphism testing and enumeration; it stays importable from here.
+read from each vertex's cliques as that vertex's root edge (root_edges),
+which is how verify labels the line-graph families of its catalog.  A
+non-line graph is named in its first component with no Krausz partition, by
+the first claw there if it has one, found by a scan of each vertex's
+bitmask row for three pairwise non-adjacent neighbours.  Otherwise, by van
+Rooij & Wilf, two odd triangles on one edge whose apexes are not adjacent
+span at most six vertices that are not a line graph, and a forbidden
+induced subgraph is named among them by graphs.contains_induced, the
+induced-map search that verify also runs for its smallest catalog patterns;
+it stays importable from here.
 
 Like graphs, this module imports no numpy; the matrix views of a graph
 (incidence, adjacency, Laplacian) are built in constructions.
@@ -203,24 +205,33 @@ def _krausz_partition(g: Graph) -> list[list[int]] | None:
     return None
 
 
-def root_graph(g: Graph) -> list[Graph]:
-    """All root graphs of a connected line graph, up to isomorphism.
+def root_edges(g: Graph) -> list[tuple[int, int]] | None:
+    """For each vertex of a connected g, its edge in g's root, or None if g
+    is not a line graph.
 
-    By Whitney's theorem that is one root, read from the first Krausz
-    partition's memberships, for every connected line graph except K_3,
-    which has the two roots K_3 and K_{1,3}.  Root vertex i is clique i,
-    each line vertex is the root edge joining its cliques, and a line
+    The root is read from the first Krausz partition: root vertex i is
+    clique i, each vertex is the root edge joining its cliques, and a
     vertex in fewer than two cliques gets new root vertices, numbered in
-    vertex order (so K_1 gives P_2).
+    vertex order (so K_1 gives [(0, 1)]).  By Whitney's theorem it is g's
+    one root up to isomorphism, unless g is K_3, which gives K_{1,3} here
+    and also has the root K_3.
     """
+    member = _krausz_partition(g)
+    if member is None:
+        return None
+    fresh = itertools.count(1 + max(max(cs, default=-1) for cs in member))
+    return [(*cs, *itertools.islice(fresh, 2 - len(cs))) for cs in member]
+
+
+def root_graph(g: Graph) -> list[Graph]:
+    """All root graphs of a connected line graph, up to isomorphism: the
+    graph of root_edges, or for K_3 the two roots K_3 and K_{1,3}."""
     if not is_connected(g):
         raise GraphError("root recovery needs a connected graph")
     if g.n == 3 and g.m == 3:
         return [complete(3), star(4)]
-    member = _krausz_partition(g)
-    if member is None:
+    edges = root_edges(g)
+    if edges is None:
         index, _ = _beineke_witness(g)
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
-    fresh = itertools.count(1 + max(max(cs, default=-1) for cs in member))
-    edges = [(*cs, *itertools.islice(fresh, 2 - len(cs))) for cs in member]
-    return [Graph(next(fresh), tuple(edges))]
+    return [Graph(1 + max(map(max, edges)), tuple(edges))]

@@ -11,14 +11,15 @@ classification of a graph that no catalog family fits run without them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import graphs
 from .graphs import ENUMERATION_MAX_N, Graph, GraphError, beineke, contains_induced, \
-    enumerate_connected, find_isomorphism, is_connected, path
-from .linegraph import is_line_graph, line_graph
+    enumerate_connected, is_connected, path
+from .linegraph import is_line_graph, line_graph, root_edges
 
 if TYPE_CHECKING:
     from .frames import Frame
@@ -66,35 +67,88 @@ def neighbor_obstruction(g: Graph) -> tuple[int, int, int] | None:
 # Classification
 # ---------------------------------------------------------------------------
 
+def _pairing(ours: list[int], theirs: list[int]) -> list[int] | None:
+    """Each vertex u, of degree ours[u], onto a vertex v of degree
+    theirs[v], those of one degree paired in index order; None if the
+    degrees differ."""
+    a = sorted(range(len(ours)), key=ours.__getitem__)
+    b = sorted(range(len(theirs)), key=theirs.__getitem__)
+    if [ours[u] for u in a] != [theirs[v] for v in b]:
+        return None
+    return [v for _, v in sorted(zip(a, b))]
+
+
+def _by_degree(p: Graph, g: Graph) -> list[int] | None:
+    """Each vertex of g onto the vertex of p of its degree (_pairing).  The
+    vertices of one degree are interchangeable in K_n, K_n - e and L(O_n),
+    and a graph with the order, size and degrees of K_n - e, or of L(O_n)
+    (K_{n-1} plus a vertex of degree 2), is that graph."""
+    return _pairing([len(a) for a in g._adj], [len(a) for a in p._adj])
+
+
+def _by_root(p: Graph, g: Graph) -> list[int] | None:
+    """L(p), p being K_k or K_{2,k}: each vertex on the column of its root
+    edge's image in p.edges, the root's vertices paired with p's by degree
+    (_pairing), as those of one degree are interchangeable in p; None
+    unless every root edge lands on an edge of p.  Equal degrees are not
+    enough: K_{2,3} and the house graph, C_5 plus a chord, share them."""
+    edges = root_edges(g)
+    if edges is None:
+        return None
+    degree = [0] * (1 + max(map(max, edges)))
+    for u in itertools.chain.from_iterable(edges):
+        degree[u] += 1
+    image = _pairing(degree, [len(a) for a in p._adj])
+    if image is None:
+        return None
+    column = {e[::s]: i for i, e in enumerate(p.edges) for s in (1, -1)}
+    columns = [column.get((image[u], image[v])) for u, v in edges]
+    return None if None in columns else columns
+
+
+def _by_pattern(p: Graph, g: Graph) -> list[int] | None:
+    """p on at most six vertices: the first induced map of p into g, which
+    at g's order and size is an isomorphism."""
+    image = contains_induced(g, p)
+    return None if image is None else sorted(image, key=image.get)
+
+
 @functools.lru_cache(maxsize=512)
 def _catalog(n: int, m: int) -> tuple:
     """The catalog entries that could match an (n, m) graph, each as (name,
-    frame, pattern), the pattern being the frame's Gram graph.  The edge-count
-    tests run first: an (n, m) that no family fits returns () before numpy,
-    frames or constructions load, and a family's frame is built only when
-    (n, m) passes its test, so a large sparse graph builds none.  Memoised
-    per (n, m): every call shares the frames and patterns, which are
-    read-only, and each pattern builds its matching views on its first match."""
+    frame, shape): shape(g) is the frame column of each vertex of g, or
+    None if g is not the frame's Gram graph.  A shape is a rule bound to a
+    graph, the Gram graph unless a root is named: K_n, K_n - e and L(O_n)
+    are matched by their degrees, L(K_k) and K_2 x K_k = L(K_{2,k}) by
+    their root edges, and C_4, G2 and G6 by an induced map, so no entry
+    searches for an isomorphism.  The edge-count tests run first: an (n, m)
+    that no family fits returns () before numpy, frames or constructions
+    load, and a family's frame is built only when (n, m) passes its test,
+    so a large sparse graph builds none.  Memoised per (n, m): every call
+    shares the frames and shapes, which are read-only, and a pattern builds
+    its match steps on its first match."""
     k = (1 + math.isqrt(1 + 8 * n)) // 2  # the one k >= 3 with k(k - 1)/2 = n, if any
     # Each builder runs after the imports below bind the names it reads.
     families = (
-        ("k1", n == 1, lambda: Frame(np.array([[1.0]]))),
+        ("k1", n == 1, lambda: Frame(np.array([[1.0]])), _by_degree, None),
         ("complete", n > 1 and m == n * (n - 1) // 2,
-         lambda: constructions.star_frame(n, n - 1)),
+         lambda: constructions.star_frame(n, n - 1), _by_degree, None),
         ("complete-minus-edge", n >= 4 and m == n * (n - 1) // 2 - 1,
-         lambda: constructions.kn_minus_e_frame(n)),
-        ("cycle4", n == 4 and m == 4, lambda: constructions.c4_frame()),
+         lambda: constructions.kn_minus_e_frame(n), _by_degree, None),
+        ("cycle4", n == 4 and m == 4, lambda: constructions.c4_frame(), _by_pattern, None),
         ("line-of-o", n >= 4 and m == (n - 1) * (n - 2) // 2 + 2,
-         lambda: constructions.line_o_frame(n)),
-        ("g2", n == 5 and m == 7, lambda: constructions.g2_frame()),
-        ("g6", n == 6 and m == 11, lambda: constructions.g6_frame()),
+         lambda: constructions.line_o_frame(n), _by_degree, None),
+        ("g2", n == 5 and m == 7, lambda: constructions.g2_frame(), _by_pattern, None),
+        ("g6", n == 6 and m == 11, lambda: constructions.g6_frame(), _by_pattern, None),
         (f"line-of-complete{k}",
          k >= 3 and k * (k - 1) // 2 == n and k * (k - 1) * (k - 2) // 2 == m,
-         lambda: constructions.laplacian_method(graphs.complete(k))),
+         lambda: constructions.laplacian_method(graphs.complete(k)), _by_root,
+         lambda: graphs.complete(k)),
         (f"k2-box-k{n // 2}", n % 2 == 0 and n >= 6 and m == (n // 2) ** 2,
-         lambda: constructions.k2kn_frame(n // 2)),
+         lambda: constructions.k2kn_frame(n // 2), _by_root,
+         lambda: graphs.complete_bipartite(2, n // 2)),
     )
-    fits = [(name, build) for name, ok, build in families if ok]
+    fits = [family for family in families if family[1]]
     if not fits:
         return ()
     import numpy as np
@@ -102,32 +156,33 @@ def _catalog(n: int, m: int) -> tuple:
     from . import constructions
     from .frames import Frame, associated_graph
 
-    found = [(name, build()) for name, build in fits]
-    return tuple((name, frame, associated_graph(frame).graph) for name, frame in found)
+    entries = []
+    for name, _, build, rule, root in fits:
+        frame = build()
+        key = root() if root else associated_graph(frame).graph
+        entries.append((name, frame, functools.partial(rule, key)))
+    return tuple(entries)
 
 
 def classify(g: Graph) -> Certificate:
     """Certify, refute, or annotate the tight-frame-graph property.
 
-    Tries the constructive catalog at any order (find_isomorphism from the
-    catalog pattern onto the input, then the frame's columns relabeled and
+    Tries the constructive catalog at any order (each entry's shape labels
+    the input with the frame's columns, and the relabelled frame is
     re-verified), then the literature annotation of K_{2,n-2}, which no
     obstruction test refutes, then the obstruction tests; otherwise returns
     unknown.
-    The catalog frames and their Gram patterns are built once per (order,
-    size) in a process; each certificate is still re-verified.
+    The catalog frames and their shapes are built once per (order, size)
+    in a process; each certificate is still re-verified.
     """
     if not is_connected(g):
         raise GraphError("classification needs a connected graph")
-    for name, frame, pattern in _catalog(g.n, g.m):
-        image = find_isomorphism(pattern, g)
-        if image is None:
+    for name, frame, shape in _catalog(g.n, g.m):
+        columns = shape(g)
+        if columns is None:
             continue
         from .frames import Frame, represents, tightness
 
-        columns = [0] * g.n  # the catalog column mapped onto each vertex
-        for u, v in image.items():
-            columns[v] = u
         cert_frame = Frame(frame.synthesis[:, columns])
         verdict = tightness(cert_frame)
         if verdict.kind not in ("tight", "parseval"):

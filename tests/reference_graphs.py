@@ -2,10 +2,12 @@
 
 The library reads its enumeration from a committed table, whose
 generator (tools/connected_table.py) works on bitmask rows and skips
-subsets that a twin swap makes redundant, and it matches with an
-iterative, label-guided search.  This module keeps the plain versions: a recursive, degree-pruned
-``find_isomorphism``, the match steps that search reads per position of
-its order (``match_steps``), and an ``enumerate_connected`` that builds a
+subsets that a twin swap makes redundant, and it has no isomorphism test:
+classify labels each catalog family by its structure.  This module keeps
+the plain versions: a recursive, degree-pruned ``find_isomorphism`` (and
+``is_isomorphic``), the oracle the tests compare graphs with, the match
+steps that the library's induced-map search reads per position of its
+order (``match_steps``), and an ``enumerate_connected`` that builds a
 Graph for every candidate and tests it against each kept graph with the
 same invariant key, so differential tests can require identical results.
 It has no size cap; callers keep inputs small.
@@ -97,6 +99,10 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
         return False
 
     return {u: mapping[u] for u in range(g.n)} if extend(0) else None
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    return find_isomorphism(g, h) is not None
 
 
 def match_steps(g: Graph) -> list[tuple[tuple[int, ...], int]]:

@@ -32,7 +32,6 @@ from framegraphs.graphs import (
     diamond,
     enumerate_connected,
     hypercube,
-    is_isomorphic,
     o_graph,
     path,
     star,
@@ -46,7 +45,7 @@ from framegraphs.verify import (
     root_order_theorem_check,
 )
 
-from reference_graphs import edge_cycle_check
+from reference_graphs import edge_cycle_check, is_isomorphic
 
 TAU = 1e-9
 TAU8 = 1e-8

@@ -25,12 +25,13 @@ from framegraphs.graphs import (
     cycle,
     delete_edge,
     enumerate_connected,
-    is_isomorphic,
     o_graph,
     path,
 )
 from framegraphs.linegraph import line_graph
 from framegraphs.spectral import sym_eig
+
+from reference_graphs import is_isomorphic
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Graph families, operations, isomorphism, enumeration, serialization."""
+"""Graph families, operations, induced maps, enumeration, serialization."""
 
 import importlib.util
 import itertools
@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -26,24 +25,22 @@ from framegraphs.graphs import (
     components,
     complete,
     complete_bipartite,
+    contains_induced,
     cycle,
     delete_edge,
     diamond,
     duplicate_vertex,
     enumerate_connected,
-    find_isomorphism,
     from_text,
     gen_named,
     hypercube,
     is_connected,
-    is_isomorphic,
     join,
     o_graph,
     path,
     star,
     to_text,
 )
-from framegraphs.linegraph import line_graph
 
 
 def small_graphs():
@@ -98,7 +95,7 @@ def test_vertices_must_be_integers():
     assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
     assert g == complete(n) and g._rows == complete(n)._rows
     h = Graph(10, tuple(zip(*np.nonzero(np.triu(np.ones((10, 10), dtype=int), 1)))))
-    assert is_isomorphic(h, complete(10))
+    assert reference.is_isomorphic(h, complete(10))
     with pytest.raises(GraphError, match=r"^bad edge"):
         Graph(3, ((np.int64(0), np.int64(3)),))
 
@@ -167,10 +164,10 @@ def test_gen_named_dispatch():
 
 def test_beineke_basic_identifications():
     # G1 is the claw, G3 is K_5 minus an edge, G9 is the 6-vertex wheel.
-    assert is_isomorphic(beineke(1), star(4))
+    assert reference.is_isomorphic(beineke(1), star(4))
     k5e = delete_edge(complete(5), (0, 1))
-    assert is_isomorphic(beineke(3), k5e)
-    assert is_isomorphic(beineke(9), join(complete(1), cycle(5)))
+    assert reference.is_isomorphic(beineke(3), k5e)
+    assert reference.is_isomorphic(beineke(9), join(complete(1), cycle(5)))
     for i in range(1, 10):
         g = beineke(i)
         assert is_connected(g)
@@ -246,39 +243,37 @@ def test_is_connected_agrees_with_components_on_atlas(atlas):
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism
+# Induced maps at equal order: isomorphism
 # ---------------------------------------------------------------------------
 
-def test_find_isomorphism_maps_edges():
-    g = cycle(5)
-    h = Graph.from_edges(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
-    phi = find_isomorphism(g, h)
-    assert phi is not None
-    for u, v in g.edges:
-        assert h.has_edge(phi[u], phi[v])
+def _isomorphic(g, h):
+    """Whether g and h are isomorphic, by the induced-map search: at equal
+    order and size an induced map of g into h is an isomorphism, which
+    classify's C_4, G2 and G6 entries rest on."""
+    return g.n == h.n and g.m == h.m and contains_induced(h, g) is not None
 
 
 def test_isomorphism_negative_cases():
-    assert not is_isomorphic(path(4), star(4))
-    assert not is_isomorphic(cycle(6), complete_bipartite(3, 3))
-    assert not is_isomorphic(complete(4), cycle(4))
-    # Regular with equal labels, so refinement splits nothing: the search decides.
+    assert not _isomorphic(path(4), star(4))
+    assert not _isomorphic(cycle(6), complete_bipartite(3, 3))
+    assert not _isomorphic(complete(4), cycle(4))
+    # Regular with equal degrees and size: the search decides.
     square = list(cycle(4).edges)
     two_squares = Graph.from_edges(8, square + [(u + 4, v + 4) for u, v in square])
-    assert not is_isomorphic(cycle(8), two_squares) and not is_isomorphic(two_squares, cycle(8))
+    assert not _isomorphic(cycle(8), two_squares) and not _isomorphic(two_squares, cycle(8))
 
 
 def test_isomorphism_is_equivalence_relation():
     pool = small_graphs() + [duplicate_vertex(diamond(), 2), complete(5)]
     for g in pool:
-        assert is_isomorphic(g, g)
+        assert _isomorphic(g, g)
     for g, h in itertools.combinations(pool, 2):
-        assert is_isomorphic(g, h) == is_isomorphic(h, g)
+        assert _isomorphic(g, h) == _isomorphic(h, g)
     # Transitivity on a triple of relabeled copies of the same graph.
     a = diamond()
     b = Graph.from_edges(4, [(1, 3), (1, 2), (0, 3), (0, 2), (0, 1)])
     c = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2), (2, 3), (1, 3)])
-    assert is_isomorphic(a, b) and is_isomorphic(b, c) and is_isomorphic(a, c)
+    assert _isomorphic(a, b) and _isomorphic(b, c) and _isomorphic(a, c)
 
 
 def _relabel(g, seed):
@@ -288,147 +283,21 @@ def _relabel(g, seed):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _tight_families():
-    """The known-tight families of the classify-mix benchmark workload, up
-    to 24 vertices: K_n and K_n - e, L(K_k), L(O_k), K_2 x K_k, C_4, G2
-    and G6."""
-    tight = [complete(n) for n in range(8, 25)]
-    tight += [delete_edge(complete(n), (0, 1)) for n in range(8, 25)]
-    tight += [line_graph(complete(k)).line for k in range(4, 8)]
-    tight += [line_graph(o_graph(k)).line for k in range(4, 12)]
-    tight += [cartesian_product(complete(2), complete(k)) for k in range(3, 13)]
-    return tight + [cycle(4), beineke(2), beineke(6)]
-
-
-def test_find_isomorphism_matches_reference_on_atlas(atlas):
-    pool = [g for _, g in atlas] + _tight_families()
-    for i, g in enumerate(pool):
-        h = _relabel(g, i)
-        phi = find_isomorphism(g, h)
-        assert phi is not None and phi == reference.find_isomorphism(g, h), g
-    # Neighbouring atlas entries share n and often m, but are never
-    # isomorphic: both searches must agree on those pairs too.
-    for (_, g), (_, h) in itertools.pairwise(atlas):
-        assert find_isomorphism(g, h) is None
-        assert reference.find_isomorphism(g, h) is None
-
-
-def _naive_equitable(rows, cells):
-    """Colour refinement by every cell at once until no cell splits: each
-    vertex keyed by its cell and its counts in all cells, each round."""
-    while True:
-        keys = {}
-        for i, c in enumerate(cells):
-            for v in graphs._bits(c):
-                key = (i, *((rows[v] & d).bit_count() for d in cells))
-                keys[key] = keys.get(key, 0) | 1 << v
-        if len(keys) == len(cells):
-            return cells
-        cells = list(keys.values())
-
-
-def _refinement_pairs():
-    """Pairs (g, h) whose labels share a key: every pair of connected graphs
-    on at most six vertices, h relabelled, and relabelled copies of K_n,
-    K_n - e, L(K_k), K_2 x K_k, Q_4, the Petersen graph and, as their
-    labels already are equitable, of graphs that refinement must split:
-    each connected graph on seven vertices, paths and random trees."""
-    pairs = []
-    for n in range(1, 7):
-        level = enumerate_connected(n)
-        for i, g in enumerate(level):
-            for j, h in enumerate(level):
-                h = _relabel(h, 100 * i + j)
-                if g._labels[1] == h._labels[1]:
-                    pairs.append((g, h))
-    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                                + [(i, i + 5) for i in range(5)]
-                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
-    family = [complete(n) for n in (2, 5, 9)]
-    family += [delete_edge(complete(n), (0, 1)) for n in (4, 7, 10)]
-    family += [line_graph(complete(k)).line for k in (4, 5, 6)]
-    family += [cartesian_product(complete(2), complete(k)) for k in (3, 5, 7)]
-    family += [hypercube(4), petersen]
-    family += enumerate_connected(7) + [path(10), path(17)]
-    family += [_random_tree(n, seed) for n in (12, 20, 30) for seed in range(3)]
-    pairs += [(g, _relabel(g, seed)) for seed, g in enumerate(family)]
-    square = list(cycle(4).edges)  # C_8 and two squares share a key
-    return pairs + [(cycle(8), Graph.from_edges(8, square + [(u + 4, v + 4) for u, v in square]))]
-
-
-def test_refinement_matches_naive_refinement():
-    # _equitable queues every starting cell but the largest and then keeps
-    # the largest part of each split unqueued; splitting by every cell until
-    # stable must give the same cells.  find_isomorphism, which refines the
-    # joined label classes so, must agree with the reference search on
-    # whether a map exists, and each map it returns must be an isomorphism.
-    split = distinct = 0
-    for g, h in _refinement_pairs():
-        n = g.n
-        rows = list(g._rows) + [r << n for r in h._rows]
-        gmasks, hmasks = g._labels[0], h._labels[0]
-        cells = [mask | hmasks[label] << n for label, mask in gmasks.items()]
-        refined = graphs._equitable(rows, list(cells))
-        assert set(refined) == set(_naive_equitable(rows, cells))
-        split += len(refined) > len(cells)
-        phi = find_isomorphism(g, h)
-        assert (phi is None) == (reference.find_isomorphism(g, h) is None), (g, h)
-        if phi is not None:
-            assert sorted(phi.values()) == list(range(n))
-            assert sorted(tuple(sorted((phi[u], phi[v]))) for u, v in g.edges) == list(h.edges)
-        distinct += g.edges != h.edges and phi is None
-    assert split > 0 and distinct > 0  # refinement splits; a key can mislead
-
-
 @pytest.mark.parametrize("g", [path(1500), complete_bipartite(2, 1000)],
                          ids=["path1500", "k2_1000"])
 def test_isomorphism_has_no_recursion_limit(g):
     h = _relabel(g, 7)
-    phi = find_isomorphism(g, h)
+    phi = contains_induced(h, g)
     assert phi is not None and sorted(phi.values()) == list(range(g.n))
     assert all(h.has_edge(phi[u], phi[v]) for u, v in g.edges)
-
-
-def _random_tree(n, seed):
-    rng = random.Random(seed)
-    return Graph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
-
-
-@pytest.mark.parametrize("n", [22, 26, 100, 1500])
-@pytest.mark.parametrize("family", ["path", "cycle", "tree"])
-def test_isomorphism_of_relabelled_sparse_graphs(family, n):
-    # A search that maps a vertex with no mapped neighbour, or that meets a
-    # wrong choice only far from where it was made, backtracks
-    # exponentially on these; each finishes well inside a second.
-    g = {"path": path, "cycle": cycle, "tree": lambda n: _random_tree(n, n)}[family](n)
-    for seed in range(2):
-        h = _relabel(g, seed)
-        for a, b in ((g, h), (h, g)):
-            # Fresh copies, so no cached view is reused between the calls.
-            a, b = Graph(a.n, a.edges), Graph(b.n, b.edges)
-            start = time.perf_counter()
-            phi = find_isomorphism(a, b)
-            assert time.perf_counter() - start < 1.0
-            assert phi is not None and sorted(phi.values()) == list(range(n))
-            assert all(b.has_edge(phi[u], phi[v]) for u, v in a.edges)
-    # C_{n-8} plus P_8 has P_n's vertex labels and size, but not its shape.
-    if family == "path":
-        k = 8
-        other = _relabel(Graph.from_edges(n, [(i, (i + 1) % (n - k)) for i in range(n - k)]
-                                          + [(i, i + 1) for i in range(n - k, n - 1)]), 5)
-        assert other._labels[1] == g._labels[1] and other.m == g.m
-        for a, b in ((g, other), (other, g)):
-            start = time.perf_counter()
-            assert find_isomorphism(a, b) is None
-            assert time.perf_counter() - start < 1.0
 
 
 @given(st.integers(2, 11), st.integers(0, 2**55), st.integers(0, 10**6), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_isomorphism_agrees_with_networkx(n, bits, seed, move):
     # h is a relabelled g, with one edge moved to a non-edge when move is
-    # set: the refined classes and the search must agree with networkx
-    # whether or not the vertex labels already tell the graphs apart.
+    # set: the induced-map search at equal order and size must agree with
+    # networkx whether or not the degrees already tell the graphs apart.
     nx = pytest.importorskip("networkx")
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for i, p in enumerate(pairs) if bits >> i % 56 & 1]
@@ -440,20 +309,20 @@ def test_isomorphism_agrees_with_networkx(n, bits, seed, move):
     a, b = nx.Graph(g.edges), nx.Graph(h.edges)
     a.add_nodes_from(range(n))
     b.add_nodes_from(range(n))
-    phi = find_isomorphism(g, h)
+    phi = contains_induced(h, g)
     assert (phi is not None) == nx.is_isomorphic(a, b)
     if phi is not None:
         assert sorted(h.edges) == sorted(tuple(sorted((phi[u], phi[v]))) for u, v in g.edges)
 
 
 def test_only_graphs_reads_the_matcher_internals():
-    # The induced-map search, its candidate masks and the views it reads
-    # live in graphs.py; every other module goes through its three
-    # questions: find_isomorphism, enumerate_connected, contains_induced.
+    # The induced-map search and the views it reads live in graphs.py;
+    # every other module goes through its two questions:
+    # enumerate_connected and contains_induced.
     for path_ in sorted(Path(graphs.__file__).parent.glob("*.py")):
         if path_.name != "graphs.py":
             text = path_.read_text()
-            for name in ("_induced_map", "_label_masks", "._labels", "._order", "._steps"):
+            for name in ("_induced_map", "._order", "._steps"):
                 assert name not in text, f"{path_.name} names {name}"
     assert graphs.contains_induced.__module__ == "framegraphs.graphs"
     assert linegraph.contains_induced is graphs.contains_induced
@@ -478,8 +347,8 @@ def test_pattern_match_steps_follow_the_plain_rule():
     from framegraphs import verify
 
     patterns = [beineke(i) for i in range(1, 10)] + [path(4)]
-    patterns += [p for n in range(1, 13) for m in range(n * (n - 1) // 2 + 1)
-                 for _, _, p in verify._catalog(n, m)]
+    patterns += [shape.args[0] for n in range(1, 13) for m in range(n * (n - 1) // 2 + 1)
+                 for _, _, shape in verify._catalog(n, m) if shape.func is verify._by_pattern]
     assert len(patterns) > 10
     for p in patterns:
         assert list(p._steps) == reference.match_steps(p), p
@@ -488,8 +357,8 @@ def test_pattern_match_steps_follow_the_plain_rule():
 def test_a_host_builds_no_match_steps():
     pattern = hypercube(3)
     g = _relabel(pattern, 1)
-    assert find_isomorphism(pattern, g) is not None
-    assert graphs.contains_induced(g, beineke(1)) is not None
+    assert contains_induced(g, pattern) is not None
+    assert contains_induced(g, beineke(1)) is not None
     assert "_steps" in pattern.__dict__ and "_steps" not in g.__dict__
 
 
@@ -546,7 +415,7 @@ def _brute_force_connected(n):
     for r in range(len(pairs) + 1):
         for chosen in itertools.combinations(pairs, r):
             g = Graph.from_edges(n, chosen)
-            if is_connected(g) and not any(is_isomorphic(g, h) for h in out):
+            if is_connected(g) and not any(reference.is_isomorphic(g, h) for h in out):
                 out.append(g)
     return out
 
@@ -562,14 +431,14 @@ def test_enumeration_matches_brute_force(n):
     slow = _brute_force_connected(n)
     assert len(fast) == len(slow)
     for g in slow:
-        assert sum(1 for h in fast if is_isomorphic(g, h)) == 1
+        assert sum(1 for h in fast if reference.is_isomorphic(g, h)) == 1
 
 
 def test_enumeration_entries_are_connected_and_distinct():
     level = enumerate_connected(5)
     assert all(is_connected(g) for g in level)
     for g, h in itertools.combinations(level, 2):
-        assert not is_isomorphic(g, h)
+        assert not reference.is_isomorphic(g, h)
 
 
 def test_enumeration_guard():

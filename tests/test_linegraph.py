@@ -21,7 +21,6 @@ from framegraphs.graphs import (
     enumerate_connected,
     hypercube,
     is_connected,
-    is_isomorphic,
     join,
     o_graph,
     path,
@@ -36,6 +35,7 @@ from framegraphs.linegraph import (
 )
 
 import reference_linegraph as reference
+from reference_graphs import is_isomorphic
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from framegraphs.graphs import (
     common_neighbors,
     complete_bipartite,
     components,
+    contains_induced,
     cycle,
     delete_edge,
     duplicate_vertex,
     enumerate_connected,
-    find_isomorphism,
     is_connected,
     join,
     o_graph,
@@ -42,7 +42,7 @@ from framegraphs.verify import (
 )
 
 import reference_linegraph as reference
-from reference_graphs import edge_cycle_check
+from reference_graphs import edge_cycle_check, is_isomorphic
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +245,80 @@ def _chang_graphs():
 def test_classify_refutes_chang_graphs():
     # Each Chang graph is strongly regular with L(K_8)'s parameters
     # (28, 12, 6, 4), so it passes every count the catalog filters by; only
-    # the isomorphism test tells it apart, and no obstruction fires.
-    lk8 = line_graph(complete(8)).line
+    # the root recovery tells it apart, as it is no line graph, and no
+    # obstruction fires.
     rng = random.Random(28)
     for g in _chang_graphs():
         g = _shuffled(g, rng)
         assert set(g.degree_sequence()) == {12}
         assert {(g.has_edge(u, v), len(common_neighbors(g, u, v)))
                 for u in range(28) for v in range(u + 1, 28)} == {(True, 6), (False, 4)}
-        assert find_isomorphism(lk8, g) is None
         assert classify(g).verdict == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# Labelling by structure
+# ---------------------------------------------------------------------------
+
+def _family_members():
+    """(detail, graph) for every catalog family, L(K_k), K_2 x K_k and
+    L(O_n) well past the orders of _catalog_inputs."""
+    yield from (("k1" if n == 1 else "complete", complete(n)) for n in range(1, 12))
+    yield from (("complete-minus-edge", delete_edge(complete(n), (0, 1))) for n in range(4, 12))
+    yield from (("cycle4", cycle(4)), ("g2", beineke(2)), ("g6", beineke(6)))
+    yield from (("line-of-o", line_graph(o_graph(n)).line) for n in range(5, 41))
+    yield from ((f"line-of-complete{k}", line_graph(complete(k)).line) for k in range(4, 13))
+    yield from ((f"k2-box-k{k}", cartesian_product(complete(2), complete(k)))
+                for k in range(3, 21))
+
+
+def test_each_family_is_labelled_by_its_structure(monkeypatch):
+    # Relabelled members get their own entry's certificate, and only the
+    # patterns of at most six vertices run the induced-map search: the
+    # degrees or the root edges place every other vertex on its column.
+    searched = []
+
+    def counted(g, p):
+        searched.append(p.n)
+        return contains_induced(g, p)
+
+    monkeypatch.setattr(verify, "contains_induced", counted)
+    rng = random.Random(26)
+    for detail, g in _family_members():
+        for _ in range(3):
+            h = _shuffled(g, rng)
+            cert = classify(h)
+            check_tight_certificate(h, cert)
+            assert cert.detail == detail, (detail, h)
+    assert searched and max(searched) <= 6
+
+
+def test_catalog_rejects_graphs_that_only_fit_its_counts():
+    rng = random.Random(16)
+    # The six 4-regular graphs on 8 vertices fit K_2 x K_4's order and size.
+    k2k4 = cartesian_product(complete(2), complete(4))
+    quartic = [g for g in enumerate_connected(8) if set(g.degree_sequence()) == {4}]
+    assert len(quartic) == 6 and sum(is_isomorphic(g, k2k4) for g in quartic) == 1
+    for g in quartic:
+        cert = classify(_shuffled(g, rng))
+        assert (cert.detail == "k2-box-k4") == is_isomorphic(g, k2k4)
+        assert (cert.verdict == "tight") == is_isomorphic(g, k2k4)
+    # The house graph, C_5 plus a chord, has K_{2,3}'s degrees, so its line
+    # graph has K_2 x K_3's order and size and a root with K_{2,3}'s degrees.
+    house = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)])
+    lh = line_graph(house).line
+    assert (lh.n, lh.m) == (6, 9) and classify(_shuffled(lh, rng)).verdict == "not_tight"
+    # K_5 less two disjoint edges fits L(O_5)'s order and size.
+    g = delete_edge(delete_edge(complete(5), (0, 1)), (2, 3))
+    assert (g.n, g.m) == (5, 8) and classify(_shuffled(g, rng)).verdict != "tight"
+    # At (6, 12) the octahedron L(K_4) and L(O_6) each get their own entry.
+    for g, detail in ((line_graph(complete(4)).line, "line-of-complete4"),
+                      (line_graph(o_graph(6)).line, "line-of-o")):
+        assert (g.n, g.m) == (6, 12)
+        h = _shuffled(g, rng)
+        cert = classify(h)
+        check_tight_certificate(h, cert)
+        assert cert.detail == detail
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +412,10 @@ def test_catalog_frame_built_once_per_key(monkeypatch):
 def test_catalog_pattern_builds_its_steps_once():
     verify._catalog.cache_clear()
     rng = random.Random(8)
-    k8 = complete(8)
-    (_, _, pattern), = verify._catalog(k8.n, k8.m)
-    hosts = [_shuffled(k8, rng) for _ in range(2)]
+    c4 = cycle(4)
+    (_, _, shape), = verify._catalog(c4.n, c4.m)
+    pattern = shape.args[0]
+    hosts = [_shuffled(c4, rng) for _ in range(2)]
     check_tight_certificate(hosts[0], classify(hosts[0]))
     steps = pattern.__dict__["_steps"]
     check_tight_certificate(hosts[1], classify(hosts[1]))

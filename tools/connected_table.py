@@ -11,7 +11,8 @@ header.  Each line is McKay's graph6 of one graph in the labelling that
 ``connected`` below keeps: the character 63 + n, then the upper triangle of
 the adjacency matrix column by column (01, 02, 12, 03, ...), six bits to a
 character plus 63, zero-padded.  nauty's ``geng`` writes the format and
-networkx reads it (``from_graph6_bytes``).
+networkx reads it (``from_graph6_bytes``).  The vertex labels that sort
+candidates into buckets are defined here, as the library reads no labels.
 """
 
 from __future__ import annotations
@@ -19,9 +20,31 @@ from __future__ import annotations
 import functools
 import sys
 
-from framegraphs.graphs import (
-    ENUMERATION_MAX_N, Graph, _induced_map, _label_masks, _vertex_labels,
-)
+from framegraphs.graphs import ENUMERATION_MAX_N, Graph, _induced_map
+
+
+def _vertex_labels(rows: list[int]) -> list[tuple]:
+    """Per-vertex isomorphism invariants: the degree, and the edges among
+    the neighbours (each counted from both ends, so twice the triangles at
+    the vertex)."""
+    labels = []
+    for r in rows:
+        tri = 0
+        x = r
+        while x:
+            low = x & -x
+            tri += (rows[low.bit_length() - 1] & r).bit_count()
+            x ^= low
+        labels.append((r.bit_count(), tri))
+    return labels
+
+
+def _label_masks(labels: list[tuple]) -> dict[tuple, int]:
+    """Each vertex label's vertices, as one bitmask."""
+    masks: dict[tuple, int] = {}
+    for v, label in enumerate(labels):
+        masks[label] = masks.get(label, 0) | 1 << v
+    return masks
 
 
 @functools.cache
@@ -43,8 +66,9 @@ def connected(n: int, excess: int | None = None) -> list[Graph]:
     - each candidate's vertex labels are computed once, on bitmask rows,
       and their sorted tuple is its bucket key.  Only the kept graphs in
       its bucket are mapped into the candidate's rows, by the induced-map
-      search behind find_isomorphism, each vertex to the candidate's
-      vertices of its label;
+      search behind graphs.contains_induced, each vertex to the
+      candidate's vertices of its label (at equal order and size, an
+      induced map is an isomorphism);
     - with an excess c, the parents are level n-1 at excess c, and a
       subset of more than c + n - parent.m vertices is skipped.  Deleting
       a non-cut vertex of degree d >= 1 from a connected graph with
