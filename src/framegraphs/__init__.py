@@ -10,17 +10,14 @@ _HOME = {
     "Certificate": "verify",
     "EigDecomp": "spectral",
     "Frame": "frames",
-    "FrameBounds": "frames",
     "Graph": "graphs",
     "associated_graph": "frames",
     "classify": "verify",
-    "frame_bounds": "frames",
     "frame_operator": "frames",
     "gen_named": "graphs",
     "gramian": "frames",
     "naimark_complement": "frames",
     "numeric_rank": "spectral",
-    "rescale_to_parseval": "frames",
     "sym_eig": "spectral",
     "tightness": "frames",
 }

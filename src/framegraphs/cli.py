@@ -243,18 +243,19 @@ def check_linegraph(graph):
 def classify(graph, out):
     """Classify GRAPH; exit 0 only for a machine-verified tight certificate."""
     cert = verify.classify(_load_graph(graph))
-    click.echo(f"verdict {cert.verdict}")
+    lines = [f"verdict {cert.verdict}"]
     if cert.detail:
-        click.echo(f"detail {cert.detail}")
+        lines.append(f"detail {cert.detail}")
     if cert.dimension is not None:
-        click.echo(f"dimension {cert.dimension}")
+        lines.append(f"dimension {cert.dimension}")
     if cert.witness is not None:
         kind, data = cert.witness
-        click.echo(f"witness {kind} " + " ".join(str(x) for x in data))
-    if out and cert.frame is not None:
+        lines.append(f"witness {kind} " + " ".join(str(x) for x in data))
+    if out and cert.frame is not None:  # written first: a failed write prints nothing
         from . import matio
         Path(out).write_text(matio.frame_to_text(cert.frame))
-        click.echo(f"certificate {out}")
+        lines.append(f"certificate {out}")
+    click.echo("\n".join(lines))
     sys.exit(0 if cert.verdict == "tight" else 1)
 
 

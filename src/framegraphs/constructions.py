@@ -48,11 +48,6 @@ def oriented_incidence(g: Graph) -> np.ndarray:
     return b
 
 
-def unoriented_incidence(g: Graph) -> np.ndarray:
-    """0/1 incidence matrix by g.edges; B^T B - 2I is the line graph's adjacency."""
-    return np.abs(oriented_incidence(g))
-
-
 def adjacency(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v in g.edges:

@@ -33,8 +33,8 @@ class Frame:
     """Frame for R^d given by its synthesis matrix (columns = frame vectors).
 
     The synthesis matrix is a read-only copy, so the ascending eigenvalues
-    of the frame operator that the rank check keeps, and frame_bounds and
-    tightness read, stay those of the frame.  Complex input raises, and
+    of the frame operator that the rank check keeps, and tightness reads as
+    the frame bounds, stay those of the frame.  Complex input raises, and
     frames compare and hash by identity (arrays have no truth value)."""
 
     synthesis: np.ndarray
@@ -68,20 +68,11 @@ class Frame:
     def n(self) -> int:
         return self.synthesis.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.synthesis[:, i]
-
-
-@dataclass(frozen=True)
-class FrameBounds:
-    """Optimal frame bounds: extreme eigenvalues of the frame operator."""
-
-    lower: float
-    upper: float
-
 
 @dataclass(frozen=True)
 class Tightness:
+    """The verdict and the optimal bounds, S's extreme eigenvalues."""
+
     kind: str  # "parseval" | "tight" | "not_tight"
     lower: float
     upper: float
@@ -102,11 +93,6 @@ def gramian(f: Frame) -> np.ndarray:
     return f.synthesis.T @ f.synthesis
 
 
-def frame_bounds(f: Frame) -> FrameBounds:
-    values = f._spectrum
-    return FrameBounds(lower=float(values[0]), upper=float(values[-1]))
-
-
 def tightness(f: Frame) -> Tightness:
     """Classify the frame as Parseval, tight, or not tight.
 
@@ -117,8 +103,7 @@ def tightness(f: Frame) -> Tightness:
     TAU * min(B, 1) / (2n) for any other, so only a value past these bounds
     (the lower one halved for margin) contradicts S.
     """
-    bounds = frame_bounds(f)
-    a, b = bounds.lower, bounds.upper
+    a, b = float(f._spectrum[0]), float(f._spectrum[-1])
     is_tight = b - a <= TAU * b
     s_parseval = is_tight and abs(b - 1.0) <= TAU
     # G^2 - G = F^T (S F - F): d * n^2 flops instead of the n^3 of G @ G.
@@ -136,16 +121,6 @@ def tightness(f: Frame) -> Tightness:
     if is_tight:
         return Tightness("tight", a, b)
     return Tightness("not_tight", a, b)
-
-
-def rescale_to_parseval(f: Frame) -> Frame:
-    """Divide by sqrt(B); requires a tight frame.  The Gram pattern is unchanged."""
-    t = tightness(f)
-    if t.kind == "parseval":
-        return f
-    if t.kind != "tight":
-        raise FrameError(f"frame is not tight (bounds {t.lower}, {t.upper})")
-    return Frame(f.synthesis / np.sqrt(t.upper))
 
 
 def _gram_support(f: Frame) -> tuple[tuple[int, int], ...]:
@@ -221,7 +196,7 @@ def duplicate_vector(f: Frame, i: int, copies: int = 2) -> Frame:
         raise FrameError(f"column index {i} out of range")
     if copies < 1:
         raise FrameError(f"need at least one copy, got {copies}")
-    col = f.column(i)
+    col = f.synthesis[:, i]
     if not np.any(col):
         raise FrameError(f"column {i} is zero and cannot be duplicated")
     scaled = col / np.sqrt(copies)

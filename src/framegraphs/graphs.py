@@ -332,44 +332,28 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(g.n, tuple(x for x in g.edges if x != (u, v)))
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
-    if u == v:
-        raise GraphError("common_neighbors needs two distinct vertices")
-    return g.neighbors(u) & g.neighbors(v)
-
-
-def components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each in ascending order,
-    ordered by their smallest vertex."""
-    adj = g._adj
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        verts = [s]
-        for u in verts:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    verts.append(w)
-        comps.append(sorted(verts))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    """Whether a walk from vertex 0 reaches all n vertices."""
-    adj = g._adj
-    seen = [False] * g.n
-    seen[0] = True
-    reached = [0]
+def _reach(adj, s: int, seen: list[bool]) -> list[int]:
+    """The unmarked vertices a walk from s reaches, s first; marks them in seen."""
+    seen[s] = True
+    reached = [s]
     for u in reached:
         for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
                 reached.append(w)
-    return len(reached) == g.n
+    return reached
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each in ascending order,
+    ordered by their smallest vertex: one walk from each unmarked vertex."""
+    adj, seen = g._adj, [False] * g.n
+    return [sorted(_reach(adj, s, seen)) for s in range(g.n) if not seen[s]]
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether a walk from vertex 0 reaches all n vertices."""
+    return len(_reach(g._adj, 0, [False] * g.n)) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +445,24 @@ def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
     Level n is read from the committed table connected.g6 (CONNECTED_TABLE),
     one graph6 line per graph, which tools/connected_table.py generates.
     The file is read and checked once, on the first call; a line is
-    skipped by its bit count before a Graph is built.  Results are
-    memoized per (n, excess); callers must not mutate the returned list.
+    skipped by its bit count before a Graph is built.  Each call builds a
+    new list.
     """
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
     if excess is not None and excess < -1:
         raise GraphError("no connected graph has m - n < -1")
-    return _connected(n, excess)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    pairs += [None] * (-len(pairs) % 6)  # padding bits, all zero
+    pairs.reverse()  # by bit position, lowest first
+    out = []
+    for line in _table()[n]:
+        x = 0
+        for c in line[1:]:
+            x = x << 6 | c - 63
+        if excess is None or x.bit_count() - n <= excess:
+            out.append(Graph(n, tuple(pairs[b] for b in _bits(x))))
+    return out
 
 
 CONNECTED_TABLE = os.path.join(os.path.dirname(__file__), "connected.g6")
@@ -501,22 +495,6 @@ def _table() -> dict[int, list[bytes]]:
     if counts != CONNECTED_COUNTS:
         raise bad(f"{counts} graphs per order, not {CONNECTED_COUNTS}")
     return levels
-
-
-@functools.cache
-def _connected(n: int, excess: int | None) -> list[Graph]:
-    """enumerate_connected on checked arguments, cached once per (n, excess)."""
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    pairs += [None] * (-len(pairs) % 6)  # padding bits, all zero
-    pairs.reverse()  # by bit position, lowest first
-    out = []
-    for line in _table()[n]:
-        x = 0
-        for c in line[1:]:
-            x = x << 6 | c - 63
-        if excess is None or x.bit_count() - n <= excess:
-            out.append(Graph(n, tuple(pairs[b] for b in _bits(x))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from framegraphs.frames import (
     Frame,
     Tightness,
     ToleranceInconsistencyError,
-    frame_bounds,
     gramian,
 )
 from framegraphs.spectral import TAU
@@ -49,8 +48,7 @@ def associated_edges(f: Frame) -> list[tuple[int, int]]:
 
 def tightness(f: Frame) -> Tightness:
     """The library's verdict, cross-checked with G @ G - G."""
-    bounds = frame_bounds(f)
-    a, b = bounds.lower, bounds.upper
+    a, b = float(f._spectrum[0]), float(f._spectrum[-1])
     is_tight = b - a <= TAU * b
     s_parseval = is_tight and abs(b - 1.0) <= TAU
     g = gramian(f)

@@ -14,7 +14,6 @@ from framegraphs import constructions as cons
 from framegraphs.frames import (
     Frame,
     associated_graph,
-    frame_bounds,
     frame_operator,
     gramian,
     naimark_complement,
@@ -104,7 +103,7 @@ def test_criterion_01_diamond_frame():
 @criterion(2)
 def test_criterion_02_f_prime_completion():
     f = f_prime()
-    b = frame_bounds(f)
+    b = tightness(f)
     assert abs(b.lower - 0.6) <= TAU and abs(b.upper - 1.0) <= TAU
     res = cons.minimal_tight_completion(f)
     assert len(res.added) == 1

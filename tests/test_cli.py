@@ -185,6 +185,25 @@ def test_classify_tight_exit_code(runner, tmp_path):
     assert np.max(np.abs(mat @ mat.T - np.eye(2))) < 1e-9
 
 
+@pytest.mark.parametrize("target", ["missing/cert.txt", ""], ids=["no-dir", "a-dir"])
+def test_classify_unwritable_out_prints_no_verdict(tmp_path, capsys, target):
+    # The certificate is written before any line is printed, so a failed
+    # write exits 2 with nothing on stdout.  A verdict with no certificate
+    # writes no file, so the same path still prints it and exits 1.
+    out = str(tmp_path / target)
+    for g, code in ((cycle(4), 2), (cycle(7), 1)):
+        graph = tmp_path / "g.txt"
+        graph.write_text(to_text(g))
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--out", out, str(graph)])
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("error: ")
+        else:
+            assert captured.out.startswith("verdict not_tight\n") and captured.err == ""
+
+
 def test_classify_negative_exit_code(runner):
     res = run(runner, ["classify"], stdin=to_text(cycle(7)))
     assert res.exit_code == 1

@@ -31,12 +31,10 @@ from framegraphs.frames import (
     ToleranceInconsistencyError,
     associated_graph,
     duplicate_vector,
-    frame_bounds,
     frame_operator,
     gramian,
     naimark_complement,
     represents,
-    rescale_to_parseval,
     tightness,
 )
 from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
@@ -66,7 +64,7 @@ def test_frame_validation():
         Frame(np.array([[1.0, 2.0], [0.0, 0.0]]))  # rank 1 in R^2
     f = Frame(np.eye(3))
     assert f.d == f.n == 3
-    assert np.array_equal(f.column(1), np.array([0.0, 1.0, 0.0]))
+    assert np.array_equal(f.synthesis[:, 1], np.array([0.0, 1.0, 0.0]))
 
 
 def test_complex_frame_rejected():
@@ -114,11 +112,11 @@ def test_operator_and_gramian():
 
 
 def test_frame_bounds():
-    b = frame_bounds(mercedes_frame())
+    b = tightness(mercedes_frame())
     assert b.lower == pytest.approx(1.5) and b.upper == pytest.approx(1.5)
     # Diamond frame minus its fourth column has bounds (1/2, 1).
     f = Frame(diamond_frame().synthesis[:, :3])
-    b = frame_bounds(f)
+    b = tightness(f)
     assert b.lower == pytest.approx(0.5, abs=1e-12)
     assert b.upper == pytest.approx(1.0, abs=1e-12)
 
@@ -139,8 +137,8 @@ def test_tightness_reuses_the_rank_check_eigenvalues(monkeypatch):
     for f in (mercedes_frame(), laplacian_method(complete(6)), c4_frame()):
         values = sym_eig(frame_operator(f)).values
         calls.clear()
-        assert tightness(f).kind in ("tight", "parseval")
-        b = frame_bounds(f)
+        b = tightness(f)
+        assert b.kind in ("tight", "parseval")
         assert calls == []
         assert (b.lower, b.upper) == (values[0], values[-1])
     Frame(np.eye(2))
@@ -150,7 +148,7 @@ def test_tightness_reuses_the_rank_check_eigenvalues(monkeypatch):
     a = np.eye(2)
     f = Frame(a)
     a[0, 0] = 5.0
-    assert f.synthesis[0, 0] == 1.0 and frame_bounds(f).upper == 1.0
+    assert f.synthesis[0, 0] == 1.0 and tightness(f).upper == 1.0
     with pytest.raises(ValueError):
         f.synthesis[0, 0] = 5.0
 
@@ -169,14 +167,6 @@ def test_tightness_cross_check_consistent_on_scaled_frames():
     # A tight-but-not-Parseval frame must fail both Parseval tests, not one.
     t = tightness(Frame(np.sqrt(2.0) * np.eye(4)))
     assert t.kind == "tight" and t.upper == pytest.approx(2.0)
-
-
-def test_rescale_to_parseval():
-    f = rescale_to_parseval(mercedes_frame())
-    assert tightness(f).kind == "parseval"
-    assert rescale_to_parseval(f) is f
-    with pytest.raises(FrameError):
-        rescale_to_parseval(Frame(np.array([[1.0, 0.0], [0.0, 2.0]])))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +321,7 @@ def test_duplicate_vector_preserves_operator_exactly():
     assert dup.n == f.n + 1
     # Two copies of c/sqrt(2) contribute c c^T up to one rounding step.
     assert np.max(np.abs(frame_operator(dup) - frame_operator(f))) < 1e-15
-    assert np.array_equal(dup.column(4), dup.column(2))
+    assert np.array_equal(dup.synthesis[:, 4], dup.synthesis[:, 2])
 
 
 def test_duplicate_vector_pattern_law():
@@ -349,7 +339,7 @@ def test_duplicate_vector_splits_into_copies():
         dup = duplicate_vector(f, 0, copies)
         assert dup.n == f.n + copies - 1
         assert np.max(np.abs(frame_operator(dup) - frame_operator(f))) < 1e-14
-        assert all(np.array_equal(dup.column(j), dup.column(0)) for j in range(f.n, dup.n))
+        assert all(np.array_equal(dup.synthesis[:, j], dup.synthesis[:, 0]) for j in range(f.n, dup.n))
         # One split into k copies is k - 1 vertex duplications of the pattern.
         expected = associated_graph(f).graph
         for _ in range(copies - 1):

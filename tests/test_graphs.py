@@ -21,7 +21,6 @@ from framegraphs.graphs import (
     GraphError,
     beineke,
     cartesian_product,
-    common_neighbors,
     components,
     complete,
     complete_bipartite,
@@ -206,14 +205,6 @@ def test_delete_edge():
     assert g == diamond()
     with pytest.raises(GraphError):
         delete_edge(g, (0, 1))
-
-
-def test_common_neighbors():
-    g = complete_bipartite(2, 3)
-    assert common_neighbors(g, 0, 1) == frozenset({2, 3, 4})
-    assert common_neighbors(g, 2, 0) == frozenset()
-    with pytest.raises(GraphError):
-        common_neighbors(g, 1, 1)
 
 
 def test_components_are_ascending_like_networkx():
@@ -452,16 +443,20 @@ def test_enumeration_guard():
 
 def test_bounded_enumeration_is_the_filtered_level():
     # Same graphs, same labels, same order as the full level filtered by
-    # edge excess; level 8 is shared with test_enumeration_of_order_8
-    # through the cache.
+    # edge excess.
     for n, excesses in [*((n, range(-1, 3)) for n in range(1, 8)), (8, (-1, 0))]:
         full = enumerate_connected(n)
         for e in excesses:
             assert enumerate_connected(n, e) == [g for g in full if g.m - g.n <= e], (n, e)
     assert [len(enumerate_connected(n, 0)) for n in (7, 8)] == [44, 112]
-    # One cache entry per (n, excess), however the excess is passed.
-    assert enumerate_connected(6) is enumerate_connected(6, None) \
-        is enumerate_connected(6, excess=None)
+
+
+def test_enumeration_returns_a_fresh_list():
+    # A caller may edit what it gets: the next call reads the table again.
+    first = enumerate_connected(6)
+    expected = list(first)
+    first.clear()
+    assert enumerate_connected(6) == expected and len(expected) == 112
 
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -476,9 +471,6 @@ def test_table_is_what_its_script_writes():
     with open(graphs.CONNECTED_TABLE) as f:
         head = list(itertools.islice(f, sum(graphs.CONNECTED_COUNTS[:7])))
     assert len(head) == 996 and list(script.lines(7)) == head
-    # The generator's bounded-parent rule keeps exactly the filtered level.
-    for e in (-1, 0, 1):
-        assert script.connected(7, e) == enumerate_connected(7, e)
 
 
 def test_table_agrees_with_networkx():
@@ -508,7 +500,7 @@ def test_table_agrees_with_networkx():
 @pytest.fixture
 def damaged_table(tmp_path, monkeypatch):
     """A function that writes a copy of the table's lines, damaged, and
-    points the loader at it; the memo is cleared around the test."""
+    points the loader at it; the table cache is cleared around the test."""
     with open(graphs.CONNECTED_TABLE, "rb") as f:
         lines = f.read().splitlines(keepends=True)
 
@@ -519,10 +511,8 @@ def damaged_table(tmp_path, monkeypatch):
         return copy
 
     graphs._table.cache_clear()
-    graphs._connected.cache_clear()
     yield damage
     graphs._table.cache_clear()
-    graphs._connected.cache_clear()
 
 
 def _set_line(i, line):

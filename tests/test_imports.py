@@ -76,8 +76,8 @@ def test_frame_commands_load_numpy_on_demand():
 HOMES = {
     graphs: ["Graph", "gen_named"],
     spectral: ["EigDecomp", "numeric_rank", "sym_eig"],
-    frames: ["Frame", "FrameBounds", "associated_graph", "frame_bounds", "frame_operator",
-             "gramian", "naimark_complement", "rescale_to_parseval", "tightness"],
+    frames: ["Frame", "associated_graph", "frame_operator", "gramian",
+             "naimark_complement", "tightness"],
     verify: ["Certificate", "classify"],
 }
 

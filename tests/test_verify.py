@@ -17,7 +17,6 @@ from framegraphs.graphs import (
     beineke,
     cartesian_product,
     complete,
-    common_neighbors,
     complete_bipartite,
     components,
     contains_induced,
@@ -155,7 +154,7 @@ def test_classify_not_tight():
         assert cert.verdict == "not_tight"
         kind, (u, v, w) = cert.witness
         assert kind == "neighbor"
-        assert not g.has_edge(u, v) and common_neighbors(g, u, v) == {w}
+        assert not g.has_edge(u, v) and g.neighbors(u) & g.neighbors(v) == {w}
 
 
 def test_classify_literature_annotation():
@@ -251,7 +250,7 @@ def test_classify_refutes_chang_graphs():
     for g in _chang_graphs():
         g = _shuffled(g, rng)
         assert set(g.degree_sequence()) == {12}
-        assert {(g.has_edge(u, v), len(common_neighbors(g, u, v)))
+        assert {(g.has_edge(u, v), len(g.neighbors(u) & g.neighbors(v)))
                 for u in range(28) for v in range(u + 1, 28)} == {(True, 6), (False, 4)}
         assert classify(g).verdict == "unknown"
 

@@ -48,15 +48,13 @@ def _label_masks(labels: list[tuple]) -> dict[tuple, int]:
 
 
 @functools.cache
-def connected(n: int, excess: int | None = None) -> list[Graph]:
-    """All connected graphs on n vertices, one per isomorphism class; with
-    an excess c, only those with m - n <= c (c = -1 gives the trees, 0
-    adds the unicyclic graphs), exactly the full list filtered so.
+def connected(n: int) -> list[Graph]:
+    """All connected graphs on n vertices, one per isomorphism class.
 
     Level n is generated from level n-1 by attaching a new vertex to every
     non-empty neighbour subset, taken as a bitmask in ascending order
     (every connected graph has a non-cut vertex, so this reaches every
-    class); the first candidate of each class is kept.  Three rules keep the
+    class); the first candidate of each class is kept.  Two rules keep the
     work down without changing that list or its order:
 
     - a subset is skipped when, for some twins u < v of the parent (equal
@@ -68,29 +66,17 @@ def connected(n: int, excess: int | None = None) -> list[Graph]:
       its bucket are mapped into the candidate's rows, by the induced-map
       search behind graphs.contains_induced, each vertex to the
       candidate's vertices of its label (at equal order and size, an
-      induced map is an isomorphism);
-    - with an excess c, the parents are level n-1 at excess c, and a
-      subset of more than c + n - parent.m vertices is skipped.  Deleting
-      a non-cut vertex of degree d >= 1 from a connected graph with
-      m - n <= c leaves a connected parent with excess at most
-      c + 1 - d <= c, so every candidate with excess <= c comes from a
-      parent in the bounded level through a subset of at most that many
-      vertices: the bounded loop visits exactly the full loop's
-      candidates with excess <= c, in the same order.  The kept graphs in
-      one label bucket all have the same m, as labels hold degrees, so the
-      first candidate of each class is the one the full loop keeps.
+      induced map is an isomorphism).
 
-    A Graph is built only for the graphs kept.  Results are memoized per
-    (n, excess).
+    A Graph is built only for the graphs kept.  Results are memoized per n.
     """
     if n == 1:
         return [Graph(1, ())]
     new = n - 1
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
     out = []
-    for parent in connected(new, excess):
+    for parent in connected(new):
         base = parent._rows
-        cap = new if excess is None else excess + n - parent.m
         # (bit of v, bit of u) for twins u < v: a kept subset holding v holds u.
         twins = [
             (1 << v, 1 << u)
@@ -98,8 +84,7 @@ def connected(n: int, excess: int | None = None) -> list[Graph]:
             if base[u] == base[v] or base[u] | 1 << u == base[v] | 1 << v
         ]
         for mask in range(1, 1 << new):
-            if mask.bit_count() > cap or any(
-                    mask & bv and not mask & bu for bv, bu in twins):
+            if any(mask & bv and not mask & bu for bv, bu in twins):
                 continue
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(base)]
             rows.append(mask)
