@@ -8,7 +8,6 @@ from importlib import import_module
 
 _HOME = {
     "Certificate": "verify",
-    "EigDecomp": "spectral",
     "Frame": "frames",
     "Graph": "graphs",
     "associated_graph": "frames",

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import graphs
 from .frames import Frame, duplicate_vector
-from .graphs import Graph, GraphError, is_connected
-from .spectral import TAU, group_eigenvalues, sym_eig
+from .graphs import Graph, GraphError, _integer, is_connected
+from .spectral import TAU, sym_eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +79,7 @@ def laplacian_method(p: Graph) -> Frame:
         raise GraphError("root graph needs at least one edge")
     if not is_connected(p):
         raise GraphError("Laplacian method needs a connected root graph")
-    dec = sym_eig(laplacian(p))
-    x = dec.vectors[:, 1:]  # drop the eigenvalue-0 (all-ones) eigenvector
+    x = sym_eig(laplacian(p))[1][:, 1:]  # drop the eigenvalue-0 (all-ones) eigenvector
     b = oriented_incidence(p)
     return Frame(x.T @ b)
 
@@ -99,8 +98,7 @@ def lkn_small_frame(n: int) -> Frame:
     c = np.eye(k) - np.ones((k, k)) / k
     d = oriented_incidence(graphs.complete(k))
     m = np.hstack([c, d])
-    dec = sym_eig(m @ m.T)
-    x = dec.vectors[:, 1:]  # eigenvalue-n eigenspace (the top n-2)
+    x = sym_eig(m @ m.T)[1][:, 1:]  # eigenvalue-n eigenspace (the top n-2)
     return Frame(x.T @ m)
 
 
@@ -118,8 +116,8 @@ def star_frame(n: int, d: int, keep=None) -> Frame:
         raise GraphError("star_frame needs n >= 2 and 1 <= d <= n - 1")
     if keep is None:
         keep = default_star_keep(n, d)
-    keep = sorted(set(int(k) for k in keep))
-    if len(keep) != d or 1 not in keep or keep[0] < 1 or keep[-1] > n - 1:
+    keep = sorted(map(_integer, keep))  # GraphError on a non-integer
+    if len(keep) != d or len(set(keep)) != d or keep[0] != 1 or keep[-1] > n - 1:
         raise GraphError(
             "keep set must be d distinct columns in 1..n-1 and contain column 1"
         )
@@ -164,19 +162,18 @@ def k2kn_frame(n: int) -> Frame:
 
 def minimal_tight_completion(f: Frame) -> CompletionResult:
     """Append sqrt(B - lambda_i) x_i for every frame-operator eigenvalue
-    below the top one (under multiplicity grouping).
+    below the top cluster.
 
-    The result is B-tight with B = lambda_max, and no completion with
-    fewer added vectors exists.
+    The top cluster holds the eigenvalues above the last gap between
+    consecutive ascending ones that exceeds TAU * |lambda_max| (all of them
+    if there is none), and B is their mean.  The result is B-tight, and no
+    completion with fewer added vectors exists.
     """
-    dec = sym_eig(f.synthesis @ f.synthesis.T)
-    groups = group_eigenvalues(dec.values)
-    bound = float(np.mean(dec.values[groups[-1]]))
-    deficit = [i for grp in groups[:-1] for i in grp]
-    added = tuple(
-        np.sqrt(max(bound - dec.values[i], 0.0)) * dec.vectors[:, i]
-        for i in deficit
-    )
+    values, vectors = sym_eig(f.synthesis @ f.synthesis.T)
+    gaps = np.flatnonzero(np.diff(values) > TAU * np.max(np.abs(values)))
+    low = gaps[-1] + 1 if gaps.size else 0  # index of the top cluster's first value
+    bound = float(np.mean(values[low:]))
+    added = tuple(np.sqrt(max(bound - values[i], 0.0)) * vectors[:, i] for i in range(low))
     mat = f.synthesis
     if added:
         mat = np.column_stack([mat, *added])

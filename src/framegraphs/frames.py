@@ -174,14 +174,13 @@ def naimark_complement(f: Frame) -> Frame:
         raise FrameError("Naimark complement needs a Parseval frame")
     if f.d >= f.n:
         raise FrameError("Gramian has full rank (d = n): complement is empty")
-    dec = sym_eig(gramian(f))
-    thr = TAU * dec.values[-1]
-    zero_cols = np.flatnonzero(np.abs(dec.values) <= thr)
+    values, vectors = sym_eig(gramian(f))
+    zero_cols = np.flatnonzero(np.abs(values) <= TAU * values[-1])
     if zero_cols.size != f.n - f.d:
         raise FrameError(
             f"expected {f.n - f.d} zero Gram eigenvalues, found {zero_cols.size}"
         )
-    return Frame(dec.vectors[:, zero_cols].T)
+    return Frame(vectors[:, zero_cols].T)
 
 
 def duplicate_vector(f: Frame, i: int, copies: int = 2) -> Frame:

@@ -42,8 +42,9 @@ def _pair(e) -> tuple[int, int]:
 # per level of the table connected.g6, which enumerate_connected reads.
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 ENUMERATION_MAX_N = len(CONNECTED_COUNTS)
-# Largest order from_text accepts: a header alone names n, and the stages
-# downstream allocate per vertex (adjacency views, component lists).
+# Largest order of the text format, in both directions: a header alone names
+# n, and the stages downstream allocate per vertex (adjacency views,
+# component lists).
 TEXT_MAX_N = 100_000
 
 
@@ -66,9 +67,10 @@ class Graph:
             object.__setattr__(self, "n", n := _integer(n))
         if n < 1:
             raise GraphError("graph needs at least one vertex")
+        given = tuple(self.edges)  # read once: edges may be an iterator
         seen = set()  # u * n + v per edge, distinct as 0 <= u < v < n
         try:
-            for e in self.edges:
+            for e in given:
                 u, v = e
                 if not 0 <= u < v < n:
                     raise GraphError(
@@ -77,7 +79,7 @@ class Graph:
                 if key in seen:
                     raise GraphError(f"duplicate edge {e}")
                 seen.add(key)
-            edges = tuple(sorted(self.edges))
+            edges = tuple(sorted(given))
             # An endpoint of another type taints the sum, except a bool: it
             # is 0 or 1, so its edge sorts before (2,).
             exact = type(sum(seen)) is int and not any(
@@ -87,7 +89,7 @@ class Graph:
         except (TypeError, ValueError):  # not a pair, or not comparable
             exact = False
         if not exact:
-            object.__setattr__(self, "edges", tuple(map(_pair, self.edges)))
+            object.__setattr__(self, "edges", tuple(map(_pair, given)))
             return self.__post_init__()
         object.__setattr__(self, "edges", edges)
 
@@ -502,6 +504,8 @@ def _table() -> dict[int, list[bytes]]:
 # ---------------------------------------------------------------------------
 
 def to_text(g: Graph) -> str:
+    if g.n > TEXT_MAX_N:  # from_text would reject it
+        raise GraphError(f"graph order {g.n} exceeds the limit of {TEXT_MAX_N}")
     lines = [f"{g.n} {g.m}"]
     lines += [f"{u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n"

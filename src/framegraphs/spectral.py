@@ -9,8 +9,6 @@ when |x| <= TAU * |s|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 TAU = 1e-9
@@ -18,14 +16,6 @@ TAU = 1e-9
 
 class SpectralError(ValueError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class EigDecomp:
-    """Ascending eigenvalues and orthonormal column eigenvectors; equal only to itself."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -47,16 +37,16 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sym_eigvals(m: np.ndarray) -> np.ndarray:
-    """sym_eig(m).values, bit for bit (the same eigh call), without
+    """sym_eig(m)[0], bit for bit (the same eigh call), without
     normalising the signs of eigenvectors it then drops."""
     return _eigh(m)[0]
 
 
-def sym_eig(m: np.ndarray) -> EigDecomp:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix as numpy's (values, vectors).
 
     Deterministic for identical input: eigenvalues ascending, and in each
-    eigenvector the first entry of magnitude above TAU is made
+    eigenvector (a column) the first entry of magnitude above TAU is made
     positive.
     """
     values, vectors = _eigh(m)
@@ -64,30 +54,10 @@ def sym_eig(m: np.ndarray) -> EigDecomp:
     first = np.argmax(big, axis=0)  # row of each column's first big entry, or 0
     cols = np.arange(vectors.shape[1])
     flip = big[first, cols] & (vectors[first, cols] < 0)
-    return EigDecomp(values=values, vectors=np.where(flip, -vectors, vectors))
+    return values, np.where(flip, -vectors, vectors)
 
 
 def numeric_rank(m: np.ndarray) -> int:
     """Number of eigenvalues with |lambda| > TAU * |lambda_max|."""
     values = np.abs(sym_eigvals(m))
     return int(np.sum(values > TAU * np.max(values)))
-
-
-def group_eigenvalues(values: np.ndarray) -> list[list[int]]:
-    """Indices of eigenvalues grouped into multiplicity classes.
-
-    Consecutive (ascending) eigenvalues within TAU * |lambda_max| of
-    each other land in the same group.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return []
-    lam_max = np.max(np.abs(values))
-    thr = TAU * lam_max
-    groups = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[groups[-1][-1]] <= thr:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups

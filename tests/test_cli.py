@@ -44,6 +44,15 @@ def test_gen(runner):
     assert from_text(res.output) == edgeless(3)
 
 
+def test_gen_above_the_text_limit_prints_nothing(capsys):
+    # No reader would accept a graph of this order, so gen does not print one.
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "path", "100001"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds the limit of 100000" in err
+
+
 def test_gen_two_parameter_family(runner):
     res = run(runner, ["gen", "complete-bipartite", "2", "3"])
     assert res.exit_code == 0

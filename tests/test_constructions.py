@@ -29,7 +29,7 @@ from framegraphs.graphs import (
     path,
 )
 from framegraphs.linegraph import line_graph
-from framegraphs.spectral import sym_eig
+from framegraphs.spectral import TAU, sym_eig
 
 from reference_graphs import is_isomorphic
 
@@ -50,8 +50,8 @@ def test_laplacian_method_operator_spectrum():
     # The frame-operator spectrum is the nonzero Laplacian spectrum.
     p = cycle(5)
     f = cons.laplacian_method(p)
-    lap_vals = sym_eig(cons.laplacian(p)).values[1:]
-    op_vals = sym_eig(frame_operator(f)).values
+    lap_vals = sym_eig(cons.laplacian(p))[0][1:]
+    op_vals = sym_eig(frame_operator(f))[0]
     assert np.allclose(np.sort(op_vals), np.sort(lap_vals))
 
 
@@ -103,7 +103,7 @@ def test_lkn_small_base_matrix_spectrum():
         c = np.eye(k) - np.ones((k, k)) / k
         d = cons.oriented_incidence(complete(k))
         m = np.hstack([c, d])
-        vals = sym_eig(m @ m.T).values
+        vals = sym_eig(m @ m.T)[0]
         assert abs(vals[0]) < 1e-8
         assert np.max(np.abs(vals[1:] - n)) < 1e-8
 
@@ -177,6 +177,12 @@ def test_star_frame_guards():
         cons.star_frame(5, 2, keep=[1, 5])  # out of range
     with pytest.raises(GraphError):
         cons.star_frame(5, 3, keep=[1, 2])  # wrong size
+    with pytest.raises(GraphError, match="not an integer"):
+        cons.star_frame(5, 2, keep=[1, 2.7])  # int() would make it 2
+    with pytest.raises(GraphError, match="not an integer"):
+        cons.star_frame(5, 2, keep=[1, "2"])
+    with pytest.raises(GraphError, match="distinct"):
+        cons.star_frame(5, 2, keep=[1, 1, 2])  # three entries for d = 2
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +220,7 @@ def test_minimal_completion_is_tight_with_deficit_count():
         t = tightness(res.frame)
         assert t.kind in ("tight", "parseval")
         assert abs(t.upper - res.bound) < 1e-8
-        vals = sym_eig(frame_operator(f)).values
+        vals = sym_eig(frame_operator(f))[0]
         deficit = int(np.sum(res.bound - vals > 1e-9 * max(1.0, res.bound)))
         assert len(res.added) == deficit
         # Added columns really are the completion: original columns unchanged.
@@ -225,6 +231,23 @@ def test_minimal_completion_noop_on_tight_frames():
     res = cons.minimal_tight_completion(cons.diamond_frame())
     assert res.added == ()
     assert res.bound == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_minimal_completion_top_cluster(scale):
+    # The top cluster runs down the ascending spectrum until a gap above
+    # TAU * lambda_max: a chain of smaller gaps stays one cluster even when
+    # it spans more than the threshold, and each value below the last big
+    # gap gets one added vector.
+    rng = np.random.default_rng(3)
+    half = 0.5 * TAU
+    for vals, added in (([1.0 + k * half for k in range(6)], 0),
+                        ([0.5, 0.5 + half, 1.0, 1.0 + half, 1.0 + 8 * half, 1.0 + 9 * half], 4)):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        f = Frame(scale * q @ np.diag(np.sqrt(vals)))
+        res = cons.minimal_tight_completion(f)
+        assert len(res.added) == added
+        assert res.bound == pytest.approx(scale**2 * np.mean(vals[added:]))
 
 
 def _random_completion_beats(f, count, bound, rng, tries=300):
@@ -259,7 +282,7 @@ def test_minimal_completion_minimality_oracle():
             continue
         # Rank argument: the gap matrix has rank exactly k at the bound.
         gap = res.bound * np.eye(f.d) - frame_operator(f)
-        vals = np.abs(sym_eig(gap).values)
+        vals = np.abs(sym_eig(gap)[0])
         assert int(np.sum(vals > 1e-9 * max(1.0, res.bound))) == k
         # And a randomized search with k-1 columns never succeeds.
         assert not _random_completion_beats(f, k - 1, res.bound, rng)

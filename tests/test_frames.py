@@ -80,14 +80,12 @@ def test_records_compare_by_identity():
     # The generated __eq__ compared arrays and raised; these records are
     # equal only to themselves, and hash.
     f = Frame(np.eye(2))
-    dec = sym_eig(np.eye(2))
     done = minimal_tight_completion(Frame(np.array([[1.0, 0.0], [0.0, 2.0]])))
     cert, other = classify(cycle(4)), classify(cycle(4))
-    for a, b in ((f, Frame(np.eye(2))), (dec, sym_eig(np.eye(2))), (done, done.frame),
-                 (cert, other)):
+    for a, b in ((f, Frame(np.eye(2))), (done, done.frame), (cert, other)):
         assert a == a and a != b
         hash(a)
-    assert len({f, dec, done, cert, other}) == 5
+    assert len({f, done, cert, other}) == 4
 
 
 def test_too_few_columns_rejected_before_the_rank_test(monkeypatch):
@@ -135,7 +133,7 @@ def test_tightness_reuses_the_rank_check_eigenvalues(monkeypatch):
 
     monkeypatch.setattr(frames, "sym_eigvals", counted)
     for f in (mercedes_frame(), laplacian_method(complete(6)), c4_frame()):
-        values = sym_eig(frame_operator(f)).values
+        values = sym_eig(frame_operator(f))[0]
         calls.clear()
         b = tightness(f)
         assert b.kind in ("tight", "parseval")

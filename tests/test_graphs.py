@@ -113,6 +113,18 @@ def test_malformed_edges_rejected():
         assert to_text(g) == to_text(Graph(n, ints)) and from_text(to_text(g)) == g
 
 
+def test_edges_may_be_any_iterable():
+    # The edges are read once, so an iterator gives the same graph as its tuple.
+    k4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
+    assert Graph(4, itertools.combinations(range(4), 2)) == k4
+    assert Graph(4, (e for e in k4.edges)) == k4
+    assert Graph(3, map(tuple, [[0, 1], [1, 2]])) == path(3)
+    with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, (e for e in ((0, 1), (1, 2), (0, 1))))
+    with pytest.raises(GraphError, match="not an integer"):
+        Graph(3, (e for e in ((0, 1), (1, 2.0))))
+
+
 def test_degree_and_neighbors():
     g = diamond()
     assert g.degree_sequence() == (2, 2, 3, 3)
@@ -565,6 +577,9 @@ def test_table_is_read_on_first_call_only(damaged_table):
 def test_text_round_trip():
     for g in small_graphs():
         assert from_text(to_text(g)) == g
+    # to_text refuses what from_text would: its output always reads back.
+    with pytest.raises(GraphError, match="exceeds"):
+        to_text(path(graphs.TEXT_MAX_N + 1))
 
 
 def test_text_comments_and_errors():
