@@ -16,7 +16,6 @@ _HOME = {
     "gen_named": "graphs",
     "gramian": "frames",
     "naimark_complement": "frames",
-    "numeric_rank": "spectral",
     "sym_eig": "spectral",
     "tightness": "frames",
 }

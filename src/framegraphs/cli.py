@@ -177,21 +177,11 @@ def check():
 @check.command("tight")
 @click.argument("frame_src", metavar="FRAME", default="-")
 def check_tight(frame_src):
-    """Exit 0 iff the frame is tight (Parseval counts as tight)."""
+    """Exit 0 iff the frame is tight; a Parseval frame prints `parseval`, not `tight`."""
     from .frames import tightness
     t = tightness(_load_frame(frame_src))
     click.echo(f"{t.kind} lower {t.lower:.17g} upper {t.upper:.17g}")
     sys.exit(0 if t.kind in ("tight", "parseval") else 1)
-
-
-@check.command("parseval")
-@click.argument("frame_src", metavar="FRAME", default="-")
-def check_parseval(frame_src):
-    """Exit 0 iff the frame is Parseval."""
-    from .frames import tightness
-    t = tightness(_load_frame(frame_src))
-    click.echo(f"{t.kind} lower {t.lower:.17g} upper {t.upper:.17g}")
-    sys.exit(0 if t.kind == "parseval" else 1)
 
 
 @check.command("pattern")
@@ -199,6 +189,8 @@ def check_parseval(frame_src):
 @click.option("--graph", "graph_src", required=True, help="Graph file to compare against.")
 def check_pattern(frame_src, graph_src):
     """Exit 0 iff the frame's Gram pattern equals the graph (labeled)."""
+    if frame_src == graph_src == "-":
+        raise click.UsageError("FRAME and --graph cannot both read stdin ('-')")
     from .frames import represents
     ok = represents(_load_frame(frame_src), _load_graph(graph_src))
     click.echo("match" if ok else "mismatch")

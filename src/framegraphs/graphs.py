@@ -170,14 +170,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u] if 0 <= u < self.n and 0 <= v < self.n else False
 
-    def edge_index(self, u: int, v: int) -> int:
-        """Position of edge {u, v} in the canonical edge order."""
-        e = (min(u, v), max(u, v))
-        i = bisect.bisect_left(self.edges, e)
-        if self.edges[i:i + 1] != (e,):
-            raise GraphError(f"edge {e} not in graph")
-        return i
-
     def _check_vertex(self, u: int):
         if not 0 <= u < self.n:
             raise GraphError(f"vertex {u} out of range for n={self.n}")
@@ -512,7 +504,7 @@ def to_text(g: Graph) -> str:
 
 
 def text_lines(text: str) -> list[str]:
-    """Lines of the graph or matrix text format, '#' comments and blank lines dropped."""
+    """Lines of the graph or frame text format, '#' comments and blank lines dropped."""
     lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return [line for line in lines if line]
 

@@ -1,8 +1,9 @@
-"""Shared matrix / frame serialization.
+"""The frame text format.
 
-Structured text: a "rows r" line, a "cols c" line (r, c >= 1, as for a
-Frame), then r lines of c entries printed as "%.17g", which round-trips
-doubles exactly.  Blank lines and '#' comments are ignored on input.
+A frame is written as its synthesis matrix: a "rows d" line, a "cols n"
+line (d, n >= 1), then d lines of n entries printed as "%.17g", which
+round-trips doubles exactly.  Blank lines and '#' comments are ignored on
+input.
 """
 
 from __future__ import annotations
@@ -17,19 +18,14 @@ class MatrixFormatError(ValueError):
     pass
 
 
-def matrix_to_text(mat: np.ndarray) -> str:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or min(mat.shape) < 1:
-        raise MatrixFormatError(
-            f"expected a 2-d matrix with at least one row and column, got shape {mat.shape}"
-        )
-    row_format = " ".join(["%.17g"] * mat.shape[1])
-    lines = [f"rows {mat.shape[0]}", f"cols {mat.shape[1]}"]
-    lines.extend(row_format % tuple(row) for row in mat.tolist())
+def frame_to_text(f: Frame) -> str:
+    row_format = " ".join(["%.17g"] * f.n)
+    lines = [f"rows {f.d}", f"cols {f.n}"]
+    lines.extend(row_format % tuple(row) for row in f.synthesis.tolist())
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_text(text: str) -> np.ndarray:
+def frame_from_text(text: str) -> Frame:
     rows = text_lines(text)
     if len(rows) < 2 or not rows[0].startswith("rows ") or not rows[1].startswith("cols "):
         raise MatrixFormatError("matrix text must start with 'rows r' and 'cols c'")
@@ -51,12 +47,4 @@ def matrix_from_text(text: str) -> np.ndarray:
             data.append(list(map(float, vals)))
         except ValueError:
             raise MatrixFormatError(f"bad numeric entry in {line!r}") from None
-    return np.array(data, dtype=float)
-
-
-def frame_to_text(f: Frame) -> str:
-    return matrix_to_text(f.synthesis)
-
-
-def frame_from_text(text: str) -> Frame:
-    return Frame(matrix_from_text(text))
+    return Frame(np.array(data, dtype=float))

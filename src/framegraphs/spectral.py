@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition and numeric rank.
+"""Dense symmetric eigendecomposition.
 
 LAPACK (via numpy.linalg.eigh) does the heavy lifting; this module pins
 down the contract every consumer relies on: ascending eigenvalues, a
@@ -56,8 +56,3 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flip = big[first, cols] & (vectors[first, cols] < 0)
     return values, np.where(flip, -vectors, vectors)
 
-
-def numeric_rank(m: np.ndarray) -> int:
-    """Number of eigenvalues with |lambda| > TAU * |lambda_max|."""
-    values = np.abs(sym_eigvals(m))
-    return int(np.sum(values > TAU * np.max(values)))

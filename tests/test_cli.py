@@ -17,9 +17,10 @@ import framegraphs
 from framegraphs import verify
 from framegraphs.cli import cli, main
 from framegraphs.constructions import diamond_frame, kn_minus_e_frame
+from framegraphs.frames import Frame
 from framegraphs.graphs import complete, cycle, edgeless, from_text, path, star, to_text
 from framegraphs.linegraph import line_graph
-from framegraphs.matio import frame_to_text, matrix_from_text
+from framegraphs.matio import frame_from_text, frame_to_text
 
 
 @pytest.fixture
@@ -93,32 +94,27 @@ def test_rootgraph_triangle_yields_two(runner):
 # ---------------------------------------------------------------------------
 
 def test_frame_star_and_parseval_check(runner):
-    frame_text = run(runner, ["frame", "star", "6", "3"]).output
-    res = run(runner, ["check", "parseval"], stdin=frame_text)
-    assert res.exit_code == 0
-    assert res.output.startswith("parseval")
-    frame_text = run(runner, ["frame", "kn-minus-e", "5"]).output
-    res = run(runner, ["check", "parseval"], stdin=frame_text)
-    assert res.exit_code == 0
-    assert res.output.startswith("parseval")
+    for argv in (["star", "6", "3"], ["kn-minus-e", "5"]):
+        frame_text = run(runner, ["frame", *argv]).output
+        res = run(runner, ["check", "tight"], stdin=frame_text)
+        assert res.exit_code == 0
+        assert res.output.split()[0] == "parseval"
 
 
 def test_frame_lkn_tight_not_parseval(runner):
     frame_text = run(runner, ["frame", "lkn", "5"]).output
     res = run(runner, ["check", "tight"], stdin=frame_text)
     assert res.exit_code == 0
-    assert res.output.startswith("tight")
-    res = run(runner, ["check", "parseval"], stdin=frame_text)
-    assert res.exit_code == 1
+    assert res.output.split()[0] == "tight"
     frame_text = run(runner, ["frame", "k2kn", "4"]).output
     res = run(runner, ["check", "tight"], stdin=frame_text)
     assert res.exit_code == 0
-    assert res.output.startswith("tight")
+    assert res.output.split()[0] == "tight"
 
 
 def test_frame_serialization_round_trip(runner):
     text = run(runner, ["frame", "lkn-small", "6"]).output
-    mat = matrix_from_text(text)
+    mat = frame_from_text(text).synthesis
     assert mat.shape == (4, 15)
     assert np.max(np.abs(mat @ mat.T - 6 * np.eye(4))) < 1e-8
 
@@ -136,6 +132,21 @@ def test_check_pattern(runner, tmp_path):
     frame_text = run(runner, ["frame", "laplacian"], stdin=to_text(path(5))).output
     res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
     assert res.exit_code == 0 and "match" in res.output
+
+
+def test_check_pattern_refuses_two_stdin_inputs(monkeypatch, capsys):
+    # FRAME defaults to '-', so '--graph -' would read stdin a second time
+    # and report the graph as empty; the command refuses before reading.
+    def no_stdin():
+        raise AssertionError("stdin was read")
+    monkeypatch.setattr("sys.stdin.read", no_stdin)
+    for argv in (["check", "pattern", "--graph", "-"], ["check", "pattern", "-", "--graph", "-"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("Usage:")
+        assert "Error: FRAME and --graph cannot both read stdin" in err
 
 
 def test_check_neighbor_polarity(runner):
@@ -164,15 +175,13 @@ def test_frame_kn_minus_e_prints_the_builders_frames(runner):
 def test_complete_minimal(runner, tmp_path):
     frame_text = run(runner, ["frame", "kn-minus-e", "4"]).output
     # Drop the last column to get a non-tight frame.
-    mat = matrix_from_text(frame_text)[:, :3]
-    from framegraphs.matio import matrix_to_text
-    src = matrix_to_text(mat)
+    src = frame_to_text(Frame(frame_from_text(frame_text).synthesis[:, :3]))
     res = run(runner, ["complete", "minimal"], stdin=src)
     assert res.exit_code == 0
     header = res.output.splitlines()[0]
     assert header.startswith("# added 1 bound")
     assert float(header.split()[-1]) == pytest.approx(1.0)
-    completed = matrix_from_text(res.output)
+    completed = frame_from_text(res.output).synthesis
     assert completed.shape == (2, 4)
     res = run(runner, ["complete", "twostep"], stdin=src)
     assert res.exit_code == 0
@@ -190,7 +199,7 @@ def test_classify_tight_exit_code(runner, tmp_path):
     cert = tmp_path / "cert.txt"
     res = run(runner, ["classify", "--out", str(cert)], stdin=to_text(cycle(4)))
     assert res.exit_code == 0
-    mat = matrix_from_text(cert.read_text())
+    mat = frame_from_text(cert.read_text()).synthesis
     assert np.max(np.abs(mat @ mat.T - np.eye(2))) < 1e-9
 
 
@@ -270,7 +279,7 @@ def test_global_options():
         "gen", "linegraph", "rootgraph",
         "frame laplacian", "frame lkn", "frame lkn-small", "frame star", "frame k2kn",
         "frame kn-minus-e", "complete minimal", "complete twostep",
-        "check tight", "check parseval", "check pattern", "check neighbor",
+        "check tight", "check pattern", "check neighbor",
         "check linegraph", "classify",
         "sweep root-order", "sweep join-line", "sweep lemma-p4",
     }
@@ -288,6 +297,7 @@ def test_global_options():
     ["frame", "star", "5", "2", "--keep", "1,3"],
     ["frame", "diamond"],
     ["frame", "dup-chain"],
+    ["check", "parseval"],
 ])
 def test_removed_surface_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
     # A removed option or command exits 2 and writes nothing, neither to

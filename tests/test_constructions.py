@@ -89,7 +89,7 @@ def test_lkn_small_frame():
         col_edges = [(i, n - 1) for i in range(n - 1)] + list(complete(n - 1).edges)
         kn = complete(n)
         lkn = line_graph(kn).line
-        perm = {i: kn.edge_index(*e) for i, e in enumerate(col_edges)}
+        perm = {i: kn.edges.index(e) for i, e in enumerate(col_edges)}
         pattern = associated_graph(f).graph
         assert pattern.m == lkn.m
         for i, j in pattern.edges:

@@ -39,7 +39,7 @@ from framegraphs.frames import (
 )
 from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
 from framegraphs.linegraph import line_graph
-from framegraphs.matio import matrix_to_text
+from framegraphs.matio import frame_to_text
 from framegraphs.spectral import sym_eig
 from framegraphs.verify import classify
 
@@ -62,6 +62,12 @@ def test_frame_validation():
         Frame(np.array([[1.0, np.inf]]))
     with pytest.raises(FrameError):
         Frame(np.array([[1.0, 2.0], [0.0, 0.0]]))  # rank 1 in R^2
+    # S = scale^2 diag(1, 1e-15, 4) has rank 2 and S = scale^2 diag(1, 1e-6, 4)
+    # rank 3, at every scale: the zero threshold is TAU * lambda_max.
+    for scale in (1e-6, 1.0, 1e6):
+        with pytest.raises(FrameError, match="do not span"):
+            Frame(scale * np.diag(np.sqrt([1.0, 1e-15, 4.0])))
+        assert Frame(scale * np.diag(np.sqrt([1.0, 1e-6, 4.0]))).d == 3
     f = Frame(np.eye(3))
     assert f.d == f.n == 3
     assert np.array_equal(f.synthesis[:, 1], np.array([0.0, 1.0, 0.0]))
@@ -501,5 +507,5 @@ def test_frame_layer_matches_reference():
         assert caught == expected
         borderline += len(caught)
         assert _verdict(tightness, f) == _verdict(reference.tightness, f)
-        assert matrix_to_text(f.synthesis) == reference.matrix_to_text(f.synthesis)
+        assert frame_to_text(f) == reference.matrix_to_text(f.synthesis)
     assert borderline >= 60  # the planted frames exercise the warning path

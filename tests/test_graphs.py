@@ -129,12 +129,6 @@ def test_degree_and_neighbors():
     g = diamond()
     assert g.degree_sequence() == (2, 2, 3, 3)
     assert g.neighbors(2) == frozenset({0, 1, 3})
-    assert g.edge_index(3, 2) == g.edges.index((2, 3))
-    for u, v in ((0, 1), (3, 4)):
-        with pytest.raises(GraphError):
-            g.edge_index(u, v)
-    k = complete(300)
-    assert [k.edge_index(v, u) for u, v in k.edges] == list(range(k.m))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_frame_commands_load_numpy_on_demand():
 # Each export and the module it comes from.
 HOMES = {
     graphs: ["Graph", "gen_named"],
-    spectral: ["numeric_rank", "sym_eig"],
+    spectral: ["sym_eig"],
     frames: ["Frame", "associated_graph", "frame_operator", "gramian",
              "naimark_complement", "tightness"],
     verify: ["Certificate", "classify"],

@@ -1,4 +1,4 @@
-"""Eigendecomposition contract: ordering, signs, zero threshold, rank."""
+"""Eigendecomposition contract: ordering, signs, zero threshold."""
 
 import re
 
@@ -13,7 +13,6 @@ from framegraphs.graphs import complete, cycle, path
 from framegraphs.spectral import (
     TAU,
     SpectralError,
-    numeric_rank,
     sym_eig,
     sym_eigvals,
 )
@@ -97,32 +96,19 @@ def test_sym_eig_rejects_bad_input():
 
 def test_complex_input_is_rejected():
     # Casting to float would drop the imaginary parts: the first matrix has
-    # eigenvalues 1 and 3, not 2 and 2, and the second has rank 1, not 2.
-    for call, m in ((sym_eig, [[2, 1j], [-1j, 2]]), (numeric_rank, [[1, 1j], [-1j, 1]]),
-                    (sym_eig, np.array([[2, 0], [0, 2]], dtype=complex))):
+    # eigenvalues 1 and 3, not 2 and 2.
+    for m in ([[2, 1j], [-1j, 2]], np.array([[2, 0], [0, 2]], dtype=complex)):
         with pytest.raises(SpectralError, match="complex"):
-            call(m)
+            sym_eig(m)
 
 
 def test_empty_matrix_is_rejected():
-    for call in (sym_eig, numeric_rank):
-        with pytest.raises(SpectralError, match="non-empty"):
-            call(np.zeros((0, 0)))
+    with pytest.raises(SpectralError, match="non-empty"):
+        sym_eig(np.zeros((0, 0)))
 
 
 def test_sym_eig_tolerates_tiny_asymmetry():
     m = np.eye(3)
     m[0, 1] = 1e-12
     assert np.allclose(sym_eig(m)[0], 1.0)
-
-
-def test_numeric_rank():
-    assert numeric_rank(np.zeros((3, 3))) == 0
-    assert numeric_rank(np.eye(4)) == 4
-    assert numeric_rank(np.diag([1.0, 1e-15, 2.0])) == 2
-    # Rank-1 outer product.
-    v = np.array([1.0, 2.0, 3.0])
-    assert numeric_rank(np.outer(v, v)) == 1
-    # Relative: a uniform rescale must not change the rank.
-    assert numeric_rank(1e6 * np.diag([1.0, 1e-12, 2.0])) == 2
 
