@@ -1,14 +1,15 @@
-"""Graph matrices and explicit frame constructions for graph families.
+"""Explicit frame constructions for graph families.
 
-The incidence, adjacency and Laplacian matrices of a graph are built here,
-beside the frames that use them, so that graphs and linegraph import no
-numpy.  The frames are the Laplacian-eigenbasis frame for a root graph's
-line graph, the two tight frames for the line graph of a complete graph
-(dimensions n-1 and n-2), the star-based Parseval frames for K_n, the
-K_2 x K_n product frame, tight completions (minimal and generic two-step),
-and the duplication-chain frames, which split a vector of the diamond or
-4-cycle frame into equal copies: K_n minus an edge, the line graphs of O_n,
-and the forbidden subgraphs G2 and G6 (G3 is K_5 minus an edge).
+Every matrix is derived from a graph's oriented incidence matrix B, built
+here beside the frames that use it, so that graphs and linegraph import no
+numpy: B Bᵀ is the Laplacian.  The frames are the Laplacian-eigenbasis
+frame for a root graph's line graph, the two tight frames for the line
+graph of a complete graph (dimensions n-1 and n-2), the star-based Parseval
+frames for K_n, the K_2 x K_n product frame, tight completions (minimal and
+generic two-step), and the duplication-chain frames, which split a vector
+of the diamond or 4-cycle frame into equal copies: K_n minus an edge, the
+line graphs of O_n, and the forbidden subgraphs G2 and G6 (G3 is K_5 minus
+an edge).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import graphs
 from .frames import Frame, duplicate_vector
-from .graphs import Graph, GraphError, _integer, is_connected
+from .graphs import Graph, GraphError, is_connected
 from .spectral import TAU, sym_eig
 
 
@@ -33,34 +34,19 @@ class CompletionResult:
 
 
 # ---------------------------------------------------------------------------
-# Graph matrices
+# Incidence matrix
 # ---------------------------------------------------------------------------
 
 def oriented_incidence(g: Graph) -> np.ndarray:
     """Oriented incidence matrix with -1 at the smaller-index endpoint.
 
-    Columns follow g.edges.  Satisfies B @ B.T == laplacian(g) exactly.
+    Columns follow g.edges.  B @ B.T is the Laplacian of g, exactly.
     """
     b = np.zeros((g.n, g.m))
     for j, (u, v) in enumerate(g.edges):
         b[u, j] = -1.0
         b[v, j] = 1.0
     return b
-
-
-def adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    return a
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix."""
-    lap = -adjacency(g)
-    for u in range(g.n):
-        lap[u, u] = g.degree(u)
-    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +65,8 @@ def laplacian_method(p: Graph) -> Frame:
         raise GraphError("root graph needs at least one edge")
     if not is_connected(p):
         raise GraphError("Laplacian method needs a connected root graph")
-    x = sym_eig(laplacian(p))[1][:, 1:]  # drop the eigenvalue-0 (all-ones) eigenvector
     b = oriented_incidence(p)
+    x = sym_eig(b @ b.T)[1][:, 1:]  # drop the eigenvalue-0 (all-ones) eigenvector
     return Frame(x.T @ b)
 
 
@@ -102,46 +88,30 @@ def lkn_small_frame(n: int) -> Frame:
     return Frame(x.T @ m)
 
 
-def star_frame(n: int, d: int, keep=None) -> Frame:
+def star_frame(n: int, d: int) -> Frame:
     """Parseval frame for K_n in dimension d, from the star-graph Laplacian.
 
     The (n+1) x (n-1) eigenvector matrix for the eigenvalue-1 eigenspace
     of the star Laplacian has column k (1-based) equal to
     sqrt((n-k)/(n-k+1)) at row k+1 and -sqrt((n-k)/(n-k+1))/(n-k) at rows
-    k+2..n+1.  Keeping d of its columns (column 1 always kept; default is
-    alternating columns, which avoids repeated identical frame vectors)
-    and applying the star's incidence matrix yields the frame.
+    k+2..n+1.  Applying the star's incidence matrix to d of its columns
+    yields the frame; d = n - 1 keeps them all, and a smaller d keeps rows
+    of that frame: the odd columns 1, 3, 5, ..., then the even ones,
+    largest first, as far as d reaches.
     """
     if n < 2 or not 1 <= d <= n - 1:
         raise GraphError("star_frame needs n >= 2 and 1 <= d <= n - 1")
-    if keep is None:
-        keep = default_star_keep(n, d)
-    keep = sorted(map(_integer, keep))  # GraphError on a non-integer
-    if len(keep) != d or len(set(keep)) != d or keep[0] != 1 or keep[-1] > n - 1:
-        raise GraphError(
-            "keep set must be d distinct columns in 1..n-1 and contain column 1"
-        )
     xt = np.zeros((n + 1, n - 1))
     for k in range(1, n):
         head = np.sqrt((n - k) / (n - k + 1))
         xt[k, k - 1] = head
         xt[k + 1:, k - 1] = -head / (n - k)
     b = oriented_incidence(graphs.star(n + 1))
-    xd = xt[:, [k - 1 for k in keep]]
-    return Frame(xd.T @ b)
-
-
-def default_star_keep(n: int, d: int) -> list[int]:
-    """Alternating keep set: odd columns 1, 3, 5, ... extended by the even
-    columns (largest first) if d exceeds their count, truncated to size d.
-
-    Columns j and j+1 of the frame coincide unless some kept column lies
-    in {j, j+1}; the odd columns hit every such pair except the last one
-    when n is odd, which is why the extension starts at column n-1.
-    """
-    odds = list(range(1, n, 2))
-    evens = list(range(2, n, 2))[::-1]
-    return (odds + evens)[:d]
+    # Frame vectors j and j+1 coincide unless a kept column lies in
+    # {j, j+1}; the odd columns hit every such pair except the last one
+    # when n is odd, which is why the even columns start at n-1.
+    keep = (list(range(1, n, 2)) + list(range(2, n, 2))[::-1])[:d]
+    return Frame(xt[:, sorted(k - 1 for k in keep)].T @ b)
 
 
 def k2kn_frame(n: int) -> Frame:

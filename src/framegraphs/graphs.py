@@ -161,9 +161,6 @@ class Graph:
         self._check_vertex(u)
         return self._adj[u]
 
-    def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(a) for a in self._adj))
 
@@ -280,27 +277,28 @@ _FAMILIES = {
 
 
 def gen_named(tag: str, *params: int) -> Graph:
-    """Build a named family member with its canonical vertex labeling."""
+    """Build a named family member with its canonical vertex labeling,
+    refusing an order above TEXT_MAX_N (no text reader accepts one) before
+    the family builds an edge; the family functions build any order."""
     tag = tag.lower()
     if tag not in _FAMILIES:
         raise GraphError(f"unknown family {tag!r}")
     fn, arity = _FAMILIES[tag]
     if len(params) != arity:
         raise GraphError(f"family {tag!r} takes {arity} parameter(s)")
+    if tag == "hypercube":
+        # 2^k > TEXT_MAX_N iff k reaches its bit length; 2^k itself may have
+        # too many digits to print.
+        if params[0] >= TEXT_MAX_N.bit_length():
+            raise GraphError(f"graph order 2^{params[0]} exceeds the limit of {TEXT_MAX_N}")
+    elif tag != "beineke" and sum(params) > TEXT_MAX_N:  # the order is m + n, or n
+        raise GraphError(f"graph order {sum(params)} exceeds the limit of {TEXT_MAX_N}")
     return fn(*params)
 
 
 # ---------------------------------------------------------------------------
 # Graph operations
 # ---------------------------------------------------------------------------
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product; vertex (u, u') maps to index u*|V(h)| + u'."""
-    nh = h.n
-    edges = [(u * nh + up, u * nh + vp) for u in range(g.n) for up, vp in h.edges]
-    edges += [(u * nh + up, v * nh + up) for u, v in g.edges for up in range(nh)]
-    return Graph.from_edges(g.n * nh, edges)
-
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus all edges between them."""

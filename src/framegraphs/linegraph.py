@@ -17,8 +17,8 @@ induced subgraph is named among them by graphs.contains_induced, the
 induced-map search that verify also runs for its smallest catalog patterns;
 it stays importable from here.
 
-Like graphs, this module imports no numpy; the matrix views of a graph
-(incidence, adjacency, Laplacian) are built in constructions.
+Like graphs, this module imports no numpy; a graph's incidence matrix is
+built in constructions.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ from framegraphs.graphs import (
     Graph,
     GraphError,
     beineke,
-    cartesian_product,
     complete,
+    complete_bipartite,
     cycle,
     delete_edge,
     enumerate_connected,
@@ -48,9 +48,10 @@ def test_laplacian_method_complete_graphs():
 
 def test_laplacian_method_operator_spectrum():
     # The frame-operator spectrum is the nonzero Laplacian spectrum.
-    p = cycle(5)
-    f = cons.laplacian_method(p)
-    lap_vals = sym_eig(cons.laplacian(p))[0][1:]
+    nx = pytest.importorskip("networkx")
+    f = cons.laplacian_method(cycle(5))
+    lap = nx.laplacian_matrix(nx.cycle_graph(5), nodelist=range(5)).toarray()
+    lap_vals = sym_eig(lap)[0][1:]
     op_vals = sym_eig(frame_operator(f))[0]
     assert np.allclose(np.sort(op_vals), np.sort(lap_vals))
 
@@ -126,10 +127,22 @@ def test_star_frame_parseval_and_pattern():
             assert represents(f, complete(n))
 
 
-def test_default_star_keep():
-    assert cons.default_star_keep(8, 3) == [1, 3, 5]
-    assert cons.default_star_keep(8, 5) == [1, 3, 5, 7, 6]
-    assert cons.default_star_keep(5, 4) == [1, 3, 4, 2]
+def _star_rows(n, keep):
+    """The rows of the full star frame for K_n named by the 1-based
+    columns in keep: the frame a keep set selects."""
+    return Frame(cons.star_frame(n, n - 1).synthesis[[k - 1 for k in keep]])
+
+
+def test_star_frame_keeps_alternating_rows():
+    # star_frame(n, d) is, bit for bit, the rows 1, 3, 5, ... of the full
+    # frame extended by the even rows, largest first, to d rows.
+    for n in range(2, 11):
+        for d in range(1, n):
+            keep = (list(range(1, n, 2)) + list(range(2, n, 2))[::-1])[:d]
+            expected = _star_rows(n, sorted(keep)).synthesis
+            assert np.array_equal(cons.star_frame(n, d).synthesis, expected), (n, d)
+    for n, d, keep in ((8, 3, [1, 3, 5]), (8, 5, [1, 3, 5, 6, 7]), (5, 4, [1, 2, 3, 4])):
+        assert np.array_equal(cons.star_frame(n, d).synthesis, _star_rows(n, keep).synthesis)
 
 
 def _has_repeated_columns(f):
@@ -141,12 +154,12 @@ def _has_repeated_columns(f):
 
 
 def test_star_frame_avoids_repeated_columns_when_avoidable():
-    # Whenever some keep set of size d gives distinct frame vectors, the
-    # default alternating keep set must as well (d >= 2).
+    # Whenever some choice of d rows of the full frame, row 1 among them,
+    # gives distinct frame vectors, star_frame(n, d) does as well (d >= 2).
     for n in range(4, 9):
         for d in range(2, n):
             avoidable = any(
-                not _has_repeated_columns(cons.star_frame(n, d, keep=[1, *rest]))
+                not _has_repeated_columns(_star_rows(n, [1, *rest]))
                 for rest in itertools.combinations(range(2, n), d - 1)
             )
             if avoidable:
@@ -154,9 +167,9 @@ def test_star_frame_avoids_repeated_columns_when_avoidable():
 
 
 def test_star_frame_consecutive_keep_repeats_columns():
-    # Keeping consecutive columns does produce repeated vectors, which is
-    # why the default skips every other column.
-    f = cons.star_frame(5, 2, keep=[1, 2])
+    # Keeping consecutive rows does produce repeated vectors, which is
+    # why star_frame skips every other row.
+    f = _star_rows(5, [1, 2])
     cols = f.synthesis
     assert any(
         np.max(np.abs(cols[:, i] - cols[:, j])) < 1e-12
@@ -171,18 +184,6 @@ def test_star_frame_guards():
         cons.star_frame(1, 1)
     with pytest.raises(GraphError):
         cons.star_frame(5, 5)
-    with pytest.raises(GraphError):
-        cons.star_frame(5, 2, keep=[2, 3])  # must contain column 1
-    with pytest.raises(GraphError):
-        cons.star_frame(5, 2, keep=[1, 5])  # out of range
-    with pytest.raises(GraphError):
-        cons.star_frame(5, 3, keep=[1, 2])  # wrong size
-    with pytest.raises(GraphError, match="not an integer"):
-        cons.star_frame(5, 2, keep=[1, 2.7])  # int() would make it 2
-    with pytest.raises(GraphError, match="not an integer"):
-        cons.star_frame(5, 2, keep=[1, "2"])
-    with pytest.raises(GraphError, match="distinct"):
-        cons.star_frame(5, 2, keep=[1, 1, 2])  # three entries for d = 2
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_k2kn_frame():
         t = tightness(f)
         assert t.kind == "tight"
         assert abs(t.upper - (n * n - 2 * n + 2)) < 1e-8
-        assert represents(f, cartesian_product(complete(2), complete(n)))
+        assert represents(f, line_graph(complete_bipartite(2, n)).line)  # K_2 x K_n
     with pytest.raises(GraphError):
         cons.k2kn_frame(2)
 

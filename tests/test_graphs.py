@@ -20,7 +20,6 @@ from framegraphs.graphs import (
     Graph,
     GraphError,
     beineke,
-    cartesian_product,
     components,
     complete,
     complete_bipartite,
@@ -139,15 +138,16 @@ def test_family_sizes():
     assert complete(5).m == 10
     assert path(6).m == 5
     assert cycle(7).m == 7
-    assert star(6).m == 5 and star(6).degree(0) == 5
+    assert star(6).m == 5 and len(star(6).neighbors(0)) == 5
     assert complete_bipartite(2, 4).m == 8
     assert o_graph(6).m == 6  # star plus one leaf-leaf edge
     assert hypercube(3).n == 8 and hypercube(3).m == 12
-    # Bit flips give the graph and labels of chained products with K_2.
-    cube = complete(2)
+    # Bit flips give the graph and labels of networkx's Q_n, its bit
+    # tuples numbered in sorted order.
+    nx = pytest.importorskip("networkx")
     for n in range(1, 11):
-        assert hypercube(n) == cube
-        cube = cartesian_product(cube, complete(2))
+        cube = nx.convert_node_labels_to_integers(nx.hypercube_graph(n), ordering="sorted")
+        assert hypercube(n) == Graph.from_edges(2 ** n, cube.edges())
     assert diamond().n == 4 and not diamond().has_edge(0, 1)
 
 
@@ -167,6 +167,29 @@ def test_gen_named_dispatch():
         gen_named("cycle")  # missing parameter
 
 
+def test_gen_named_refuses_oversize_orders_before_building(monkeypatch):
+    # No text reader accepts an order above TEXT_MAX_N, so gen_named refuses
+    # it without calling the family; at the limit the family is called.
+    calls = []
+
+    def stub(*params):
+        calls.append(params)
+        return "built"
+
+    for tag in ("hypercube", "path", "complete-bipartite"):
+        monkeypatch.setitem(graphs._FAMILIES, tag, (stub, graphs._FAMILIES[tag][1]))
+    limit = graphs.TEXT_MAX_N
+    for tag, *params in (("hypercube", 40), ("hypercube", 10 ** 6), ("hypercube", 17),
+                         ("path", 10 ** 9), ("path", limit + 1),
+                         ("complete-bipartite", 60000, 60000),
+                         ("complete-bipartite", 1, limit)):
+        with pytest.raises(GraphError, match=f"exceeds the limit of {limit}"):
+            gen_named(tag, *params)
+    assert calls == []
+    assert gen_named("hypercube", 16) == gen_named("path", limit) == "built"
+    assert gen_named("complete-bipartite", 1, limit - 1) == "built"
+
+
 def test_beineke_basic_identifications():
     # G1 is the claw, G3 is K_5 minus an edge, G9 is the 6-vertex wheel.
     assert reference.is_isomorphic(beineke(1), star(4))
@@ -182,15 +205,6 @@ def test_beineke_basic_identifications():
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def test_cartesian_product_labels():
-    g = cartesian_product(complete(2), complete(3))
-    # (u, u') -> u*3 + u': two triangles {0,1,2}, {3,4,5} plus a matching.
-    assert g.n == 6
-    assert g.has_edge(0, 3) and g.has_edge(1, 4) and g.has_edge(2, 5)
-    assert g.has_edge(0, 1) and g.has_edge(3, 4)
-    assert not g.has_edge(0, 4)
-
 
 def test_join_is_complete_split():
     g = join(path(2), path(3))
@@ -614,18 +628,9 @@ def test_join_edge_count_law(g, h):
 
 
 @settings(max_examples=40, deadline=None)
-@given(connected_graphs(max_n=4), connected_graphs(max_n=4))
-def test_product_degree_law(g, h):
-    prod = cartesian_product(g, h)
-    for u in range(g.n):
-        for up in range(h.n):
-            assert prod.degree(u * h.n + up) == g.degree(u) + h.degree(up)
-
-
-@settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=6), st.integers(min_value=0, max_value=5))
 def test_duplicate_vertex_edge_count(g, u):
     u %= g.n
     dup = duplicate_vertex(g, u)
     assert dup.n == g.n + 1
-    assert dup.m == g.m + g.degree(u) + 1
+    assert dup.m == g.m + len(g.neighbors(u)) + 1

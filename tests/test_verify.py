@@ -15,7 +15,6 @@ from framegraphs.graphs import (
     Graph,
     GraphError,
     beineke,
-    cartesian_product,
     complete,
     complete_bipartite,
     components,
@@ -47,6 +46,11 @@ from reference_graphs import edge_cycle_check, is_isomorphic
 # ---------------------------------------------------------------------------
 # Obstructions
 # ---------------------------------------------------------------------------
+
+def _k2_box_kn(n):
+    """K_2 x K_n with vertex (u, u') labelled u * n + u': the line graph of K_{2,n}."""
+    return line_graph(complete_bipartite(2, n)).line
+
 
 def test_neighbor_obstruction_witnesses():
     # P_4: the ends 0 and 2 share only vertex 1.
@@ -133,7 +137,7 @@ def test_classify_tight_families():
         cycle(4),
         line_graph(o_graph(6)).line,
         line_graph(complete(5)).line,
-        cartesian_product(complete(2), complete(4)),
+        _k2_box_kn(4),
         duplicate_vertex(cycle(4), 0),          # G2
         duplicate_vertex(duplicate_vertex(Graph.from_edges(
             4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), 0), 1),  # G6
@@ -220,7 +224,7 @@ def test_classify_above_former_order_cap():
     families = [g for n in range(25, 65) for g in (
         complete(n), delete_edge(complete(n), (0, 1)), line_graph(o_graph(n)).line)]
     families += [line_graph(complete(k)).line for k in range(8, 12)]
-    families += [cartesian_product(complete(2), complete(k)) for k in range(3, 33)]
+    families += [_k2_box_kn(k) for k in range(3, 33)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", BorderlineEntryWarning)
         for g in families:
@@ -267,7 +271,7 @@ def _family_members():
     yield from (("cycle4", cycle(4)), ("g2", beineke(2)), ("g6", beineke(6)))
     yield from (("line-of-o", line_graph(o_graph(n)).line) for n in range(5, 41))
     yield from ((f"line-of-complete{k}", line_graph(complete(k)).line) for k in range(4, 13))
-    yield from ((f"k2-box-k{k}", cartesian_product(complete(2), complete(k)))
+    yield from ((f"k2-box-k{k}", _k2_box_kn(k))
                 for k in range(3, 21))
 
 
@@ -295,7 +299,7 @@ def test_each_family_is_labelled_by_its_structure(monkeypatch):
 def test_catalog_rejects_graphs_that_only_fit_its_counts():
     rng = random.Random(16)
     # The six 4-regular graphs on 8 vertices fit K_2 x K_4's order and size.
-    k2k4 = cartesian_product(complete(2), complete(4))
+    k2k4 = _k2_box_kn(4)
     quartic = [g for g in enumerate_connected(8) if set(g.degree_sequence()) == {4}]
     assert len(quartic) == 6 and sum(is_isomorphic(g, k2k4) for g in quartic) == 1
     for g in quartic:
@@ -335,7 +339,7 @@ def _catalog_inputs(n):
         gs.append(duplicate_vertex(duplicate_vertex(delete_edge(complete(4), (0, 1)), 0), 1))
     gs += [line_graph(complete(k)).line for k in range(4, 8) if k * (k - 1) // 2 == n]
     if n % 2 == 0 and n >= 6:
-        gs.append(cartesian_product(complete(2), complete(n // 2)))
+        gs.append(_k2_box_kn(n // 2))
     return gs
 
 
