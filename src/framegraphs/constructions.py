@@ -57,9 +57,10 @@ def laplacian_method(p: Graph) -> Frame:
     """Frame F = X^T B for the line graph of a connected root graph p.
 
     X holds the Laplacian eigenvectors for the n-1 largest eigenvalues, B
-    is the oriented incidence matrix; the Gram pattern of F is the line
-    graph of p and the frame-operator spectrum is the nonzero Laplacian
-    spectrum.
+    the oriented incidence matrix.  Only the Gram pattern of F, the line
+    graph of p, and its frame-operator spectrum, the nonzero Laplacian
+    spectrum, are fixed: in a repeated eigenvalue's eigenspace the entries
+    of F follow the basis LAPACK returns.
     """
     if p.m < 1:
         raise GraphError("root graph needs at least one edge")

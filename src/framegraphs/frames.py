@@ -7,6 +7,7 @@ and vector duplication live here.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from .graphs import Graph
 from .spectral import TAU, sym_eig, sym_eigvals
+
+_BLOCK_ENTRIES = 1 << 15  # one block of the n x n G or G^2 - G: 256 KB of float64
 
 
 class FrameError(ValueError):
@@ -101,16 +104,19 @@ def tightness(f: Frame) -> Tightness:
     largest entry of G^2 - G is at most TAU * n * B for a Parseval frame and,
     as Frame's rank check holds every eigenvalue of S above TAU * B, above
     TAU * min(B, 1) / (2n) for any other, so only a value past these bounds
-    (the lower one halved for margin) contradicts S.
+    (the lower one halved for margin) contradicts S.  G^2 - G is read as
+    column blocks of F^T (S F - F): d * n^2 flops, not the n^3 of G @ G.
     """
     a, b = float(f._spectrum[0]), float(f._spectrum[-1])
     is_tight = b - a <= TAU * b
     s_parseval = is_tight and abs(b - 1.0) <= TAU
-    # G^2 - G = F^T (S F - F): d * n^2 flops instead of the n^3 of G @ G.
-    x = f.synthesis
-    dev = np.abs(x.T @ (frame_operator(f) @ x - x)).max()
-    if (s_parseval and dev > TAU * b * f.n) or (
-        not s_parseval and 4 * f.n * dev <= TAU * min(b, 1.0)
+    x, n = f.synthesis, f.n
+    r = frame_operator(f) @ x - x
+    w = max(1, _BLOCK_ENTRIES // n)
+    dev = np.abs(x.T @ r).max() if w >= n else max(
+        np.abs(x.T @ r[:, j:j + w]).max() for j in range(0, n, w))
+    if (s_parseval and dev > TAU * b * n) or (
+        not s_parseval and 4 * n * dev <= TAU * min(b, 1.0)
     ):
         raise ToleranceInconsistencyError(
             f"frame-operator test says parseval={s_parseval} but "
@@ -123,29 +129,33 @@ def tightness(f: Frame) -> Tightness:
     return Tightness("not_tight", a, b)
 
 
-def _gram_support(f: Frame) -> tuple[tuple[int, int], ...]:
-    """The pairs (i, j), i < j, with a nonzero Gram entry, sorted as Graph
-    edges are; warns for associated_graph and represents, at their caller.
-    One pass over G finds the entries above a tenth of the threshold, in
-    row-major order; the upper-triangle, warning and edge tests read only
-    those candidates."""
-    g = gramian(f)
-    mag = np.abs(g)
-    thr = TAU * mag.max()
-    rows, cols = np.nonzero(mag > thr / 10)
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    cand = mag[rows, cols]
-    near = cand < thr * 10
-    for i, j in zip(rows[near], cols[near]):
-        warnings.warn(
-            f"Gram entry ({i}, {j}) = {g[i, j]:.3e} is within a decade "
-            f"of the zero threshold {thr:.3e}",
-            BorderlineEntryWarning,
-            stacklevel=3,
-        )
-    edge = cand > thr
-    return tuple(zip(rows[edge].tolist(), cols[edge].tolist()))
+def _gram_support(f: Frame):
+    """Yield, per row block F[:, i:i+s]^T F[:, i:] of G's upper triangle (at
+    most _BLOCK_ENTRIES entries), its nonzero-entry pairs (i, j), i < j, as two
+    index arrays, warning at the caller of associated_graph or represents.  By
+    Cauchy-Schwarz max|G| is the largest squared column norm, known before the
+    first block; one row-major pass per block keeps entries above a tenth of it."""
+    x, n = f.synthesis, f.n
+    s = max(1, _BLOCK_ENTRIES // n)
+    for i in range(0, n, s):
+        g = x[:, i:i + s].T @ x[:, i:] if i or s < n else x.T @ x
+        mag = np.abs(g)
+        if not i:  # a lone block holds the whole diagonal
+            thr = TAU * float((mag if s >= n else np.einsum("ij,ij->j", x, x)).max())
+        rows, cols = np.nonzero(mag > thr / 10)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        cand = mag[rows, cols]
+        for k in (cand < thr * 10).nonzero()[0]:
+            r, c = rows[k], cols[k]
+            warnings.warn(
+                f"Gram entry ({i + r}, {i + c}) = {g[r, c]:.3e} is within a decade "
+                f"of the zero threshold {thr:.3e}",
+                BorderlineEntryWarning,
+                stacklevel=3,
+            )
+        edge = cand > thr
+        yield (rows[edge] + i, cols[edge] + i) if i else (rows[edge], cols[edge])
 
 
 def associated_graph(f: Frame) -> GramPattern:
@@ -155,12 +165,21 @@ def associated_graph(f: Frame) -> GramPattern:
     BorderlineEntryWarning, in row-major order: the discrete pattern
     extracted from floats is fragile there.
     """
-    return GramPattern(graph=Graph(f.n, _gram_support(f)))
+    edges = []
+    for rows, cols in _gram_support(f):
+        edges += zip(rows.tolist(), cols.tolist())
+    return GramPattern(graph=Graph(f.n, edges))
 
 
 def represents(f: Frame, g: Graph) -> bool:
-    """True iff the Gram pattern equals g as a labeled graph (no Graph built)."""
-    return f.n == g.n and _gram_support(f) == g.edges
+    """True iff the Gram pattern equals g as a labeled graph, block by block
+    against g.edges; every block is read, so it warns as associated_graph does."""
+    edges, lo, same = g.edges, 0, f.n == g.n
+    for rows, cols in _gram_support(f):
+        pairs = zip(rows.tolist(), cols.tolist())
+        same = same and all(map(operator.eq, pairs, edges[lo:lo + rows.size]))
+        lo += rows.size
+    return same and lo == len(edges)
 
 
 def naimark_complement(f: Frame) -> Frame:

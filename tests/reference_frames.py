@@ -1,12 +1,15 @@
 """Reference frame layer: the entry-by-entry loops.
 
-The library reads the Gram pattern, the borderline warnings and the
-eigenvector signs from whole-array numpy masks, formats and parses each
-text row in one call, and computes the Gramian projection deviation as
-F^T (S - I) F.  This module keeps the plain versions: a double loop over
-the upper triangle of G, one ``format`` call per matrix entry, the n^3
-product G @ G - G, and a loop over eigenvector columns, so differential
-tests can require identical results.
+The library reads the Gram pattern and the borderline warnings from numpy
+masks over row blocks F[:, i:i+s]^T F[:, i:] of G's upper triangle, with
+the threshold TAU * max|G| taken before the first block from the largest
+squared column norm (Cauchy-Schwarz).  It reads the eigenvector signs
+from whole-array masks, formats each text row in one call, and takes the
+Gramian projection deviation over column blocks of F^T (S F - F).  This
+module keeps the plain versions: the whole G and its largest entry, a
+double loop over its upper triangle, one ``format`` call per matrix
+entry, the n^3 product G @ G - G, and a loop over eigenvector columns, so
+differential tests can require identical results.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 duplication."""
 
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -244,6 +245,29 @@ def test_borderline_entry_warning():
         associated_graph(Frame(np.eye(2)))
 
 
+def _traced_peak(fn, *args):
+    """The peak of the memory fn(*args) allocates, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_checks_hold_no_n_by_n_array():
+    # The Laplacian frame of K_60 has n = 1770 columns, and one n x n float64
+    # array takes 8 n^2 bytes (23.9 MiB).  The Gram checks walk G and G^2 - G
+    # in blocks, so tightness and represents stay below a quarter of that, and
+    # associated_graph, which returns a Graph of 102 660 edges, below one.
+    f = laplacian_method(complete(60))
+    pattern = associated_graph(f).graph
+    one = 8 * f.n * f.n
+    assert _traced_peak(tightness, f) < one / 4
+    assert _traced_peak(represents, f, pattern) < one / 4
+    assert _traced_peak(associated_graph, f) < one
+
+
 def test_pattern_warnings_point_at_the_caller():
     # Both public functions warn at their caller, so a filter on the
     # caller's module sees the warnings, and represents warns exactly as
@@ -453,18 +477,38 @@ def _random_root(rng, n):
     return Graph.from_edges(n, edges)
 
 
-def _planted_borderline_frame(rng):
-    """Scaled identity with a few off-diagonal entries near the zero threshold."""
-    n = rng.randint(2, 9)
+def _planted_borderline_frame(rng, n=None):
+    """Scaled identity with a few off-diagonal entries near the zero threshold.
+    Given n, the identity is n x n with a first column 10 times longer, which
+    sets the threshold for every Gram row block, and each block boundary
+    gets a near-threshold entry in the row above it and in the row below it."""
+    wide = n is not None
+    n = n or rng.randint(2, 9)
     mat = np.eye(n)
     for _ in range(rng.randint(1, 4)):
         i, j = rng.sample(range(n), 2)
         mat[i, j] = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-11.5, -7.5)
+    if wide:
+        mat[0, 0] = 10.0
+        s = frames._BLOCK_ENTRIES // n
+        for b in range(s, n, s):
+            for i in (b - 1, b):  # G_ij = mat[i, j] for j > i; the threshold is 1e-7
+                mat[i, rng.randrange(i + 1, n)] = (
+                    rng.choice((-1, 1)) * 10.0 ** rng.uniform(-7.9, -6.1))
     return Frame(10.0 ** rng.uniform(-5, 5) * mat)
 
 
+def _last_block(f):
+    """The first row of the last Gram row block the library walks for f, and
+    the number of blocks."""
+    s = max(1, frames._BLOCK_ENTRIES // f.n)
+    blocks = -(-f.n // s)
+    return (blocks - 1) * s, blocks
+
+
 def _differential_frames():
-    """Catalog, Laplacian and planted-borderline frames."""
+    """Catalog, Laplacian and planted-borderline frames; the last five span
+    at least three Gram row blocks."""
     rng = random.Random(20261018)
     # The duplication-chain frames: L(O_n) for n = 4..8, then G2, G3, G6.
     catalog = [line_o_frame(n) for n in range(4, 9)]
@@ -480,6 +524,13 @@ def _differential_frames():
                for f in catalog for c in (-3, -1, 0.5, 1, 3)]
     frames += [laplacian_method(_random_root(rng, rng.randint(3, 30))) for _ in range(40)]
     frames += [_planted_borderline_frame(rng) for _ in range(60)]
+    # Laplacian frames of roots with 300 to 600 edges, one column per edge.
+    wide = []
+    while len(wide) < 3:
+        root = _random_root(rng, rng.randint(30, 60))
+        if 300 <= root.m <= 600:
+            wide.append(laplacian_method(root))
+    frames += wide + [_planted_borderline_frame(rng, n) for n in (320, 448)]
     return frames
 
 
@@ -499,13 +550,31 @@ def _verdict(fn, f):
 
 def test_frame_layer_matches_reference():
     frames = _differential_frames()
-    borderline = 0
+    assert min(_last_block(f)[1] for f in frames[-5:]) >= 3
+    borderline = last_block_mismatches = 0
     for f in frames:
         pattern, caught = _with_warnings(associated_graph, f)
         edges, expected = _with_warnings(reference.associated_edges, f)
         assert pattern.graph.edges == tuple(edges)
         assert caught == expected
         borderline += len(caught)
+        # represents warns as the reference does, also when the graph differs
+        # from the pattern only in the last block, by a missing or extra edge.
+        last, blocks = _last_block(f)
+        present = set(edges)
+        absent = [(u, v) for u in range(last, f.n) for v in range(u + 1, f.n)
+                  if (u, v) not in present]
+        graphs = [(True, edges)]
+        if edges and edges[-1][0] >= last:
+            graphs.append((False, edges[:-1]))
+        if absent:
+            graphs.append((False, sorted(edges + absent[-1:])))
+        for verdict, g_edges in graphs:
+            out = _with_warnings(lambda f: represents(f, Graph(f.n, g_edges)), f)
+            assert out == (verdict, expected)
+        if blocks >= 3 and len(graphs) == 3:
+            last_block_mismatches += 1
         assert _verdict(tightness, f) == _verdict(reference.tightness, f)
         assert frame_to_text(f) == reference.matrix_to_text(f.synthesis)
     assert borderline >= 60  # the planted frames exercise the warning path
+    assert last_block_mismatches >= 4
