@@ -7,7 +7,6 @@ and vector duplication live here.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -113,8 +112,7 @@ def tightness(f: Frame) -> Tightness:
     x, n = f.synthesis, f.n
     r = frame_operator(f) @ x - x
     w = max(1, _BLOCK_ENTRIES // n)
-    dev = np.abs(x.T @ r).max() if w >= n else max(
-        np.abs(x.T @ r[:, j:j + w]).max() for j in range(0, n, w))
+    dev = max(np.abs(x.T @ r[:, j:j + w]).max() for j in range(0, n, w))
     if (s_parseval and dev > TAU * b * n) or (
         not s_parseval and 4 * n * dev <= TAU * min(b, 1.0)
     ):
@@ -138,7 +136,7 @@ def _gram_support(f: Frame):
     x, n = f.synthesis, f.n
     s = max(1, _BLOCK_ENTRIES // n)
     for i in range(0, n, s):
-        g = x[:, i:i + s].T @ x[:, i:] if i or s < n else x.T @ x
+        g = x[:, i:i + s].T @ x[:, i:]
         mag = np.abs(g)
         if not i:  # a lone block holds the whole diagonal
             thr = TAU * float((mag if s >= n else np.einsum("ij,ij->j", x, x)).max())
@@ -155,7 +153,7 @@ def _gram_support(f: Frame):
                 stacklevel=3,
             )
         edge = cand > thr
-        yield (rows[edge] + i, cols[edge] + i) if i else (rows[edge], cols[edge])
+        yield rows[edge] + i, cols[edge] + i
 
 
 def associated_graph(f: Frame) -> GramPattern:
@@ -172,12 +170,14 @@ def associated_graph(f: Frame) -> GramPattern:
 
 
 def represents(f: Frame, g: Graph) -> bool:
-    """True iff the Gram pattern equals g as a labeled graph, block by block
-    against g.edges; every block is read, so it warns as associated_graph does."""
-    edges, lo, same = g.edges, 0, f.n == g.n
+    """True iff the Gram pattern equals g as a labeled graph.  Another order
+    is refused at once; otherwise every block is read and its pairs compared
+    with the next slice of g.edges, so it warns as associated_graph does."""
+    if f.n != g.n:
+        return False
+    edges, lo, same = g.edges, 0, True
     for rows, cols in _gram_support(f):
-        pairs = zip(rows.tolist(), cols.tolist())
-        same = same and all(map(operator.eq, pairs, edges[lo:lo + rows.size]))
+        same = same and tuple(zip(rows.tolist(), cols.tolist())) == edges[lo:lo + rows.size]
         lo += rows.size
     return same and lo == len(edges)
 

@@ -271,7 +271,8 @@ def test_gram_checks_hold_no_n_by_n_array():
 def test_pattern_warnings_point_at_the_caller():
     # Both public functions warn at their caller, so a filter on the
     # caller's module sees the warnings, and represents warns exactly as
-    # associated_graph does.
+    # associated_graph does.  A graph of another order is refused before G
+    # is read, so it warns about nothing.
     mat = np.eye(4)
     mat[0, 3], mat[1, 2] = 5e-9, 2e-10
     f = Frame(mat)
@@ -281,7 +282,10 @@ def test_pattern_warnings_point_at_the_caller():
     with warnings.catch_warnings(record=True) as represented:
         warnings.simplefilter("always")
         assert represents(f, Graph(4, ((0, 3),)))
-    assert len(pattern) == 2
+    with warnings.catch_warnings(record=True) as other_order:
+        warnings.simplefilter("always")
+        assert not represents(f, Graph(5, ((0, 3),)))
+    assert len(pattern) == 2 and other_order == []
     assert [w.filename for w in pattern + represented] == [__file__] * 4
     assert ([(w.category, str(w.message)) for w in represented]
             == [(w.category, str(w.message)) for w in pattern])
@@ -479,9 +483,10 @@ def _random_root(rng, n):
 
 def _planted_borderline_frame(rng, n=None):
     """Scaled identity with a few off-diagonal entries near the zero threshold.
-    Given n, the identity is n x n with a first column 10 times longer, which
-    sets the threshold for every Gram row block, and each block boundary
-    gets a near-threshold entry in the row above it and in the row below it."""
+    Given n, the identity is n x n with a last column 10 times longer, which
+    sets the threshold for every Gram row block though only the last block
+    holds its diagonal entry, and each block boundary gets a near-threshold
+    entry in the row above it and in the row below it."""
     wide = n is not None
     n = n or rng.randint(2, 9)
     mat = np.eye(n)
@@ -489,7 +494,7 @@ def _planted_borderline_frame(rng, n=None):
         i, j = rng.sample(range(n), 2)
         mat[i, j] = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-11.5, -7.5)
     if wide:
-        mat[0, 0] = 10.0
+        mat[-1, -1] = 10.0
         s = frames._BLOCK_ENTRIES // n
         for b in range(s, n, s):
             for i in (b - 1, b):  # G_ij = mat[i, j] for j > i; the threshold is 1e-7
