@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from . import graphs, verify
-from .graphs import gen_named, from_text, to_text
+from .graphs import TEXT_MAX_N, GraphError, gen_named, from_text, to_text
 from .linegraph import is_line_graph, line_graph, root_graph
 
 
@@ -93,8 +93,15 @@ def frame_laplacian(graph):
     _emit_frame(constructions.laplacian_method(_load_graph(graph)))
 
 
+def _lkn_order(ctx, param, n):
+    """N, refused before anything is built if L(K_n) has more vertices than graph text takes."""
+    if n > 0 and (order := n * (n - 1) // 2) > TEXT_MAX_N:
+        raise GraphError(f"line graph order {order} exceeds the limit of {TEXT_MAX_N}")
+    return n
+
+
 @frame.command("lkn")
-@click.argument("n", type=int)
+@click.argument("n", type=int, callback=_lkn_order)
 def frame_lkn(n):
     """Tight frame for the line graph of K_n in dimension n-1."""
     from . import constructions
@@ -102,7 +109,7 @@ def frame_lkn(n):
 
 
 @frame.command("lkn-small")
-@click.argument("n", type=int)
+@click.argument("n", type=int, callback=_lkn_order)
 def frame_lkn_small(n):
     """Tight frame for the line graph of K_n in dimension n-2."""
     from . import constructions

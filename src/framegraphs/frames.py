@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Graph
-from .spectral import TAU, sym_eig, sym_eigvals
+from .spectral import TAU, sym_eig
 
 _BLOCK_ENTRIES = 1 << 15  # one block of the n x n G or G^2 - G: 256 KB of float64
 
@@ -55,8 +55,12 @@ class Frame:
         # d > n columns cannot span R^d; say so before forming the d x d S.
         if self.d > self.n:
             raise FrameError("columns do not span the space: not a frame")
-        # S has full rank iff every |eigenvalue| is above TAU * |lambda_max|.
-        values = sym_eigvals(mat @ mat.T)
+        # numpy forms S = F F^T exactly symmetric (syrk): eigh(S) gives sym_eig(S)'s values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = mat @ mat.T
+        if not np.isfinite(s).all():
+            raise FrameError("frame operator F F^T overflows: entries too large")
+        values = np.linalg.eigh(s)[0]
         size = np.abs(values)
         if size.min() <= TAU * size.max():
             raise FrameError("columns do not span the space: not a frame")
@@ -103,16 +107,18 @@ def tightness(f: Frame) -> Tightness:
     largest entry of G^2 - G is at most TAU * n * B for a Parseval frame and,
     as Frame's rank check holds every eigenvalue of S above TAU * B, above
     TAU * min(B, 1) / (2n) for any other, so only a value past these bounds
-    (the lower one halved for margin) contradicts S.  G^2 - G is read as
-    column blocks of F^T (S F - F): d * n^2 flops, not the n^3 of G @ G.
+    (the lower one halved for margin) contradicts S.  The symmetric G^2 - G is
+    read in _gram_support's row blocks of F^T (S F - F), d * n^2 flops, not n^3;
+    only a frame far from Parseval overflows there, and it fires neither test.
     """
     a, b = float(f._spectrum[0]), float(f._spectrum[-1])
     is_tight = b - a <= TAU * b
     s_parseval = is_tight and abs(b - 1.0) <= TAU
     x, n = f.synthesis, f.n
-    r = frame_operator(f) @ x - x
-    w = max(1, _BLOCK_ENTRIES // n)
-    dev = max(np.abs(x.T @ r[:, j:j + w]).max() for j in range(0, n, w))
+    s = max(1, _BLOCK_ENTRIES // n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = frame_operator(f) @ x - x
+        dev = max(np.abs(x[:, i:i + s].T @ r[:, i:]).max() for i in range(0, n, s))
     if (s_parseval and dev > TAU * b * n) or (
         not s_parseval and 4 * n * dev <= TAU * min(b, 1.0)
     ):
@@ -120,11 +126,8 @@ def tightness(f: Frame) -> Tightness:
             f"frame-operator test says parseval={s_parseval} but "
             f"Gramian projection test says parseval={not s_parseval}"
         )
-    if s_parseval:
-        return Tightness("parseval", a, b)
-    if is_tight:
-        return Tightness("tight", a, b)
-    return Tightness("not_tight", a, b)
+    kind = "parseval" if s_parseval else "tight" if is_tight else "not_tight"
+    return Tightness(kind, a, b)
 
 
 def _gram_support(f: Frame):
@@ -188,8 +191,7 @@ def naimark_complement(f: Frame) -> Frame:
     Rows are the eigenvectors of G for eigenvalue 0; requires a Parseval
     frame with d < n.
     """
-    t = tightness(f)
-    if t.kind != "parseval":
+    if tightness(f).kind != "parseval":
         raise FrameError("Naimark complement needs a Parseval frame")
     if f.d >= f.n:
         raise FrameError("Gramian has full rank (d = n): complement is empty")

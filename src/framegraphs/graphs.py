@@ -415,9 +415,10 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     or None.
 
     The induced-map search: h's vertices in h._order, each to the vertices
-    of g of at least its degree, tried in increasing order.  So the
-    embedding returned is the first one in that fixed search order.  With
-    g and h of equal order and size, it is an isomorphism.
+    of g of at least its degree, tried in increasing order, so the embedding
+    returned is the first in that fixed order.  At equal order and size it is
+    an isomorphism, but with degree-only masks it can backtrack exponentially
+    on large sparse graphs; callers here pass an h of at most six vertices.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")

@@ -18,8 +18,13 @@ class SpectralError(ValueError):
     pass
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's eigh of m made exactly symmetric, once m is checked."""
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix as numpy's (values, vectors).
+
+    Deterministic for identical input: eigenvalues ascending, and in each
+    eigenvector (a column) the first entry of magnitude above TAU is made
+    positive.
+    """
     if np.iscomplexobj(m):
         raise SpectralError("matrix is complex; only real symmetric matrices are supported")
     m = np.asarray(m, dtype=float)
@@ -31,25 +36,9 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(m - m.T).max() > TAU * scale:
         raise SpectralError("matrix is not symmetric within tolerance")
     try:
-        return np.linalg.eigh((m + m.T) / 2.0)
+        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigendecomposition failed: {exc}") from exc
-
-
-def sym_eigvals(m: np.ndarray) -> np.ndarray:
-    """sym_eig(m)[0], bit for bit (the same eigh call), without
-    normalising the signs of eigenvectors it then drops."""
-    return _eigh(m)[0]
-
-
-def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix as numpy's (values, vectors).
-
-    Deterministic for identical input: eigenvalues ascending, and in each
-    eigenvector (a column) the first entry of magnitude above TAU is made
-    positive.
-    """
-    values, vectors = _eigh(m)
     big = np.abs(vectors) > TAU
     first = np.argmax(big, axis=0)  # row of each column's first big entry, or 0
     cols = np.arange(vectors.shape[1])

@@ -5,11 +5,11 @@ masks over row blocks F[:, i:i+s]^T F[:, i:] of G's upper triangle, with
 the threshold TAU * max|G| taken before the first block from the largest
 squared column norm (Cauchy-Schwarz).  It reads the eigenvector signs
 from whole-array masks, formats each text row in one call, and takes the
-Gramian projection deviation over column blocks of F^T (S F - F).  This
-module keeps the plain versions: the whole G and its largest entry, a
-double loop over its upper triangle, one ``format`` call per matrix
-entry, the n^3 product G @ G - G, and a loop over eigenvector columns, so
-differential tests can require identical results.
+Gramian projection deviation over the same row blocks of the symmetric
+F^T (S F - F).  This module keeps the plain versions: the whole G and its
+largest entry, a double loop over its upper triangle, one ``format`` call
+per matrix entry, the n^3 product G @ G - G, and a loop over eigenvector
+columns, so differential tests can require identical results.
 """
 
 from __future__ import annotations

@@ -112,6 +112,32 @@ def test_frame_lkn_tight_not_parseval(runner):
     assert res.output.split()[0] == "tight"
 
 
+@pytest.mark.parametrize("command", ["lkn", "lkn-small"])
+def test_frame_lkn_refuses_oversize_orders_before_building(command, monkeypatch, capsys):
+    # Graph text takes at most TEXT_MAX_N vertices, and the line graph of K_n
+    # has n(n-1)/2 > 100 000 from n = 448 on: such an n is refused before
+    # K_n or its frame is built, as gen refuses an order.
+    from framegraphs import constructions, graphs
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        raise graphs.GraphError("built")
+
+    monkeypatch.setattr(graphs, "complete", stub)
+    monkeypatch.setattr(constructions, "lkn_small_frame", stub)
+    for n in ("448", "100000", str(10 ** 12)):
+        with pytest.raises(SystemExit) as exc:
+            main(["frame", command, n])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the limit of 100000" in err
+    assert calls == []
+    with pytest.raises(SystemExit):
+        main(["frame", command, "447"])
+    assert calls == [(447,)]
+
+
 def test_frame_serialization_round_trip(runner):
     text = run(runner, ["frame", "lkn-small", "6"]).output
     mat = frame_from_text(text).synthesis
@@ -393,6 +419,23 @@ def test_console_script_error_goes_to_stderr():
     assert res.returncode == 2
     assert res.stdout == ""
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("rows, code, verdict", [
+    ("1e200 1\n0 1e200", 2, None),
+    ("1e120 1\n0 1e120", 0, "tight"),
+    ("1e120 0\n0 2e120", 1, "not_tight"),
+])
+def test_console_script_extreme_scales_print_no_numpy_warning(rows, code, verdict):
+    # F F^T overflows at 1e200, S F - F at 1e120: no numpy warning reaches
+    # stderr, and the overflowing operator, not the finite entries, is named.
+    res = shell("{fg} check tight", stdin=f"rows 2\ncols 2\n{rows}\n")
+    assert res.returncode == code
+    if verdict is None:
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: frame operator") and res.stderr.count("\n") == 1
+    else:
+        assert res.stdout.split()[0] == verdict and res.stderr == ""
 
 
 def test_console_script_bad_graph_text():

@@ -101,8 +101,7 @@ def test_too_few_columns_rejected_before_the_rank_test(monkeypatch):
     def no_rank(*args, **kwargs):
         raise AssertionError("rank test reached")
 
-    monkeypatch.setattr(frames, "sym_eig", no_rank)
-    monkeypatch.setattr(frames, "sym_eigvals", no_rank)
+    monkeypatch.setattr(np.linalg, "eigh", no_rank)
     for shape in [(2, 1), (5, 3), (40, 1)]:
         with pytest.raises(FrameError, match="do not span the space"):
             Frame(np.ones(shape))
@@ -127,18 +126,18 @@ def test_frame_bounds():
 
 
 def test_tightness_reuses_the_rank_check_eigenvalues(monkeypatch):
-    # Frame keeps the frame-operator eigenvalues of its rank check, which
-    # asks sym_eigvals for eigenvalues alone, so the bounds are those of
-    # sym_eig on S, bit for bit, and tightness on an existing frame runs no
-    # eigendecomposition.
+    # Frame keeps the frame-operator eigenvalues of its rank check, numpy's
+    # eigh of S, so the bounds are those of sym_eig on S, bit for bit, and
+    # tightness on an existing frame runs no eigendecomposition.
     calls = []
-    original = frames.sym_eigvals
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(frames, "sym_eigvals", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     for f in (mercedes_frame(), laplacian_method(complete(6)), c4_frame()):
         values = sym_eig(frame_operator(f))[0]
         calls.clear()
@@ -172,6 +171,36 @@ def test_tightness_cross_check_consistent_on_scaled_frames():
     # A tight-but-not-Parseval frame must fail both Parseval tests, not one.
     t = tightness(Frame(np.sqrt(2.0) * np.eye(4)))
     assert t.kind == "tight" and t.upper == pytest.approx(2.0)
+
+
+def _with_spectrum(f, values):
+    """f, with the frame-operator eigenvalues its rank check kept overwritten."""
+    object.__setattr__(f, "_spectrum", np.array(values, dtype=float))
+    return f
+
+
+def test_tightness_cross_check_fires_in_the_last_block():
+    # Columns 0..n-2 are a Parseval frame for span(e_1, e_2); column n-1 is
+    # 2 e_3.  So S = diag(1, 1, 4), and G^2 - G is zero but for its last
+    # diagonal entry, 4^2 - 4, which lies in the last of many row blocks.
+    n = 600
+    ang = 2 * np.pi * np.arange(n - 1) / (n - 1)
+    x = np.zeros((3, n))
+    x[:2, :-1] = np.sqrt(2 / (n - 1)) * np.array([np.cos(ang), np.sin(ang)])
+    x[2, -1] = 2.0
+    assert n > 2 * (frames._BLOCK_ENTRIES // n)  # three row blocks or more
+    assert tightness(Frame(x)).kind == "not_tight"
+    # A frame-operator spectrum that says Parseval contradicts G^2 != G.
+    with pytest.raises(ToleranceInconsistencyError, match="parseval=True"):
+        tightness(_with_spectrum(Frame(x), [1.0, 1.0, 1.0]))
+    # On the Parseval frame with e_3 as its last column, G^2 = G, so a
+    # spectrum that says not Parseval contradicts it.
+    x[2, -1] = 1.0
+    assert tightness(Frame(x)).kind == "parseval"
+    with pytest.raises(ToleranceInconsistencyError, match="parseval=False"):
+        tightness(_with_spectrum(Frame(x), [0.5, 1.0, 1.0]))
+    with pytest.raises(ToleranceInconsistencyError, match="parseval=False"):
+        tightness(_with_spectrum(Frame(np.eye(2)), [0.5, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +327,21 @@ def test_tiny_frames_are_frames():
     assert associated_graph(f).graph == diamond()
     for scale in (3e-5, 3.5e-5):
         assert tightness(Frame(np.diag([1.0, 1.5]) * scale)).kind == "not_tight"
+
+
+def test_extreme_scales_raise_no_numpy_warning():
+    # F F^T overflows at 1e200, so Frame refuses it and names the operator:
+    # the entries themselves are finite.  At 1e120, S F - F overflows in the
+    # cross-check, which then fires neither way, so the verdict is S's.
+    rng = np.random.default_rng(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FrameError, match="frame operator"):
+            Frame(np.array([[1e200, 1.0], [0.0, 1e200]]))
+        for mat, kind in (([[1e120, 1.0], [0.0, 1e120]], "tight"),
+                          ([[1e120, 0.0], [0.0, 2e120]], "not_tight"),
+                          (1e120 * rng.standard_normal((3, 600)), "not_tight")):
+            assert tightness(Frame(np.array(mat))).kind == kind
 
 
 def test_nearly_rank_deficient_frames_get_a_verdict():
