@@ -296,6 +296,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:  # every framegraphs error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except MemoryError as exc:  # an input too large for this machine
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        sys.exit(2)
     except Exception as exc:
         # A fault, not a verdict: Python's own exit code 1 would read "not tight".
         traceback.print_exc()

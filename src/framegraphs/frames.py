@@ -169,7 +169,7 @@ def associated_graph(f: Frame) -> GramPattern:
     edges = []
     for rows, cols in _gram_support(f):
         edges += zip(rows.tolist(), cols.tolist())
-    return GramPattern(graph=Graph(f.n, edges))
+    return GramPattern(graph=Graph._derived(f.n, tuple(edges)))  # row-major: sorted
 
 
 def represents(f: Frame, g: Graph) -> bool:

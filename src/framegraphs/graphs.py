@@ -56,7 +56,11 @@ class Graph:
     Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), the search
     order (_order) and, for a pattern, its match steps (_steps) are derived
     on first use; a cached view is slower to read than a plain attribute,
-    so loops read it into a local once."""
+    so loops read it into a local once.  Graph(), from_edges and from_text
+    check every edge; Graph._derived(n, edges) checks none, so only code
+    here that derives its edges may call it (line_graph, associated_graph,
+    enumerate_connected, join), with n >= 1 and a tuple of strictly
+    increasing pairs of Python ints 0 <= u < v < n."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -148,6 +152,12 @@ class Graph:
             steps.append((tuple(_bits(done & rows[u])), (far & -far).bit_length() - 1))
             done |= 1 << u
         return tuple(steps)
+
+    @classmethod
+    def _derived(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges)
+        return g
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -306,7 +316,7 @@ def join(g: Graph, h: Graph) -> Graph:
     edges = list(g.edges)
     edges += [(u + off, v + off) for u, v in h.edges]
     edges += [(u, v + off) for u in range(g.n) for v in range(h.n)]
-    return Graph.from_edges(g.n + h.n, edges)
+    return Graph._derived(g.n + h.n, tuple(sorted(edges)))
 
 
 def duplicate_vertex(g: Graph, u: int) -> Graph:
@@ -454,7 +464,7 @@ def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
         for c in line[1:]:
             x = x << 6 | c - 63
         if excess is None or x.bit_count() - n <= excess:
-            out.append(Graph(n, tuple(pairs[b] for b in _bits(x))))
+            out.append(Graph._derived(n, tuple(sorted(pairs[b] for b in _bits(x)))))
     return out
 
 

@@ -51,14 +51,17 @@ def line_graph(g: Graph) -> LineGraphMap:
     if g.m < 1:
         raise GraphError("line graph needs at least one edge")
     # Two distinct edges of a simple graph share at most one endpoint, so
-    # each adjacent pair comes from exactly one vertex's incident edges.
+    # each adjacent pair comes from exactly one vertex's incident edges.  The
+    # later edges at i = (u, v) are (u, w), w > v, then (y, v) and (v, x),
+    # y, x > u, so in the canonical order row i comes out ascending.
     incident: list[list[int]] = [[] for _ in range(g.n)]
+    later = []  # per edge: each end's incident list and where its later edges start
     for i, (u, v) in enumerate(g.edges):
+        later.append((incident[u], len(incident[u]) + 1, incident[v], len(incident[v]) + 1))
         incident[u].append(i)
         incident[v].append(i)
-    # Each pair is (i, j) with i < j; the constructor sorts them.
-    edges = tuple(pair for inc in incident for pair in itertools.combinations(inc, 2))
-    return LineGraphMap(line=Graph(g.m, edges))
+    edges = [(i, j) for i, (a, p, b, q) in enumerate(later) for j in a[p:] + b[q:]]
+    return LineGraphMap(line=Graph._derived(g.m, tuple(edges)))
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:

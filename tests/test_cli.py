@@ -270,6 +270,22 @@ def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "error: internal error" in err
 
 
+def test_out_of_memory_is_an_input_error(monkeypatch, capsys):
+    # A frame too large for the machine is an input error: one error line,
+    # even for a MemoryError with no message, and no traceback.
+    from framegraphs import constructions
+
+    def fail(n):
+        raise MemoryError()
+    monkeypatch.setattr(constructions, "k2kn_frame", fail)
+    with pytest.raises(SystemExit) as exc:
+        main(["frame", "k2kn", "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines() == ["error: out of memory"]
+
+
 def test_every_error_class_is_a_value_error():
     # main maps OSError and ValueError to "error: ..." and exit 2, so an
     # error class outside ValueError would turn an input error into an

@@ -38,7 +38,15 @@ from framegraphs.frames import (
     represents,
     tightness,
 )
-from framegraphs.graphs import Graph, complete, cycle, diamond, duplicate_vertex
+from framegraphs.graphs import (
+    Graph,
+    complete,
+    cycle,
+    diamond,
+    duplicate_vertex,
+    enumerate_connected,
+    join,
+)
 from framegraphs.linegraph import line_graph
 from framegraphs.matio import frame_to_text
 from framegraphs.spectral import sym_eig
@@ -288,13 +296,15 @@ def test_gram_checks_hold_no_n_by_n_array():
     # The Laplacian frame of K_60 has n = 1770 columns, and one n x n float64
     # array takes 8 n^2 bytes (23.9 MiB).  The Gram checks walk G and G^2 - G
     # in blocks, so tightness and represents stay below a quarter of that, and
-    # associated_graph, which returns a Graph of 102 660 edges, below one.
+    # associated_graph, which returns a Graph of 102 660 edges, below two
+    # thirds: the edge pairs and their tuple, with no per-edge check's set or
+    # sorted copy alive beside them.
     f = laplacian_method(complete(60))
     pattern = associated_graph(f).graph
     one = 8 * f.n * f.n
     assert _traced_peak(tightness, f) < one / 4
     assert _traced_peak(represents, f, pattern) < one / 4
-    assert _traced_peak(associated_graph, f) < one
+    assert _traced_peak(associated_graph, f) < 2 * one / 3
 
 
 def test_pattern_warnings_point_at_the_caller():
@@ -627,3 +637,29 @@ def test_frame_layer_matches_reference():
         assert frame_to_text(f) == reference.matrix_to_text(f.synthesis)
     assert borderline >= 60  # the planted frames exercise the warning path
     assert last_block_mismatches >= 4
+
+
+def test_derived_graphs_equal_their_checked_construction():
+    # line_graph, enumerate_connected, join and associated_graph build their
+    # graphs with Graph._derived, which checks nothing: each must hold the
+    # n and the sorted edges that the checking constructor gives.
+    def check(g):
+        assert type(g.n) is int and g == Graph(g.n, list(g.edges))
+        assert all(type(u) is type(v) is int for u, v in g.edges)
+        assert all(a < b for a, b in zip(g.edges, g.edges[1:]))
+
+    rng = random.Random(20261020)
+    connected = [g for n in range(1, 9) for g in enumerate_connected(n)]
+    roots = [g for g in connected if 2 <= g.n <= 7]
+    roots += [_random_root(rng, rng.randint(2, 40)) for _ in range(30)]
+    # Roots with isolated vertices and several components.
+    roots += [Graph.from_edges(30, {tuple(sorted(rng.sample(range(30), 2))) for _ in range(k)})
+              for k in (1, 5, 20, 60)]
+    pool = [g for g in connected if g.n <= 4]
+    derived = connected + [line_graph(g).line for g in roots]
+    derived += [join(g, h) for g in pool for h in pool]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BorderlineEntryWarning)
+        derived += [associated_graph(f).graph for f in _differential_frames()]
+    for g in derived:
+        check(g)
