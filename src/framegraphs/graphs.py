@@ -8,9 +8,7 @@ incidence / line-graph machinery.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import heapq
 import itertools
 import operator
 import os
@@ -30,7 +28,7 @@ def _integer(x) -> int:
 
 
 def _pair(e) -> tuple[int, int]:
-    """The edge e as two Python ints (bools and numpy integers converted)."""
+    """The edge e as two exact ints, as operator.index gives them."""
     try:
         u, v = e
     except (TypeError, ValueError):
@@ -51,8 +49,10 @@ TEXT_MAX_N = 100_000
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertices ``0..n-1``, stored as n and the
-    sorted edges, as Python ints (bools and numpy integers are converted;
-    any other type, or an edge that is not a pair, raises GraphError).
+    sorted edges, as exact ints: operator.index converts n and each endpoint
+    (a bool, a numpy integer or any int subclass; another type, or an edge
+    that is not a pair, raises GraphError).  Graph() takes pairs u < v, as
+    the family builders here pass them; from_edges takes unordered pairs.
     Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), the search
     order (_order) and, for a pattern, its match steps (_steps) are derived
     on first use; a cached view is slower to read than a plain attribute,
@@ -66,36 +66,26 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.n
-        if type(n) is not int:
-            object.__setattr__(self, "n", n := _integer(n))
+        object.__setattr__(self, "n", n := _integer(self.n))
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        given = tuple(self.edges)  # read once: edges may be an iterator
+        index, edges = operator.index, []
         seen = set()  # u * n + v per edge, distinct as 0 <= u < v < n
-        try:
-            for e in given:
+        for e in self.edges:
+            try:
                 u, v = e
-                if not 0 <= u < v < n:
-                    raise GraphError(
-                        f"loop at vertex {u}" if u == v else f"bad edge {e} for n={n}")
-                key = u * n + v
-                if key in seen:
-                    raise GraphError(f"duplicate edge {e}")
-                seen.add(key)
-            edges = tuple(sorted(given))
-            # An endpoint of another type taints the sum, except a bool: it
-            # is 0 or 1, so its edge sorts before (2,).
-            exact = type(sum(seen)) is int and not any(
-                type(x) is bool for e in edges[:bisect.bisect(edges, (2,))] for x in e)
-        except GraphError:
-            raise
-        except (TypeError, ValueError):  # not a pair, or not comparable
-            exact = False
-        if not exact:
-            object.__setattr__(self, "edges", tuple(map(_pair, given)))
-            return self.__post_init__()
-        object.__setattr__(self, "edges", edges)
+                u, v = index(u), index(v)
+            except (TypeError, ValueError):
+                u, v = _pair(e)  # raises the GraphError that names the fault
+            if not 0 <= u < v < n:
+                raise GraphError(
+                    f"loop at vertex {u}" if u == v else f"bad edge {(u, v)} for n={n}")
+            key = u * n + v
+            if key in seen:
+                raise GraphError(f"duplicate edge {(u, v)}")
+            seen.add(key)
+            edges.append((u, v))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @functools.cached_property
     def _adj(self) -> tuple[frozenset[int], ...]:
@@ -118,26 +108,20 @@ class Graph:
     @functools.cached_property
     def _order(self) -> tuple[int, ...]:
         """The vertices in the order _induced_map maps them: next is the
-        vertex with the most neighbours already ordered, then the highest
-        degree, then the lowest index, popped from a heap keyed so.  Each
-        count a vertex reaches is pushed once, so an entry whose count has
-        since grown is stale and skipped.  In a connected graph every
-        vertex after the first has a neighbour earlier in the order."""
-        rows = self._rows
-        count = [0] * self.n  # neighbours already ordered
-        heap = [(0, -r.bit_count(), u) for u, r in enumerate(rows)]
-        heapq.heapify(heap)
-        order = []
-        left = (1 << self.n) - 1  # the vertices not yet ordered
+        vertex left with the most neighbours already ordered, then the
+        highest degree, then the lowest index, found by a scan.  The order
+        costs O(k^2) on k vertices; patterns have at most 8, the size
+        tools/connected_table.py matches, and a larger one may backtrack
+        anyway (see contains_induced).  In a connected graph every vertex
+        after the first has a neighbour earlier in the order."""
+        rows, order, done = self._rows, [], 0  # done: the vertices ordered
+        left = list(range(self.n))
         while left:
-            k, _, u = heapq.heappop(heap)
-            if count[u] != -k:
-                continue
+            u = min(left, key=lambda w: (
+                -(rows[w] & done).bit_count(), -rows[w].bit_count(), w))
             order.append(u)
-            left ^= 1 << u
-            for w in _bits(rows[u] & left):
-                count[w] += 1
-                heapq.heappush(heap, (-count[w], -rows[w].bit_count(), w))
+            left.remove(u)
+            done |= 1 << u
         return tuple(order)
 
     @functools.cached_property
@@ -161,14 +145,16 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        return Graph(n, tuple(tuple(sorted(e)) for e in edges))
+        """The entry for unordered pairs: each is sorted, then checked by Graph()."""
+        return Graph(n, (sorted(_pair(e)) for e in edges))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def neighbors(self, u: int) -> frozenset[int]:
-        self._check_vertex(u)
+        if not 0 <= u < self.n:
+            raise GraphError(f"vertex {u} out of range for n={self.n}")
         return self._adj[u]
 
     def degree_sequence(self) -> tuple[int, ...]:
@@ -176,10 +162,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u] if 0 <= u < self.n and 0 <= v < self.n else False
-
-    def _check_vertex(self, u: int):
-        if not 0 <= u < self.n:
-            raise GraphError(f"vertex {u} out of range for n={self.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +189,7 @@ _BEINEKE_EDGES = {
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("K_n needs n >= 1")
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return Graph(n, itertools.combinations(range(n), 2))
 
 
 def edgeless(n: int) -> Graph:
@@ -219,39 +201,39 @@ def edgeless(n: int) -> Graph:
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("P_n needs n >= 1")
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("C_n needs n >= 3")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def star(n: int) -> Graph:
     """S_n on n vertices, hub = vertex 0."""
     if n < 2:
         raise GraphError("S_n needs n >= 2")
-    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
+    return Graph(n, ((0, i) for i in range(1, n)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     """K_{m,n}; first part is vertices 0..m-1."""
     if m < 1 or n < 1:
         raise GraphError("K_{m,n} needs m, n >= 1")
-    return Graph.from_edges(m + n, ((i, m + j) for i in range(m) for j in range(n)))
+    return Graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def o_graph(n: int) -> Graph:
     """O_n: the star S_n (hub 0) plus an edge between two leaves."""
     if n < 3:
         raise GraphError("O_n needs n >= 3")
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)] + [(1, 2)])
+    return Graph(n, [(0, i) for i in range(1, n)] + [(1, 2)])
 
 
 def diamond() -> Graph:
     """K_4 minus an edge; the non-edge is {0, 1}."""
-    return Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    return Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def hypercube(n: int) -> Graph:
@@ -269,7 +251,7 @@ def beineke(i: int) -> Graph:
     if i not in _BEINEKE_EDGES:
         raise GraphError("Beineke index must be in 1..9")
     edges = _BEINEKE_EDGES[i]
-    return Graph.from_edges(max(v for _, v in edges) + 1, edges)
+    return Graph(max(v for _, v in edges) + 1, edges)
 
 
 _FAMILIES = {
@@ -321,10 +303,7 @@ def join(g: Graph, h: Graph) -> Graph:
 
 def duplicate_vertex(g: Graph, u: int) -> Graph:
     """Add vertex g.n adjacent to u and to every neighbor of u."""
-    g._check_vertex(u)
-    new = g.n
-    edges = list(g.edges) + [(u, new)] + [(w, new) for w in sorted(g.neighbors(u))]
-    return Graph.from_edges(g.n + 1, edges)
+    return Graph(g.n + 1, [*g.edges, (u, g.n), *((w, g.n) for w in g.neighbors(u))])
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -451,9 +430,10 @@ def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:
     skipped by its bit count before a Graph is built.  Each call builds a
     new list.
     """
+    n = _integer(n)
     if not 1 <= n <= ENUMERATION_MAX_N:
         raise GraphError(f"enumeration supports 1 <= n <= {ENUMERATION_MAX_N}")
-    if excess is not None and excess < -1:
+    if excess is not None and (excess := _integer(excess)) < -1:
         raise GraphError("no connected graph has m - n < -1")
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     pairs += [None] * (-len(pairs) % 6)  # padding bits, all zero

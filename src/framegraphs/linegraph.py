@@ -65,10 +65,10 @@ def line_graph(g: Graph) -> LineGraphMap:
 
 
 def _induced(g: Graph, verts: list[int]) -> Graph:
-    """The subgraph of g induced on verts, relabelled onto 0..k-1 in list order."""
+    """The subgraph of g induced on the ascending verts, relabelled onto 0..k-1."""
     adj = g._adj
     index = {v: i for i, v in enumerate(verts)}
-    return Graph.from_edges(len(verts), [
+    return Graph(len(verts), [
         (index[u], index[w]) for u in verts for w in adj[u] if u < w and w in index
     ])
 

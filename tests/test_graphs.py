@@ -1,5 +1,6 @@
 """Graph families, operations, induced maps, enumeration, serialization."""
 
+import enum
 import importlib.util
 import itertools
 import os
@@ -104,9 +105,23 @@ def test_malformed_edges_rejected():
     for edges in [((0, 1, 2),), (5,), ((0,),), (None,), ("012",)]:
         with pytest.raises(GraphError, match="not a pair of vertices"):
             Graph(3, edges)
-    # Bool endpoints are stored as ints, so the text round trip holds.
+    # So does an unordered pair that is not a pair of integers.
+    for edges, message in [([5], "not a pair of vertices"), ([(0, None)], "^None is not"),
+                           ([("a", 1)], "^'a' is not an integer")]:
+        with pytest.raises(GraphError, match=message):
+            Graph.from_edges(3, edges)
+
+    # Bool, IntEnum and other int subclass endpoints, one with its own
+    # __str__, are stored as exact ints, so the text round trip holds.
+    class Tagged(int):
+        def __str__(self):
+            return f"my{int(self)}"
+
+    V = enum.IntEnum("V", "A B C D", start=0)
     for n, edges, ints in [(2, ((False, True),), ((0, 1),)),
-                           (4, ((2, 3), (True, 3), (0, 2)), ((0, 2), (1, 3), (2, 3)))]:
+                           (4, ((2, 3), (True, 3), (0, 2)), ((0, 2), (1, 3), (2, 3))),
+                           (3, ((Tagged(0), Tagged(2)),), ((0, 2),)),
+                           (4, ((V.B, V.C), (V.A, V.D)), ((0, 3), (1, 2)))]:
         g = Graph(n, edges)
         assert g.edges == ints and all(type(x) is int for e in g.edges for x in e)
         assert to_text(g) == to_text(Graph(n, ints)) and from_text(to_text(g)) == g
@@ -459,6 +474,13 @@ def test_enumeration_guard():
         enumerate_connected(graphs.ENUMERATION_MAX_N + 1)
     with pytest.raises(GraphError):
         enumerate_connected(5, -2)  # no connected graph has m - n < -1
+    # Orders and excesses are integers; a numpy order gives Python-int graphs.
+    np = pytest.importorskip("numpy")
+    assert {type(g.n) for g in enumerate_connected(np.int64(4))} == {int}
+    assert enumerate_connected(np.int64(4), np.int64(0)) == enumerate_connected(4, 0)
+    for args in [(5.0,), (5, 0.5)]:
+        with pytest.raises(GraphError, match="not an integer"):
+            enumerate_connected(*args)
 
 
 def test_bounded_enumeration_is_the_filtered_level():
