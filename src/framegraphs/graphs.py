@@ -58,9 +58,9 @@ class Graph:
     on first use; a cached view is slower to read than a plain attribute,
     so loops read it into a local once.  Graph(), from_edges and from_text
     check every edge; Graph._derived(n, edges) checks none, so only code
-    here that derives its edges may call it (line_graph, associated_graph,
-    enumerate_connected, join), with n >= 1 and a tuple of strictly
-    increasing pairs of Python ints 0 <= u < v < n."""
+    here that derives its edges may call it (line_graph, root_graph,
+    associated_graph, enumerate_connected, join), with n >= 1 and a tuple
+    of strictly increasing pairs of Python ints 0 <= u < v < n."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -504,7 +504,7 @@ def from_text(text: str) -> Graph:
     if not rows:
         raise GraphError("empty graph text")
     try:
-        n, m = (int(x) for x in rows[0].split())
+        n, m = map(int, rows[0].split())
     except ValueError:
         raise GraphError(f"bad header line {rows[0]!r}") from None
     if n > TEXT_MAX_N:
@@ -514,7 +514,7 @@ def from_text(text: str) -> Graph:
     edges = []
     for line in rows[1:]:
         try:
-            u, v = (int(x) for x in line.split())
+            u, v = map(int, line.split())
         except ValueError:
             raise GraphError(f"bad edge line {line!r}") from None
         if not u < v:

@@ -1,21 +1,16 @@
 """Line graphs, line-graph recognition, and root-graph recovery.
 
-Line graphs are recognized, and their roots recovered, by searching for
-Krausz partitions: partitions of the edges into cliques with every vertex
-in at most two of them.  Per connected component the search tries at most
-two first cliques, as any other would leave an edge that no clique can
-cover, and propagates each with no further branch, so it is polynomial; by
-Whitney's theorem its first partition gives the one root (K_3 has two),
-read from each vertex's cliques as that vertex's root edge (root_edges),
-which is how verify labels the line-graph families of its catalog.  A
-non-line graph is named in its first component with no Krausz partition, by
-the first claw there if it has one, found by a scan of each vertex's
-bitmask row for three pairwise non-adjacent neighbours.  Otherwise, by van
-Rooij & Wilf, two odd triangles on one edge whose apexes are not adjacent
-span at most six vertices that are not a line graph, and a forbidden
-induced subgraph is named among them by graphs.contains_induced, the
-induced-map search that verify also runs for its smallest catalog patterns;
-it stays importable from here.
+Line graphs are recognized, and their roots recovered, by searching each
+connected component for a Krausz partition of its edges into cliques
+(_krausz_partition).  The search is polynomial and reads only neighbour
+sets, so on a line graph recognition and root recovery take O(n + m)
+memory.  By Whitney's theorem the first partition gives the one root (K_3
+has two), read as each vertex's root edge (root_edges), which is how verify
+labels the line-graph families of its catalog.  A non-line graph is named
+in its first component with no Krausz partition by a forbidden induced
+subgraph (_beineke_witness), found on bitmask rows (O(n^2) bits) and by
+graphs.contains_induced, the induced-map search that verify also runs for
+its smallest catalog patterns; it stays importable from here.
 
 Like graphs, this module imports no numpy; a graph's incidence matrix is
 built in constructions.
@@ -136,11 +131,9 @@ def _beineke_witness(g: Graph) -> tuple[int, dict[int, int]]:
 
 
 def is_line_graph(g: Graph):
-    """True, or (False, beineke_index, embedding) with a concrete witness.
-
-    Each connected component is searched for a Krausz partition in turn,
-    and the witness is named inside the first with none.
-    """
+    """True, or (False, beineke_index, embedding) with a concrete witness,
+    named inside the first connected component, in order, that has no
+    Krausz partition; the components are searched in turn."""
     for verts in components(g):
         comp = g if len(verts) == g.n else _induced(g, verts)
         if _krausz_partition(comp) is None:
@@ -168,11 +161,14 @@ def _krausz_partition(g: Graph) -> list[list[int]] | None:
     first cliques are tried.  After it, unit propagation decides the rest:
     a vertex in one clique with uncovered edges has its second clique
     forced to be its uncovered neighbourhood, and the next clique starts
-    at the lowest such vertex.  The vertices in a clique wait on a heap,
-    and one with no uncovered edge left is popped for good.  A vertex that
-    lies in no clique has all of its edges uncovered, so its neighbours
-    lie in no clique either; as g is connected, propagation covers every
-    edge or fails a clique check, and never needs a branch.
+    at the lowest such vertex, kept on a heap.  A vertex in no clique has
+    all of its edges uncovered, so its neighbours lie in no clique either;
+    as g is connected, propagation covers every edge or fails a clique
+    check, and never needs a branch.  One pass checks and covers a clique
+    s: taking s from a member's uncovered neighbours must remove exactly
+    len(s) - 1, and the member must lie in fewer than two cliques.  As
+    uncovered edges are symmetric, that count at one end checks a pair; a
+    failed s is left half covered, but the next first clique starts afresh.
     """
     if g.m == 0:
         return [[]]
@@ -192,19 +188,22 @@ def _krausz_partition(g: Graph) -> list[list[int]] | None:
         member: list[list[int]] = [[] for _ in adj]
         joined: list[int] = []
         for index in itertools.count():
-            if not all(len(member[u]) < 2 and uncovered[u].issuperset(s[i + 1:])
-                       for i, u in enumerate(s)):
-                break
             for u in s:
-                if not member[u]:
+                cs, left, before = member[u], uncovered[u], len(uncovered[u])
+                left.difference_update(s)
+                if len(cs) > 1 or before - len(left) != len(s) - 1:
+                    break
+                if not cs:
                     heapq.heappush(joined, u)
-                member[u].append(index)
-                uncovered[u].difference_update(s)
-            while joined and not uncovered[joined[0]]:
-                heapq.heappop(joined)
-            if not joined:
-                return member
-            s = [joined[0], *uncovered[joined[0]]]
+                cs.append(index)
+            else:
+                while joined and not uncovered[joined[0]]:
+                    heapq.heappop(joined)
+                if not joined:
+                    return member
+                s = [joined[0], *uncovered[joined[0]]]
+                continue
+            break  # s failed its check: try the next first clique
     return None
 
 
@@ -215,9 +214,9 @@ def root_edges(g: Graph) -> list[tuple[int, int]] | None:
     The root is read from the first Krausz partition: root vertex i is
     clique i, each vertex is the root edge joining its cliques, and a
     vertex in fewer than two cliques gets new root vertices, numbered in
-    vertex order (so K_1 gives [(0, 1)]).  By Whitney's theorem it is g's
-    one root up to isomorphism, unless g is K_3, which gives K_{1,3} here
-    and also has the root K_3.
+    vertex order (so K_1 gives [(0, 1)]), so the edges are distinct pairs
+    a < b.  By Whitney's theorem it is g's one root up to isomorphism,
+    unless g is K_3, which gives K_{1,3} here and also has the root K_3.
     """
     member = _krausz_partition(g)
     if member is None:
@@ -237,4 +236,4 @@ def root_graph(g: Graph) -> list[Graph]:
     if edges is None:
         index, _ = _beineke_witness(g)
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
-    return [Graph(1 + max(map(max, edges)), tuple(edges))]
+    return [Graph._derived(1 + max(map(max, edges)), tuple(sorted(edges)))]

@@ -45,9 +45,10 @@ from framegraphs.graphs import (
     diamond,
     duplicate_vertex,
     enumerate_connected,
+    is_connected,
     join,
 )
-from framegraphs.linegraph import line_graph
+from framegraphs.linegraph import line_graph, root_graph
 from framegraphs.matio import frame_to_text
 from framegraphs.spectral import sym_eig
 from framegraphs.verify import classify
@@ -640,9 +641,9 @@ def test_frame_layer_matches_reference():
 
 
 def test_derived_graphs_equal_their_checked_construction():
-    # line_graph, enumerate_connected, join and associated_graph build their
-    # graphs with Graph._derived, which checks nothing: each must hold the
-    # n and the sorted edges that the checking constructor gives.
+    # line_graph, root_graph, enumerate_connected, join and associated_graph
+    # build their graphs with Graph._derived, which checks nothing: each must
+    # hold the n and the sorted edges that the checking constructor gives.
     def check(g):
         assert type(g.n) is int and g == Graph(g.n, list(g.edges))
         assert all(type(u) is type(v) is int for u, v in g.edges)
@@ -656,7 +657,8 @@ def test_derived_graphs_equal_their_checked_construction():
     roots += [Graph.from_edges(30, {tuple(sorted(rng.sample(range(30), 2))) for _ in range(k)})
               for k in (1, 5, 20, 60)]
     pool = [g for g in connected if g.n <= 4]
-    derived = connected + [line_graph(g).line for g in roots]
+    lines = [line_graph(g).line for g in roots]
+    derived = connected + lines + [r for lg in lines if is_connected(lg) for r in root_graph(lg)]
     derived += [join(g, h) for g in pool for h in pool]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BorderlineEntryWarning)

@@ -14,6 +14,7 @@ from framegraphs.graphs import (
     GraphError,
     beineke,
     complete,
+    components,
     cycle,
     delete_edge,
     edgeless,
@@ -334,12 +335,15 @@ def test_root_of_a_long_path():
     (root,) = _timed(root_graph, g)
     degrees = [len(a) for a in root._adj]
     assert (root.n, root.m, max(degrees)) == (30001, 30000, 2) and is_connected(root)
+    # The line path reads neighbour sets only: bitmask rows take O(n^2) bits.
+    assert "_rows" not in vars(g) and "_rows" not in vars(root)
 
 
 def test_large_complete_graph_is_a_line_graph():
     g = complete(600)
     g._adj
     assert _timed(is_line_graph, g) is True
+    assert "_rows" not in vars(g)
 
 
 def test_no_first_clique_fits_among_many_common_neighbours():
@@ -370,6 +374,46 @@ def test_krausz_memberships_partition_the_edges(atlas):
         assert sorted(cliques) == list(range(len(cliques))), g
         covered = [e for c in cliques.values() for e in itertools.combinations(c, 2)]
         assert sorted(covered) == list(g.edges), g
+
+
+def _relabelled_line_graphs(rng, count=80):
+    """Line graphs of seeded random roots with 2 to 60 edges, relabelled by
+    a random permutation, each followed by a copy with one adjacency
+    toggled; many roots, and so many of these graphs, are disconnected."""
+    graphs = []
+    while len(graphs) < 2 * count:
+        n, p = rng.randint(2, 16), rng.uniform(0.1, 0.9)
+        root = Graph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ])
+        if not 2 <= root.m <= 60:
+            continue
+        lg = line_graph(root).line
+        perm = list(range(lg.n))
+        rng.shuffle(perm)
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in lg.edges}
+        toggled = tuple(sorted(rng.sample(range(lg.n), 2)))
+        graphs += [Graph.from_edges(lg.n, edges), Graph.from_edges(lg.n, edges ^ {toggled})]
+    return graphs
+
+
+def test_krausz_partition_matches_reference(atlas):
+    # The search checks and covers each clique in one pass; the reference
+    # checks every pair of a clique before it covers it.  Both must find the
+    # same memberships, or both None, on every connected component.
+    rng = random.Random(35)
+    inputs = [g for _, g in atlas if is_connected(g)] + _relabelled_line_graphs(rng)
+    inputs += [line_graph(complete(k)).line for k in range(2, 13)]
+    inputs += [_cocktail_party(k) for k in range(1, 11)]
+    inputs += [join(complete(2), edgeless(k)) for k in range(1, 31)]
+    found = set()
+    for g in inputs:
+        for verts in components(g):
+            comp = g if len(verts) == g.n else linegraph._induced(g, verts)
+            member = linegraph._krausz_partition(comp)
+            assert member == reference._krausz_partition(comp), comp
+            found.add(member is None)
+    assert found == {True, False}
 
 
 def test_root_graph_guards():
