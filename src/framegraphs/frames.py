@@ -166,9 +166,9 @@ def associated_graph(f: Frame) -> GramPattern:
     BorderlineEntryWarning, in row-major order: the discrete pattern
     extracted from floats is fragile there.
     """
-    edges = []
+    ints, edges = np.arange(f.n).astype(object), []  # one int object per vertex
     for rows, cols in _gram_support(f):
-        edges += zip(rows.tolist(), cols.tolist())
+        edges += zip(ints[rows].tolist(), ints[cols].tolist())
     return GramPattern(graph=Graph._derived(f.n, tuple(edges)))  # row-major: sorted
 
 

@@ -53,14 +53,14 @@ class Graph:
     (a bool, a numpy integer or any int subclass; another type, or an edge
     that is not a pair, raises GraphError).  Graph() takes pairs u < v, as
     the family builders here pass them; from_edges takes unordered pairs.
-    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits), the search
-    order (_order) and, for a pattern, its match steps (_steps) are derived
-    on first use; a cached view is slower to read than a plain attribute,
-    so loops read it into a local once.  Graph(), from_edges and from_text
-    check every edge; Graph._derived(n, edges) checks none, so only code
-    here that derives its edges may call it (line_graph, root_graph,
-    associated_graph, enumerate_connected, join), with n >= 1 and a tuple
-    of strictly increasing pairs of Python ints 0 <= u < v < n."""
+    Neighbour sets (_adj), bitmask rows (_rows, O(n^2) bits) and, for a
+    pattern, its search plan (_steps) are derived on first use; a cached
+    view is slower to read than a plain attribute, so loops read it into a
+    local once.  Graph(), from_edges and from_text check every edge;
+    Graph._derived(n, edges) checks none, so only code here that derives
+    its edges may call it (line_graph, root_graph, associated_graph,
+    enumerate_connected, join), with n >= 1 and a tuple of strictly
+    increasing pairs of Python ints 0 <= u < v < n."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -106,34 +106,25 @@ class Graph:
         return tuple(rows)
 
     @functools.cached_property
-    def _order(self) -> tuple[int, ...]:
-        """The vertices in the order _induced_map maps them: next is the
-        vertex left with the most neighbours already ordered, then the
-        highest degree, then the lowest index, found by a scan.  The order
-        costs O(k^2) on k vertices; patterns have at most 8, the size
-        tools/connected_table.py matches, and a larger one may backtrack
-        anyway (see contains_induced).  In a connected graph every vertex
-        after the first has a neighbour earlier in the order."""
-        rows, order, done = self._rows, [], 0  # done: the vertices ordered
+    def _steps(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """The plan _induced_map follows, one step per position: the vertex
+        u mapped there, its earlier neighbours, ascending, and its
+        lowest-numbered earlier non-neighbour, or -1.  Next is the vertex
+        left with the most neighbours already planned, then the highest
+        degree, then the lowest index, found by a scan: O(k^2) on k
+        vertices.  Patterns have at most 8, the size tools/connected_table.py
+        matches, and a larger one may backtrack anyway (see
+        contains_induced).  In a connected graph every step after the first
+        has an earlier neighbour.  The vertices before a step are always
+        the same, so a pattern's plan is fixed; a host builds none."""
+        rows, steps, done = self._rows, [], 0  # done: the vertices planned
         left = list(range(self.n))
         while left:
             u = min(left, key=lambda w: (
                 -(rows[w] & done).bit_count(), -rows[w].bit_count(), w))
-            order.append(u)
             left.remove(u)
-            done |= 1 << u
-        return tuple(order)
-
-    @functools.cached_property
-    def _steps(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per position k of _order: the earlier vertices adjacent to
-        order[k], ascending, and the lowest-numbered earlier non-neighbour,
-        or -1.  The vertices before k are always order[:k], so a pattern's
-        steps are fixed; _induced_map reads them, and a host builds none."""
-        rows, steps, done = self._rows, [], 0
-        for u in self._order:
             far = done & ~rows[u]
-            steps.append((tuple(_bits(done & rows[u])), (far & -far).bit_length() - 1))
+            steps.append((u, tuple(_bits(done & rows[u])), (far & -far).bit_length() - 1))
             done |= 1 << u
         return tuple(steps)
 
@@ -345,21 +336,21 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
     """The first injective map from the pattern p into a host that induces
     p exactly, as image[u], or None; the host as bitmask rows.
 
-    p's vertices are mapped in p._order, u to the unused host vertices of
-    the bitmask allowed[u] adjacent to the images of u's mapped neighbours
-    and to no other image, tried in ascending order.  One step rule, read
-    from p._steps: the rows of the neighbours' images, ANDed, less the row
-    of the image of u's lowest-numbered mapped non-neighbour, mask the
-    candidates; a candidate v, which sees every neighbour's image, is kept
-    iff hrows[v] meets no more images than u has mapped neighbours.  A step
-    costs the neighbours mapped, and on a dense host the masked row prunes
-    most candidates.  An explicit stack keeps the search's depth free of
+    p's vertices are mapped in the order of its plan, p._steps, u to the
+    unused host vertices of the bitmask allowed[u] adjacent to the images
+    of u's mapped neighbours and to no other image, tried in ascending
+    order.  One step rule, read from the plan: the rows of the neighbours'
+    images, ANDed, less the row of the image of u's lowest-numbered mapped
+    non-neighbour, mask the candidates; a candidate v, which sees every
+    neighbour's image, is kept iff hrows[v] meets no more images than u
+    has mapped neighbours.  A step costs the neighbours mapped, and on a
+    dense host the masked row prunes most candidates.  An explicit stack keeps the search's depth free of
     the recursion limit.
     """
-    order, steps = p._order, p._steps
+    steps = p._steps
     n = p.n
     left = [0] * n  # per position k: the candidates not yet tried
-    left[0] = allowed[order[0]]
+    left[0] = allowed[steps[0][0]]
     image = [0] * n
     used = 0  # the images, as host vertices
     k = 0
@@ -370,20 +361,21 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
             if k == 0:
                 return None
             k -= 1
-            used ^= 1 << image[order[k]]
+            used ^= 1 << image[steps[k][0]]
             continue
         low = cands & -cands
         left[k] = cands ^ low
         v = low.bit_length() - 1
-        if (hrows[v] & used).bit_count() != len(steps[k][0]):
+        u, near, _ = steps[k]
+        if (hrows[v] & used).bit_count() != len(near):
             continue
-        image[order[k]] = v
+        image[u] = v
         used |= low
         k += 1
         if k == n:
             return image
-        near, far = steps[k]
-        cands = allowed[order[k]] & ~used
+        u, near, far = steps[k]
+        cands = allowed[u] & ~used
         for w in near:
             cands &= hrows[image[w]]
         if far >= 0:
@@ -400,13 +392,13 @@ def _bits(mask: int):
 
 
 def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
-    """An injective map V(h) -> V(g) inducing h exactly, keyed in h._order,
-    or None.
+    """An injective map V(h) -> V(g) inducing h exactly, keyed in plan
+    order (h._steps), or None.
 
-    The induced-map search: h's vertices in h._order, each to the vertices
-    of g of at least its degree, tried in increasing order, so the embedding
-    returned is the first in that fixed order.  At equal order and size it is
-    an isomorphism, but with degree-only masks it can backtrack exponentially
+    The induced-map search: h's vertices in plan order, each to the
+    vertices of g of at least its degree, tried in increasing order, so the
+    embedding returned is the first in that fixed order.  At equal order
+    and size it is an isomorphism, but with degree-only masks it can backtrack exponentially
     on large sparse graphs; callers here pass an h of at most six vertices.
     """
     if h.n > g.n:
@@ -416,7 +408,7 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     at_least = {d: sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
                 for d in set(degree)}
     image = _induced_map(h, grows, [at_least[d] for d in degree])
-    return None if image is None else {u: image[u] for u in h._order}
+    return None if image is None else {u: image[u] for u, _, _ in h._steps}
 
 
 def enumerate_connected(n: int, excess: int | None = None) -> list[Graph]:

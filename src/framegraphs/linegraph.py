@@ -147,9 +147,9 @@ def is_line_graph(g: Graph):
 # ---------------------------------------------------------------------------
 
 def _krausz_partition(g: Graph) -> list[list[int]] | None:
-    """For each vertex of a connected g, the indices of its cliques in the
-    first partition of g's edges into cliques with every vertex in <= 2 of
-    them, in the order found; or None if there is no such partition.
+    """For each vertex of g, the indices of its cliques in the first
+    partition of g's edges into cliques with every vertex in <= 2 of them,
+    in the order found; None unless g is a connected line graph.
 
     The first clique holds the edge from vertex 0 to its smallest neighbor,
     the anchor.  It is {0, anchor} + C, C their common neighbours, or that
@@ -162,17 +162,19 @@ def _krausz_partition(g: Graph) -> list[list[int]] | None:
     a vertex in one clique with uncovered edges has its second clique
     forced to be its uncovered neighbourhood, and the next clique starts
     at the lowest such vertex, kept on a heap.  A vertex in no clique has
-    all of its edges uncovered, so its neighbours lie in no clique either;
-    as g is connected, propagation covers every edge or fails a clique
-    check, and never needs a branch.  One pass checks and covers a clique
-    s: taking s from a member's uncovered neighbours must remove exactly
-    len(s) - 1, and the member must lie in fewer than two cliques.  As
-    uncovered edges are symmetric, that count at one end checks a pair; a
-    failed s is left half covered, but the next first clique starts afresh.
+    all of its edges uncovered, so its neighbours lie in no clique either:
+    propagation covers every edge of 0's component or fails a clique check,
+    and never needs a branch.  So it decides connectivity too: g (n > 1)
+    is connected iff vertex 0 has a neighbour and no vertex is left in no
+    clique.  One pass checks and covers a clique s: taking s from a
+    member's uncovered neighbours must remove exactly len(s) - 1, and the
+    member must lie in fewer than two cliques.  As uncovered edges are
+    symmetric, that count at one end checks a pair; a failed s is left
+    half covered, but the next first clique starts afresh.
     """
-    if g.m == 0:
-        return [[]]
     adj = g._adj
+    if not adj[0]:
+        return None if g.n > 1 else [[]]
     anchor = min(adj[0])
     both = adj[0] & adj[anchor]
     common, k = sorted(both), len(both)
@@ -200,7 +202,7 @@ def _krausz_partition(g: Graph) -> list[list[int]] | None:
                 while joined and not uncovered[joined[0]]:
                     heapq.heappop(joined)
                 if not joined:
-                    return member
+                    return member if all(member) else None
                 s = [joined[0], *uncovered[joined[0]]]
                 continue
             break  # s failed its check: try the next first clique
@@ -208,8 +210,8 @@ def _krausz_partition(g: Graph) -> list[list[int]] | None:
 
 
 def root_edges(g: Graph) -> list[tuple[int, int]] | None:
-    """For each vertex of a connected g, its edge in g's root, or None if g
-    is not a line graph.
+    """For each vertex of g, its edge in g's root; None unless g is a
+    connected line graph.
 
     The root is read from the first Krausz partition: root vertex i is
     clique i, each vertex is the root edge joining its cliques, and a
@@ -227,13 +229,14 @@ def root_edges(g: Graph) -> list[tuple[int, int]] | None:
 
 def root_graph(g: Graph) -> list[Graph]:
     """All root graphs of a connected line graph, up to isomorphism: the
-    graph of root_edges, or for K_3 the two roots K_3 and K_{1,3}."""
-    if not is_connected(g):
-        raise GraphError("root recovery needs a connected graph")
+    graph of root_edges, or for K_3 the two roots K_3 and K_{1,3}.  The
+    Krausz search decides connectivity, so a walk runs only if it fails."""
     if g.n == 3 and g.m == 3:
         return [complete(3), star(4)]
     edges = root_edges(g)
     if edges is None:
+        if not is_connected(g):
+            raise GraphError("root recovery needs a connected graph")
         index, _ = _beineke_witness(g)
         raise NotALineGraph(f"not a line graph (forbidden subgraph G{index})")
     return [Graph._derived(1 + max(map(max, edges)), tuple(sorted(edges)))]

@@ -5,11 +5,11 @@ generator (tools/connected_table.py) works on bitmask rows and skips
 subsets that a twin swap makes redundant, and it has no isomorphism test:
 classify labels each catalog family by its structure.  This module keeps
 the plain versions: a recursive, degree-pruned ``find_isomorphism`` (and
-``is_isomorphic``), the oracle the tests compare graphs with, the match
-steps that the library's induced-map search reads per position of its
-order (``match_steps``), and an ``enumerate_connected`` that builds a
-Graph for every candidate and tests it against each kept graph with the
-same invariant key, so differential tests can require identical results.
+``is_isomorphic``), the oracle the tests compare graphs with, the plan
+that the library's induced-map search follows (``match_steps``), and an
+``enumerate_connected`` that builds a Graph for every candidate and tests
+it against each kept graph with the same invariant key, so differential
+tests can require identical results.
 It has no size cap; callers keep inputs small.
 
 ``edge_cycle_check`` is the necessary condition that every edge of a tight
@@ -105,17 +105,17 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return find_isomorphism(g, h) is not None
 
 
-def match_steps(g: Graph) -> list[tuple[tuple[int, ...], int]]:
-    """Per position k of the search order: the earlier neighbours of
-    order[k] in ascending order, and the lowest earlier non-neighbour, or
-    -1 if there is none."""
+def match_steps(g: Graph) -> list[tuple[int, tuple[int, ...], int]]:
+    """Per position k of the search order: order[k], its earlier
+    neighbours in ascending order, and the lowest earlier non-neighbour,
+    or -1 if there is none."""
     nbr = _neighbours(g)
     order = _search_order(g, nbr)
     steps = []
     for k, u in enumerate(order):
         earlier = sorted(order[:k])
         far = [w for w in earlier if w not in nbr[u]]
-        steps.append((tuple(w for w in earlier if w in nbr[u]), far[0] if far else -1))
+        steps.append((u, tuple(w for w in earlier if w in nbr[u]), far[0] if far else -1))
     return steps
 
 

@@ -283,12 +283,13 @@ def test_borderline_entry_warning():
         associated_graph(Frame(np.eye(2)))
 
 
-def _traced_peak(fn, *args):
-    """The peak of the memory fn(*args) allocates, as tracemalloc sees it."""
+def _traced(fn, *args):
+    """The memory fn(*args) allocates, as tracemalloc sees it: what its
+    result keeps, and the peak."""
     tracemalloc.start()
     try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args)  # alive while the memory is read
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -299,13 +300,17 @@ def test_gram_checks_hold_no_n_by_n_array():
     # in blocks, so tightness and represents stay below a quarter of that, and
     # associated_graph, which returns a Graph of 102 660 edges, below two
     # thirds: the edge pairs and their tuple, with no per-edge check's set or
-    # sorted copy alive beside them.
+    # sorted copy alive beside them.  Its edges share one int object per
+    # vertex, so the pattern keeps about 6.2 MiB, not the 11.5 MiB of a new
+    # int per endpoint.
     f = laplacian_method(complete(60))
     pattern = associated_graph(f).graph
     one = 8 * f.n * f.n
-    assert _traced_peak(tightness, f) < one / 4
-    assert _traced_peak(represents, f, pattern) < one / 4
-    assert _traced_peak(associated_graph, f) < 2 * one / 3
+    assert _traced(tightness, f)[1] < one / 4
+    assert _traced(represents, f, pattern)[1] < one / 4
+    kept, peak = _traced(associated_graph, f)
+    assert peak < 2 * one / 3
+    assert kept < 8 * 2**20
 
 
 def test_pattern_warnings_point_at_the_caller():

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from framegraphs import linegraph
+from framegraphs import graphs, linegraph
 from framegraphs.constructions import oriented_incidence
 from framegraphs.graphs import (
     Graph,
@@ -416,9 +416,45 @@ def test_krausz_partition_matches_reference(atlas):
     assert found == {True, False}
 
 
+def test_krausz_search_decides_connectivity(atlas):
+    # The search covers vertex 0's component only, so on a disconnected
+    # graph it ends with a vertex in no clique, or finds vertex 0 with no
+    # neighbour: None, as for a non-line graph.
+    disconnected = [g for _, g in atlas if not is_connected(g)]
+    assert any(g.m == 0 for g in disconnected)
+    assert any(g.m and not g.neighbors(0) for g in disconnected)
+    for g in disconnected:
+        assert linegraph._krausz_partition(g) is None, g
+        assert linegraph.root_edges(g) is None, g
+
+
 def test_root_graph_guards():
-    with pytest.raises(GraphError):
-        root_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # A disconnected graph is refused as such, even where its first
+    # component is no line graph.
+    for g in (
+        Graph(4, [(0, 1), (2, 3)]),  # 2K_2
+        Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)]),  # claw + K_2
+        Graph(6, [(0, 1), (2, 3), (2, 4), (2, 5)]),  # K_2 + claw
+        Graph(4, [(1, 2), (1, 3), (2, 3)]),  # K_1 + K_3
+    ):
+        with pytest.raises(GraphError, match="needs a connected graph") as refused:
+            root_graph(g)
+        assert refused.type is GraphError, g
+
+
+def test_root_graph_walks_only_after_a_failed_search(monkeypatch):
+    walks, reach = [], graphs._reach
+
+    def counted(adj, s, seen):
+        walks.append(s)
+        return reach(adj, s, seen)
+
+    monkeypatch.setattr(graphs, "_reach", counted)
+    (root,) = root_graph(line_graph(complete(6)).line)
+    assert walks == [] and is_isomorphic(root, complete(6))
+    with pytest.raises(GraphError, match="needs a connected graph"):
+        root_graph(Graph(4, [(0, 1), (2, 3)]))
+    assert walks == [0]
 
 
 # ---------------------------------------------------------------------------
