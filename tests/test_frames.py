@@ -11,7 +11,7 @@ import reference_frames as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framegraphs import frames
+from framegraphs import frames, linegraph
 from framegraphs.constructions import (
     c4_frame,
     diamond_frame,
@@ -41,6 +41,7 @@ from framegraphs.frames import (
 from framegraphs.graphs import (
     Graph,
     complete,
+    components,
     cycle,
     diamond,
     duplicate_vertex,
@@ -645,10 +646,11 @@ def test_frame_layer_matches_reference():
     assert last_block_mismatches >= 4
 
 
-def test_derived_graphs_equal_their_checked_construction():
-    # line_graph, root_graph, enumerate_connected, join and associated_graph
-    # build their graphs with Graph._derived, which checks nothing: each must
-    # hold the n and the sorted edges that the checking constructor gives.
+def test_derived_graphs_equal_their_checked_construction(atlas):
+    # line_graph, root_graph, enumerate_connected, join, associated_graph and
+    # recognition's component subgraphs (linegraph._induced) build their
+    # graphs with Graph._derived, which checks nothing: each must hold the n
+    # and the sorted edges that the checking constructor gives.
     def check(g):
         assert type(g.n) is int and g == Graph(g.n, list(g.edges))
         assert all(type(u) is type(v) is int for u, v in g.edges)
@@ -665,6 +667,15 @@ def test_derived_graphs_equal_their_checked_construction():
     lines = [line_graph(g).line for g in roots]
     derived = connected + lines + [r for lg in lines if is_connected(lg) for r in root_graph(lg)]
     derived += [join(g, h) for g in pool for h in pool]
+    # The components of the line graphs of roots with several components,
+    # and the witness cores of the claw-free non-line atlas graphs.
+    derived += [linegraph._induced(lg, verts) for lg in lines if not is_connected(lg)
+                for verts in components(lg)]
+    cores = [linegraph._induced(g, linegraph._odd_diamond(g)) for _, g in atlas
+             if is_connected(g) and linegraph._claw(g) is None
+             and linegraph._krausz_partition(g) is None]
+    assert cores
+    derived += cores
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BorderlineEntryWarning)
         derived += [associated_graph(f).graph for f in _differential_frames()]

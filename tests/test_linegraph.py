@@ -205,6 +205,22 @@ def test_witness_searches_no_line_component_again(monkeypatch):
     assert calls == [91, 8]
 
 
+def test_components_are_built_without_the_checking_constructor(monkeypatch):
+    # Two copies of L(K_5), on 0..9 and 10..19, beside a claw centred at 20:
+    # recognition builds each component with Graph._derived, so it names
+    # the claw, in the input's labels, with Graph.__post_init__ disabled.
+    lk5 = line_graph(complete(5)).line
+    edges = [e for k in (0, 10) for e in ((u + k, v + k) for u, v in lk5.edges)]
+    edges += [(20, 21), (20, 22), (20, 23)]
+
+    def refuse(self):
+        raise AssertionError("Graph() ran on a derived graph")
+
+    monkeypatch.setattr(graphs.Graph, "__post_init__", refuse)
+    g = Graph._derived(24, tuple(sorted(edges)))
+    assert is_line_graph(g) == (False, 1, {0: 20, 1: 21, 2: 22, 3: 23})
+
+
 def test_witness_lies_in_first_non_line_component():
     # Two claws, on 0, 10, 11, 12 and on 1..4: the witness is the claw of
     # the first component, not the first claw of the whole graph.
