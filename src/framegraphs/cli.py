@@ -198,8 +198,9 @@ def check_pattern(frame_src, graph_src):
     """Exit 0 iff the frame's Gram pattern equals the graph (labeled)."""
     if frame_src == graph_src == "-":
         raise click.UsageError("FRAME and --graph cannot both read stdin ('-')")
-    from .frames import represents
-    ok = represents(_load_frame(frame_src), _load_graph(graph_src))
+    from .frames import associated_graph
+    f, g = _load_frame(frame_src), _load_graph(graph_src)
+    ok = f.n == g.n and associated_graph(f).graph == g
     click.echo("match" if ok else "mismatch")
     sys.exit(0 if ok else 1)
 

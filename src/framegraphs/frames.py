@@ -2,7 +2,8 @@
 
 A frame is held by its d x n synthesis matrix whose columns are the frame
 vectors.  Tightness tests, the Gram-pattern graph, Naimark complements
-and vector duplication live here.
+and vector duplication live here.  A frame f represents a graph g iff
+f.n == g.n and associated_graph(f).graph == g, the one reader of G's pattern.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def tightness(f: Frame) -> Tightness:
     as Frame's rank check holds every eigenvalue of S above TAU * B, above
     TAU * min(B, 1) / (2n) for any other, so only a value past these bounds
     (the lower one halved for margin) contradicts S.  The symmetric G^2 - G is
-    read in _gram_support's row blocks of F^T (S F - F), d * n^2 flops, not n^3;
+    read in associated_graph's row blocks of F^T (S F - F), d * n^2 flops, not n^3;
     only a frame far from Parseval overflows there, and it fires neither test.
     """
     a, b = float(f._spectrum[0]), float(f._spectrum[-1])
@@ -130,14 +131,20 @@ def tightness(f: Frame) -> Tightness:
     return Tightness(kind, a, b)
 
 
-def _gram_support(f: Frame):
-    """Yield, per row block F[:, i:i+s]^T F[:, i:] of G's upper triangle (at
-    most _BLOCK_ENTRIES entries), its nonzero-entry pairs (i, j), i < j, as two
-    index arrays, warning at the caller of associated_graph or represents.  By
-    Cauchy-Schwarz max|G| is the largest squared column norm, known before the
-    first block; one row-major pass per block keeps entries above a tenth of it."""
+def associated_graph(f: Frame) -> GramPattern:
+    """Graph on n vertices with an edge where the Gram entry is nonzero.
+
+    G's upper triangle is read in row blocks F[:, i:i+s]^T F[:, i:] of at
+    most _BLOCK_ENTRIES entries.  By Cauchy-Schwarz max|G| is the largest
+    squared column norm, known before the first block, and the zero
+    threshold is TAU times it; one row-major pass per block keeps the
+    entries above a tenth of the threshold.  Each entry within a decade of
+    it triggers a BorderlineEntryWarning at the caller, in row-major order:
+    the discrete pattern extracted from floats is fragile there.
+    """
     x, n = f.synthesis, f.n
     s = max(1, _BLOCK_ENTRIES // n)
+    ints, edges = np.arange(n).astype(object), []  # one int object per vertex
     for i in range(0, n, s):
         g = x[:, i:i + s].T @ x[:, i:]
         mag = np.abs(g)
@@ -153,36 +160,11 @@ def _gram_support(f: Frame):
                 f"Gram entry ({i + r}, {i + c}) = {g[r, c]:.3e} is within a decade "
                 f"of the zero threshold {thr:.3e}",
                 BorderlineEntryWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         edge = cand > thr
-        yield rows[edge] + i, cols[edge] + i
-
-
-def associated_graph(f: Frame) -> GramPattern:
-    """Graph on n vertices with an edge where the Gram entry is nonzero.
-
-    Each entry within a decade of the zero threshold triggers a
-    BorderlineEntryWarning, in row-major order: the discrete pattern
-    extracted from floats is fragile there.
-    """
-    ints, edges = np.arange(f.n).astype(object), []  # one int object per vertex
-    for rows, cols in _gram_support(f):
-        edges += zip(ints[rows].tolist(), ints[cols].tolist())
-    return GramPattern(graph=Graph._derived(f.n, tuple(edges)))  # row-major: sorted
-
-
-def represents(f: Frame, g: Graph) -> bool:
-    """True iff the Gram pattern equals g as a labeled graph.  Another order
-    is refused at once; otherwise every block is read and its pairs compared
-    with the next slice of g.edges, so it warns as associated_graph does."""
-    if f.n != g.n:
-        return False
-    edges, lo, same = g.edges, 0, True
-    for rows, cols in _gram_support(f):
-        same = same and tuple(zip(rows.tolist(), cols.tolist())) == edges[lo:lo + rows.size]
-        lo += rows.size
-    return same and lo == len(edges)
+        edges += zip(ints[i:][rows[edge]].tolist(), ints[i:][cols[edge]].tolist())
+    return GramPattern(graph=Graph._derived(n, tuple(edges)))  # row-major: sorted
 
 
 def naimark_complement(f: Frame) -> Frame:

@@ -108,8 +108,9 @@ def _by_root(p: Graph, g: Graph) -> list[int] | None:
 
 def _by_pattern(p: Graph, g: Graph) -> list[int] | None:
     """p on at most six vertices: the first induced map of p into g, which
-    at g's order and size is an isomorphism."""
-    image = contains_induced(g, p)
+    at g's order and size is an isomorphism, so it is searched for only if
+    _pairing pairs g's degrees with p's."""
+    image = None if _by_degree(p, g) is None else contains_induced(g, p)
     return None if image is None else sorted(image, key=image.get)
 
 
@@ -181,13 +182,13 @@ def classify(g: Graph) -> Certificate:
         columns = shape(g)
         if columns is None:
             continue
-        from .frames import Frame, represents, tightness
+        from .frames import Frame, associated_graph, tightness
 
         cert_frame = Frame(frame.synthesis[:, columns])
         verdict = tightness(cert_frame)
         if verdict.kind not in ("tight", "parseval"):
             raise AssertionError(f"catalog frame {name} is not tight")
-        if not represents(cert_frame, g):
+        if associated_graph(cert_frame).graph != g:
             raise AssertionError(f"catalog frame {name} does not match after relabeling")
         return Certificate("tight", detail=name, frame=cert_frame)
     # Two non-adjacent vertices of degree n - 2 cover 2(n - 2) edges; if that

@@ -6,6 +6,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -18,7 +19,7 @@ from framegraphs import verify
 from framegraphs.cli import cli, main
 from framegraphs.constructions import diamond_frame, kn_minus_e_frame
 from framegraphs.frames import Frame
-from framegraphs.graphs import complete, cycle, edgeless, from_text, path, star, to_text
+from framegraphs.graphs import Graph, complete, cycle, edgeless, from_text, path, star, to_text
 from framegraphs.linegraph import line_graph
 from framegraphs.matio import frame_from_text, frame_to_text
 
@@ -158,6 +159,27 @@ def test_check_pattern(runner, tmp_path):
     frame_text = run(runner, ["frame", "laplacian"], stdin=to_text(path(5))).output
     res = run(runner, ["check", "pattern", "--graph", str(graph_file)], stdin=frame_text)
     assert res.exit_code == 0 and "match" in res.output
+
+
+def test_check_pattern_reads_no_gram_entry_at_another_order(tmp_path, capsys):
+    # G[0, 3] = 5e-9 (an edge) and G[1, 2] = 2e-10 (not) are within a decade
+    # of the zero threshold.  A graph of another order is a mismatch before
+    # G is read, so nothing warns; at the frame's order both entries warn,
+    # at the command's own line.
+    mat = np.eye(4)
+    mat[0, 3], mat[1, 2] = 5e-9, 2e-10
+    frame_file = tmp_path / "f.txt"
+    frame_file.write_text(frame_to_text(Frame(mat)))
+    for n, code, verdict, warned in ((5, 1, "mismatch", 0), (4, 0, "match", 2)):
+        graph_file = tmp_path / f"g{n}.txt"
+        graph_file.write_text(to_text(Graph(n, ((0, 3),))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "pattern", str(frame_file), "--graph", str(graph_file)])
+        assert exc.value.code == code
+        assert capsys.readouterr() == (f"{verdict}\n", "")
+        assert [Path(w.filename).name for w in caught] == ["cli.py"] * warned
 
 
 def test_check_pattern_refuses_two_stdin_inputs(monkeypatch, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from framegraphs import constructions, frames, verify
-from framegraphs.frames import BorderlineEntryWarning, represents, tightness
+from framegraphs.frames import BorderlineEntryWarning, associated_graph, tightness
 from framegraphs.graphs import (
     Graph,
     GraphError,
@@ -126,7 +126,7 @@ def check_tight_certificate(g, cert):
     assert cert.verdict == "tight"
     assert cert.frame is not None
     assert tightness(cert.frame).kind in ("tight", "parseval")
-    assert represents(cert.frame, g)
+    assert associated_graph(cert.frame).graph == g
 
 
 def test_classify_tight_families():
@@ -296,6 +296,33 @@ def test_each_family_is_labelled_by_its_structure(monkeypatch):
     assert searched and max(searched) <= 6
 
 
+def test_pattern_entries_search_only_on_matching_degrees(monkeypatch):
+    # C_4, G2 and G6 are matched by an induced map, searched for only when
+    # the input's degrees pair with the pattern's: the paw at C_4's (4, 4),
+    # K_4 plus a pendant vertex at G2's (5, 7) and K_5 plus a pendant vertex
+    # at G6's (6, 11) fit the counts but not the degrees.
+    searched = []
+
+    def counted(g, p):
+        searched.append(p.n)
+        return contains_induced(g, p)
+
+    monkeypatch.setattr(verify, "contains_induced", counted)
+    paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    k4_leaf = Graph(5, complete(4).edges + ((3, 4),))
+    k5_leaf = Graph(6, complete(5).edges + ((4, 5),))
+    for g in (paw, k4_leaf, k5_leaf):
+        assert classify(g).verdict != "tight"
+    assert searched == []
+    rng = random.Random(38)
+    for detail, g in (("cycle4", cycle(4)), ("g2", beineke(2)), ("g6", beineke(6))):
+        h = _shuffled(g, rng)
+        cert = classify(h)
+        check_tight_certificate(h, cert)
+        assert cert.detail == detail
+    assert searched == [4, 5, 6]
+
+
 def test_catalog_rejects_graphs_that_only_fit_its_counts():
     rng = random.Random(16)
     # The six 4-regular graphs on 8 vertices fit K_2 x K_4's order and size.
@@ -455,6 +482,9 @@ def test_catalog_builds_no_frame_it_cannot_match(monkeypatch):
 def test_every_certificate_is_verified(monkeypatch):
     # The memo holds no verification result: each call re-runs both checks,
     # which classify imports from frames once a catalog pattern matches.
+    # Building K_7's catalog entry also reads its Gram pattern, so the memo
+    # is warmed before counting.
+    classify(complete(7))
     calls = Counter()
 
     def counting(name):
@@ -465,11 +495,11 @@ def test_every_certificate_is_verified(monkeypatch):
             return check(*args)
         return counted
 
-    for name in ("tightness", "represents"):
+    for name in ("tightness", "associated_graph"):
         monkeypatch.setattr(frames, name, counting(name))
     for _ in range(3):
         classify(complete(7))
-    assert calls == {"tightness": 3, "represents": 3}
+    assert calls == {"tightness": 3, "associated_graph": 3}
 
 
 # ---------------------------------------------------------------------------
