@@ -1,15 +1,15 @@
 """Explicit frame constructions for graph families.
 
-Every matrix is derived from a graph's oriented incidence matrix B, built
-here beside the frames that use it, so that graphs and linegraph import no
-numpy: B Bᵀ is the Laplacian.  The frames are the Laplacian-eigenbasis
-frame for a root graph's line graph, the two tight frames for the line
-graph of a complete graph (dimensions n-1 and n-2), the star-based Parseval
-frames for K_n, the K_2 x K_n product frame, tight completions (minimal and
-generic two-step), and the duplication-chain frames, which split a vector
-of the diamond or 4-cycle frame into equal copies: K_n minus an edge, the
-line graphs of O_n, and the forbidden subgraphs G2 and G6 (G3 is K_5 minus
-an edge).
+The Laplacian frames are derived from a graph's oriented incidence matrix
+B, built here beside the frames that use it, so that graphs and linegraph
+import no numpy: B Bᵀ is the Laplacian.  The frames are the
+Laplacian-eigenbasis frame for a root graph's line graph, the two tight
+frames for the line graph of a complete graph (dimensions n-1 and n-2), the
+star-based Parseval frames for K_n (a closed form, not derived from B), the
+K_2 x K_n product frame, tight completions (minimal and generic two-step),
+and the duplication-chain frames, which split a vector of the diamond or
+4-cycle frame into equal copies: K_n minus an edge, the line graphs of O_n,
+and the forbidden subgraphs G2 and G6 (G3 is K_5 minus an edge).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .frames import Frame, duplicate_vector
+from .frames import Frame, duplicate_vector, frame_operator
 from .graphs import Graph, GraphError, is_connected
 from .spectral import TAU, sym_eig
 
@@ -95,24 +95,23 @@ def star_frame(n: int, d: int) -> Frame:
     The (n+1) x (n-1) eigenvector matrix for the eigenvalue-1 eigenspace
     of the star Laplacian has column k (1-based) equal to
     sqrt((n-k)/(n-k+1)) at row k+1 and -sqrt((n-k)/(n-k+1))/(n-k) at rows
-    k+2..n+1.  Applying the star's incidence matrix to d of its columns
-    yields the frame; d = n - 1 keeps them all, and a smaller d keeps rows
-    of that frame: the odd columns 1, 3, 5, ..., then the even ones,
-    largest first, as far as d reaches.
+    k+2..n+1.  The hub entry, row 1, of every column is zero, so applying
+    the star's incidence matrix B only selects the leaf rows: row k of the
+    frame is column k from row 2 on, and the d kept rows are filled in O(dn).
+    d = n - 1 keeps them all, and a smaller d keeps the odd rows 1, 3, 5,
+    ..., then the even ones, largest first, as far as d reaches.
     """
     if n < 2 or not 1 <= d <= n - 1:
         raise GraphError("star_frame needs n >= 2 and 1 <= d <= n - 1")
-    xt = np.zeros((n + 1, n - 1))
-    for k in range(1, n):
-        head = np.sqrt((n - k) / (n - k + 1))
-        xt[k, k - 1] = head
-        xt[k + 1:, k - 1] = -head / (n - k)
-    b = oriented_incidence(graphs.star(n + 1))
-    # Frame vectors j and j+1 coincide unless a kept column lies in
-    # {j, j+1}; the odd columns hit every such pair except the last one
-    # when n is odd, which is why the even columns start at n-1.
+    # Frame vectors j and j+1 coincide unless a kept row lies in
+    # {j, j+1}; the odd rows hit every such pair except the last one
+    # when n is odd, which is why the even rows start at n-1.
     keep = (list(range(1, n, 2)) + list(range(2, n, 2))[::-1])[:d]
-    return Frame(xt[:, sorted(k - 1 for k in keep)].T @ b)
+    mat = np.zeros((d, n))
+    for row, k in zip(mat, sorted(keep)):
+        head = np.sqrt((n - k) / (n - k + 1))
+        row[k - 1], row[k:] = head, -head / (n - k)
+    return Frame(mat)
 
 
 def k2kn_frame(n: int) -> Frame:
@@ -140,14 +139,12 @@ def minimal_tight_completion(f: Frame) -> CompletionResult:
     if there is none), and B is their mean.  The result is B-tight, and no
     completion with fewer added vectors exists.
     """
-    values, vectors = sym_eig(f.synthesis @ f.synthesis.T)
+    values, vectors = sym_eig(frame_operator(f))
     gaps = np.flatnonzero(np.diff(values) > TAU * np.max(np.abs(values)))
     low = gaps[-1] + 1 if gaps.size else 0  # index of the top cluster's first value
     bound = float(np.mean(values[low:]))
     added = tuple(np.sqrt(max(bound - values[i], 0.0)) * vectors[:, i] for i in range(low))
-    mat = f.synthesis
-    if added:
-        mat = np.column_stack([mat, *added])
+    mat = np.column_stack([f.synthesis, *added])
     return CompletionResult(frame=Frame(mat), added=added, bound=bound)
 
 
@@ -162,7 +159,7 @@ def two_step_completion(f: Frame) -> CompletionResult:
     """
     mat = f.synthesis
     d = f.d
-    thr = TAU * float(np.max(np.abs(mat @ mat.T)))
+    thr = TAU * float(np.max(np.abs(frame_operator(f))))
     added: list[np.ndarray] = []
     for i in range(d):
         for j in range(i + 1, d):

@@ -135,21 +135,20 @@ def associated_graph(f: Frame) -> GramPattern:
     """Graph on n vertices with an edge where the Gram entry is nonzero.
 
     G's upper triangle is read in row blocks F[:, i:i+s]^T F[:, i:] of at
-    most _BLOCK_ENTRIES entries.  By Cauchy-Schwarz max|G| is the largest
-    squared column norm, known before the first block, and the zero
-    threshold is TAU times it; one row-major pass per block keeps the
-    entries above a tenth of the threshold.  Each entry within a decade of
+    most _BLOCK_ENTRIES entries.  The zero threshold is TAU times the
+    largest squared column norm, max|G| by Cauchy-Schwarz, taken once before
+    the first block however many blocks there are; one row-major pass per
+    block keeps the entries above a tenth of the threshold.  Each entry within a decade of
     it triggers a BorderlineEntryWarning at the caller, in row-major order:
     the discrete pattern extracted from floats is fragile there.
     """
     x, n = f.synthesis, f.n
     s = max(1, _BLOCK_ENTRIES // n)
+    thr = TAU * float(np.einsum("ij,ij->j", x, x).max())
     ints, edges = np.arange(n).astype(object), []  # one int object per vertex
     for i in range(0, n, s):
         g = x[:, i:i + s].T @ x[:, i:]
         mag = np.abs(g)
-        if not i:  # a lone block holds the whole diagonal
-            thr = TAU * float((mag if s >= n else np.einsum("ij,ij->j", x, x)).max())
         rows, cols = np.nonzero(mag > thr / 10)
         upper = rows < cols
         rows, cols = rows[upper], cols[upper]

@@ -6,10 +6,12 @@ the threshold TAU * max|G| taken before the first block from the largest
 squared column norm (Cauchy-Schwarz).  It reads the eigenvector signs
 from whole-array masks, formats each text row in one call, and takes the
 Gramian projection deviation over the same row blocks of the symmetric
-F^T (S F - F).  This module keeps the plain versions: the whole G and its
-largest entry, a double loop over its upper triangle, one ``format`` call
-per matrix entry, the n^3 product G @ G - G, and a loop over eigenvector
-columns, so differential tests can require identical results.
+F^T (S F - F), and fills the star frame's rows from their closed form.
+This module keeps the plain versions: the whole G and its largest entry, a
+double loop over its upper triangle, one ``format`` call per matrix entry,
+the n^3 product G @ G - G, a loop over eigenvector columns, and the star
+frame as the star Laplacian's eigenvectors times the star's incidence
+matrix, so differential tests can require identical results.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import warnings
 
 import numpy as np
 
+from framegraphs.constructions import oriented_incidence
 from framegraphs.frames import (
     BorderlineEntryWarning,
     Frame,
@@ -25,6 +28,7 @@ from framegraphs.frames import (
     ToleranceInconsistencyError,
     gramian,
 )
+from framegraphs.graphs import star
 from framegraphs.spectral import TAU
 
 
@@ -87,3 +91,17 @@ def sign_convention(vectors: np.ndarray) -> np.ndarray:
         if big.size and col[big[0]] < 0:
             vectors[:, j] = -col
     return vectors
+
+
+def star_frame(n: int, d: int) -> np.ndarray:
+    """star_frame(n, d)'s synthesis matrix as X^T B: the (n+1) x (n-1)
+    eigenvalue-1 eigenvectors X of the star Laplacian, restricted to the
+    kept columns, times the (n+1) x n incidence matrix B of the star."""
+    xt = np.zeros((n + 1, n - 1))
+    for k in range(1, n):
+        head = np.sqrt((n - k) / (n - k + 1))
+        xt[k, k - 1] = head
+        xt[k + 1:, k - 1] = -head / (n - k)
+    b = oriented_incidence(star(n + 1))
+    keep = (list(range(1, n, 2)) + list(range(2, n, 2))[::-1])[:d]
+    return xt[:, sorted(k - 1 for k in keep)].T @ b

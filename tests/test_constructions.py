@@ -1,6 +1,7 @@
 """Explicit frame families, tight completions, and the duplication chain."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from framegraphs.graphs import (
 from framegraphs.linegraph import line_graph
 from framegraphs.spectral import TAU, sym_eig
 
+import reference_frames as reference
 from reference_graphs import is_isomorphic
 
 
@@ -142,6 +144,27 @@ def test_star_frame_keeps_alternating_rows():
             assert np.array_equal(cons.star_frame(n, d).synthesis, expected), (n, d)
     for n, d, keep in ((8, 3, [1, 3, 5]), (8, 5, [1, 3, 5, 6, 7]), (5, 4, [1, 2, 3, 4])):
         assert np.array_equal(cons.star_frame(n, d).synthesis, _star_rows(n, keep).synthesis)
+
+
+def test_star_frame_matches_eigenvectors_times_incidence():
+    # The closed-form rows equal, bit for bit, X^T B for the star Laplacian's
+    # eigenvectors X and the star's incidence matrix B.
+    for n in range(2, 81):
+        for d in range(1, n):
+            expected = reference.star_frame(n, d)
+            assert cons.star_frame(n, d).synthesis.tobytes() == expected.tobytes(), (n, d)
+
+
+def test_star_frame_allocates_only_its_rows():
+    # A 3 x 4000 frame takes 96 kB; X and B for the star on 4001 vertices
+    # would take about 128 MB each.
+    tracemalloc.start()
+    try:
+        f = cons.star_frame(4000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * f.synthesis.nbytes
 
 
 def _has_repeated_columns(f):

@@ -364,6 +364,23 @@ def test_nearly_rank_deficient_frames_get_a_verdict():
     assert min(kinds.values()) > 0
 
 
+def test_pattern_threshold_ignores_zero_columns():
+    # Column 4 is about 1e-9 times the longest column 1, so G[1, 4] sits on
+    # the threshold.  The threshold comes from the column norms whatever the
+    # number of row blocks: 200 zero columns, which make the walk take two
+    # blocks, change neither the threshold nor the pattern.
+    rows = ["0x1.4f8b588e368f0p-17 -0x1.84fee0bd337adp-24 0x0.0p+0 "
+            "-0x1.2a2c1f5a120f4p-17 -0x1.a1ae4d0a81219p-54",
+            "0x0.0p+0 0x1.4f8b588e368f0p-17 0x0.0p+0 "
+            "0x1.c9a631be7ea72p-19 0x1.6849b86a12b9bp-47"]
+    mat = np.array([[float.fromhex(x) for x in row.split()] for row in rows])
+    padded = np.hstack([mat, np.zeros((2, 200))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BorderlineEntryWarning)
+        plain, wide = associated_graph(Frame(mat)), associated_graph(Frame(padded))
+    assert wide.graph.n == 205 and plain.graph.edges == wide.graph.edges
+
+
 def test_pattern_respects_tolerance_policy():
     # An entry at 1e-6 of the largest is far above the zero threshold.
     mat = np.array([[1.0, 1e-6], [0.0, 1.0]])
