@@ -485,11 +485,27 @@ def test_enumeration_guard():
 def test_bounded_enumeration_is_the_filtered_level():
     # Same graphs, same labels, same order as the full level filtered by
     # edge excess.
-    for n, excesses in [*((n, range(-1, 3)) for n in range(1, 8)), (8, (-1, 0))]:
+    for n in range(1, 9):
         full = enumerate_connected(n)
-        for e in excesses:
+        for e in range(-1, 3):
             assert enumerate_connected(n, e) == [g for g in full if g.m - g.n <= e], (n, e)
     assert [len(enumerate_connected(n, 0)) for n in (7, 8)] == [44, 112]
+
+
+def test_skipped_lines_build_no_graph(monkeypatch):
+    # A line over the excess is skipped by its edge count: only the graphs
+    # returned are built.
+    built = []
+    derived = Graph._derived
+
+    def counted(cls, n, edges):
+        built.append(n)
+        return derived(n, edges)
+
+    monkeypatch.setattr(Graph, "_derived", classmethod(counted))
+    for excess, count in ((0, 112), (-1, 23)):
+        built.clear()
+        assert len(enumerate_connected(8, excess)) == len(built) == count
 
 
 def test_enumeration_returns_a_fresh_list():
@@ -567,6 +583,8 @@ def _set_line(i, line):
     (_set_line(500, b"FsRp\n"), "not 5 characters long"),  # a character short
     (_set_line(500, b"FsRpO?\n"), "not 5 characters long"),  # one too many
     (lambda lines: lines[:5000] + [lines[5000][:3]], "not 6 characters long"),  # cut
+    # A character short, then a blank line: the next line starts where it should.
+    (lambda lines: lines[:500] + [b"FsRp\n", b"\n"] + lines[501:], "not 5 characters long"),
     (_set_line(500, b"FsR O\n"), "outside 63..126"),
     (_set_line(500, b"FsR\x7fO\n"), "outside 63..126"),
     (_set_line(500, b"FsRpP\n"), "nonzero padding"),  # "P" - 63 = 17: bit 0 is padding
@@ -576,8 +594,11 @@ def _set_line(i, line):
     (lambda lines: lines + [b"H" + b"?" * 6 + b"\n"], r"11117, 1\)"),  # a level 9
     (lambda lines: lines[:3] + [b"\n"] + lines[3:], "order 0"),  # a blank line
     (lambda lines: lines[996:] + lines[:996], "order 8 out of place"),
-], ids=["short", "long", "cut", "space", "del", "padding", "missing", "truncated",
-        "repeated", "level-9", "blank", "reordered"])
+    # One line of the right width whose order byte names another level.
+    (_set_line(500, b"EsRpO\n"), "order 6 out of place"),
+    (lambda lines: _set_line(5000, b"F" + lines[5000][1:])(lines), "order 7 out of place"),
+], ids=["short", "long", "cut", "short-blank", "space", "del", "padding", "missing", "truncated",
+        "repeated", "level-9", "blank", "reordered", "order-6-in-7", "order-7-in-8"])
 def test_damaged_table_is_rejected(damaged_table, edit, why):
     copy = damaged_table(edit)
     for n in (1, 7):
@@ -597,6 +618,12 @@ def test_table_is_read_on_first_call_only(damaged_table):
     assert len(enumerate_connected(7)) == 853
     copy.unlink()  # already read: later levels decode from memory
     assert len(enumerate_connected(8, 0)) == 112
+
+
+def test_table_may_end_without_a_newline(damaged_table):
+    damaged_table(lambda lines: lines[:-1] + [lines[-1].rstrip(b"\n")])
+    level = enumerate_connected(8)
+    assert len(level) == 11117 and level[-1] == complete(8)
 
 
 # ---------------------------------------------------------------------------
